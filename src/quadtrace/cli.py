@@ -35,8 +35,8 @@ from .kloosterman import (
     assembled_product,
     kzeta_level_closed,
     kzeta_level_truncated,
+    plus_zeta_batch,
     plus_zeta_special_value,
-    plus_zeta_truncated,
 )
 from .modular import (
     eval_cohen_eisenstein,
@@ -211,7 +211,7 @@ def cmd_verify(args) -> int:
             reports.extend(constant_term_checks(p))
             reports.append(deformation_b_check(p))
     elif which == "kloosterman":
-        cutoff = args.cutoff or 2000
+        cutoff = 2000 if args.cutoff is None else args.cutoff
         for p in args.p:
             kv = kzeta_level_truncated(p, 1.25, cutoff)
             closed = kzeta_level_closed(p, 1.25)
@@ -228,8 +228,8 @@ def cmd_verify(args) -> int:
                     detail=f"tail_bound={kv.tail_bound:.3e}",
                 )
             )
-            for n in (-4, -3, 5, 8):
-                tv = plus_zeta_truncated(p, n, 2.5, cutoff)
+            for tv in plus_zeta_batch(p, [-4, -3, 5, 8], 2.5, cutoff):
+                n = tv.params["n"]
                 prod = assembled_product(p, n, 2.5)
                 diff = abs(tv.value - prod)
                 reports.append(
@@ -397,6 +397,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.prec < 30:
         print("precision must be at least 30 digits", file=sys.stderr)
+        return 2
+    if args.cutoff is not None and args.cutoff < 1:
+        print(f"--cutoff must be at least 1 (got {args.cutoff})", file=sys.stderr)
         return 2
     for p in args.p:
         if p == 2 or not is_prime(p):

@@ -38,10 +38,6 @@ local_factor_2 = local_factor_2_exact
 local_factor_p = local_factor_p_exact
 
 
-def _nu(n: int, p: int) -> int:
-    return valuation(n, p) if n % p == 0 else 0
-
-
 def t_divisor_sum(big_n: int, s, t: int, n: int):
     """T^{chi_t}_{N,s}(n) = sum_{d | n, gcd(d,N)=1} mu(d) chi_t(d) d^{s-1}
     sigma_{N, 2s-1}(n/d).  Exact Fraction for integer s, else mpf.
@@ -140,7 +136,7 @@ def sesqui4p_square_coeff(p: int, m: int):
     """c(m^2) closed form (the bracketed value divided by (2/3)(1-i)pi)."""
     with hp():
         z = zeta_prime_over_zeta_2()
-        v2, vp = _nu(m, 2), _nu(m, p)
+        v2, vp = valuation(m, 2), valuation(m, p)
         disp = (
             2
             / (mp.pi * (p + 1))
@@ -414,7 +410,7 @@ def square_trace_rhs(p: int, m: int):
     """The simplified right side of the square-index trace evaluation."""
     with hp():
         z = zeta_prime_over_zeta_2()
-        v2, vp = _nu(m, 2), _nu(m, p)
+        v2, vp = valuation(m, 2), valuation(m, p)
         first = (
             mp.mpf(1)
             / (3 * (p - 1))

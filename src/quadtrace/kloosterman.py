@@ -100,9 +100,8 @@ def local_sum_p_exp(p: int, j: int, n: int) -> complex:
     """a(p^j, n) as a finite exponential sum (float precision), odd prime p."""
     m_mod = p**j
     r = np.arange(m_mod, dtype=np.int64)
-    leg = np.array([kronecker(x, p) for x in range(p)], dtype=np.int64)
     if j % 2:
-        chi_m = leg[r % p]
+        chi_m = _legendre_table(p)[r % p]
     else:
         chi_m = np.where(r % p != 0, 1, 0)
     e = 1 if m_mod % 4 == 1 else 1j
@@ -135,10 +134,6 @@ def local_sum_p(p: int, j: int, n: int = 0) -> complex:
     return 0 if j % 2 else euler_phi(p**j)
 
 
-def _nu(n: int, p: int) -> int:
-    return valuation(n, p) if n % p == 0 else 0
-
-
 def local_series_2(n, sigma):
     """sum_{j >= 2} a(2^j, n) / 2^{j sigma}, closed form for n = 0 or n square.
 
@@ -152,7 +147,7 @@ def local_series_2(n, sigma):
         m = math.isqrt(n)
         if m * m != n:
             raise ValueError("closed form available only for n = 0 or n square")
-        nu = _nu(m, 2)
+        nu = valuation(m, 2)
         x = mp.power(2, sigma - mp.mpf(1) / 2)
         pref = (1 + 1j) * mp.power(2, -(sigma + mp.mpf(1) / 2))
         pref *= mp.power(2, -(2 * nu + 2) * (sigma - mp.mpf(1) / 2)) / (
@@ -174,7 +169,7 @@ def local_series_p(p: int, n, sigma):
         m = math.isqrt(n)
         if m * m != n:
             raise ValueError("closed form available only for n = 0 or n square")
-        nu = _nu(m, p)
+        nu = valuation(m, p)
         pw = lambda e: mp.power(p, e)  # noqa: E731
         lead = pw(nu) * pw(-2 * nu * (sigma - mp.mpf(1) / 2))
         bracket = (
@@ -195,14 +190,14 @@ def local_series_p(p: int, n, sigma):
 
 def _local_factor_2_series(n: int, sigma) -> complex:
     """F_2(n, sigma) = sum_{j>=2} a(2^j, n) 2^{-j sigma} + (1+i) 2^{-2 sigma} (float)."""
-    jmax = _nu(n, 2) + 6
+    jmax = valuation(n, 2) + 6
     total = sum(local_sum_2_exp(j, n) / 2 ** (j * sigma) for j in range(2, jmax))
     return total + (1 + 1j) / 2 ** (2 * sigma)
 
 
 def _local_factor_p_series(p: int, n: int, sigma) -> complex:
     """F_p(n, sigma) = sum_{j>=1} a(p^j, n) p^{-j sigma} (float)."""
-    jmax = _nu(n, p) + 5
+    jmax = valuation(n, p) + 5
     return sum(local_sum_p_exp(p, j, n) / p ** (j * sigma) for j in range(1, jmax))
 
 
@@ -254,58 +249,82 @@ def _spf_table(limit: int) -> tuple:
     return tuple(smallest_prime_factors(limit))
 
 
-def _jacobi_bottom_table(m: int, spf) -> np.ndarray:
-    """(x/m) for 0 <= x < m, odd m > 0, via the multiplicative sieve."""
-    if m == 1:
-        return np.ones(1, dtype=np.int8)
-    vals = [0] * m
-    vals[1] = 1
-    for x in range(2, m):
-        p = spf[x]
-        vals[x] = kronecker(x, m) if p in (1, x) else vals[p] * vals[x // p]
-    return np.array(vals, dtype=np.int8)
+def _legendre_table(q: int) -> np.ndarray:
+    """(x/q) for 0 <= x < q, odd prime q: +1 exactly on the nonzero squares."""
+    table = np.full(q, -1, dtype=np.int8)
+    x = np.arange(q, dtype=np.int64)
+    table[x * x % q] = 1
+    table[0] = 0
+    return table
+
+
+def _jacobi_table(m: int, spf) -> np.ndarray:
+    """(x/m) for 0 <= x < m, odd m > 0, as a product of Legendre tables.
+
+    A prime q dividing m to an odd power contributes (x/q); to an even power
+    only the indicator of gcd(x, q) = 1.
+    """
+    x = np.arange(m, dtype=np.int64)
+    table = np.ones(m, dtype=np.int8)
+    rest = m
+    while rest > 1:
+        q, e = spf[rest], 0
+        while rest % q == 0:
+            rest //= q
+            e += 1
+        table *= _legendre_table(q)[x % q] if e % 2 else (x % q != 0)
+    return table
 
 
 def _inner_sums(big_n: int, c: int, n_list, per4n: np.ndarray, spf):
-    """S(4Nc; n) for each n, splitting (4Nc/r) = (4N/r)(2/r)^e (c_odd/r)."""
+    """S(4Nc; n) for each n, splitting (4Nc/r) = (4N/r)(2/r)^e (c_odd/r).
+
+    The Jacobi factor comes from _jacobi_table (Legendre tables of the primes
+    of c_odd, multiplied together) and is turned into (c_odd/r) by
+    reciprocity.  The roots of unity e(k / 4Nc) are tabulated once per
+    modulus and shared by all indices: each index gathers roots[n r mod 4Nc].
+    The exp argument is the float product of 2 pi i / 4Nc and the reduced
+    integer n r mod 4Nc, exactly as when e(n r / 4Nc) is evaluated for one
+    index alone, so the sums are bit-identical to that direct evaluation.
+    """
     m_mod = 4 * big_n * c
     r = np.arange(1, m_mod, 2, dtype=np.int64)
-    chi4n = per4n[r % (4 * big_n)].astype(np.int64)
     e2, c_odd = 0, c
     while c_odd % 2 == 0:
         c_odd //= 2
         e2 += 1
+    chi = per4n[r % (4 * big_n)] * _jacobi_table(c_odd, spf)[r % c_odd]
     if e2 % 2:
-        per8 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int64)
-        chi4n = chi4n * per8[r % 8]
-    jt = _jacobi_bottom_table(c_odd, spf)
-    c_part = jt[r % c_odd].astype(np.int64)
+        chi *= np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)[r % 8]
     if c_odd % 4 == 3:
-        c_part = c_part * np.where(r % 4 == 3, -1, 1)
-    base = (chi4n * c_part) * np.where(r % 4 == 1, 1.0 + 0.0j, 1.0j)
-    out = []
-    for n in n_list:
-        phase = np.exp((2j * np.pi / m_mod) * ((n % m_mod) * r % m_mod))
-        out.append(complex((base * phase).sum()))
-    return out
+        chi[r % 4 == 3] *= -1
+    base = chi * np.where(r % 4 == 1, 1.0 + 0.0j, 1.0j)
+    roots = (2j * np.pi / m_mod) * np.arange(m_mod, dtype=np.int64)
+    np.exp(roots, out=roots)
+    return [complex((base * roots[(n % m_mod) * r % m_mod]).sum()) for n in n_list]
 
 
 def plus_zeta_batch(big_n: int, n_list, s: float, cutoff: int):
-    """Truncated plus-space zetas for several indices in one pass over c."""
+    """Truncated K^+_{1/2,4N}(0, n; s) for several indices in one pass over c.
+
+    Each c costs one Jacobi table, one root table and one gather per index
+    (see _inner_sums).  The tail bound is the rigorous trivial one, left
+    infinite when s <= 2 (no decay) and None at cutoff 0 (nothing summed).
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
     per4n = np.array([kronecker(4 * big_n, x) for x in range(4 * big_n)], dtype=np.int8)
     spf = _spf_table(max(cutoff + 1, 100))
     totals = np.zeros(len(n_list), dtype=complex)
-    terms = [[] for _ in n_list]
     for c in range(1, cutoff + 1):
         w = 1 + kronecker(4, c)
         m_mod = 4 * big_n * c
-        ss = _inner_sums(big_n, c, n_list, per4n, spf)
-        for i, val in enumerate(ss):
-            term = w * val / m_mod**s
-            totals[i] += term
-            terms[i].append(abs(term))
+        for i, val in enumerate(_inner_sums(big_n, c, n_list, per4n, spf)):
+            totals[i] += w * val / m_mod**s
     # rigorous trivial tail: |inner| <= phi(4Nc) <= 4Nc, weight <= 2
-    if s > 2:
+    if cutoff == 0:
+        tail = None
+    elif s > 2:
         tail = 2.0 * (4 * big_n) ** (1 - s) * cutoff ** (2 - s) / (s - 2)
     else:
         tail = float("inf")
@@ -323,16 +342,7 @@ def plus_zeta_batch(big_n: int, n_list, s: float, cutoff: int):
 
 
 def plus_zeta_truncated(big_n: int, n: int, s: float, cutoff: int) -> KloostermanValue:
-    """Truncated K^+_{1/2,4N}(0, n; s) with a rigorous trivial tail bound.
-
-    Flags non-decay by leaving tail_bound infinite when s <= 2.
-    """
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    if cutoff == 0:
-        return KloostermanValue(
-            value=0j, params={"N": big_n, "n": n, "s": s}, cutoff=0, tail_bound=None
-        )
+    """Truncated K^+_{1/2,4N}(0, n; s): plus_zeta_batch at the single index n."""
     return plus_zeta_batch(big_n, [n], s, cutoff)[0]
 
 
@@ -348,7 +358,7 @@ def local_factor_2_exact(n: int) -> Fraction:
     """
     if n == 0:
         raise ValueError("index 0 has no rational local factor")
-    v = _nu(n, 2)
+    v = valuation(n, 2)
     odd = n >> v if n > 0 else -((-n) >> v)
     if v % 2:
         return 1 - Fraction(1, 2 ** ((v - 1) // 2))
@@ -363,7 +373,7 @@ def local_factor_p_exact(p: int, n: int) -> Fraction:
     """The rational local factor at odd p, equal to F_p(n, 3/2)."""
     if n == 0:
         raise ValueError("index 0 has no rational local factor")
-    v = _nu(n, p)
+    v = valuation(n, p)
     if v % 2:
         return Fraction(1, p) - Fraction(p + 1, p ** ((v + 3) // 2))
     sym = kronecker(n // p**v, p)

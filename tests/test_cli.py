@@ -57,6 +57,24 @@ def test_config_errors(capsys):
     assert code == 2
 
 
+def test_verify_kloosterman_small_cutoff(capsys):
+    code, out, err = run(capsys, ["verify", "kloosterman", "--p", "3", "--cutoff", "40"])
+    assert code == 0
+    rows = [json.loads(x) for x in out.strip().splitlines()]
+    assert [r.get("n") for r in rows] == [None, -4, -3, 5, 8]
+    assert all(r["cutoff"] == 40 and r["pass"] for r in rows)
+    assert "5/5 checks passed" in err
+
+
+def test_kloosterman_cutoff_below_one_rejected(capsys):
+    for bad in ("0", "-3"):
+        code, out, err = run(capsys, ["verify", "kloosterman", "--p", "3", "--cutoff", bad])
+        assert code == 2
+        assert out == ""
+        assert "--cutoff must be at least 1" in err
+        assert "Traceback" not in err
+
+
 def test_coeffs_table(capsys):
     code, out, _ = run(
         capsys, ["coeffs", "--p", "3", "--m-max", "3", "--format", "csv", "--prec", "40"]

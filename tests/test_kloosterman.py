@@ -2,10 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 from mpmath import mp
 
+from quadtrace.arith import kronecker
 from quadtrace.kloosterman import (
+    _inner_sums,
+    _jacobi_table,
+    _spf_table,
     assembled_product,
     kzeta_coprime_closed,
     kzeta_level_closed,
@@ -157,6 +162,60 @@ def test_plus_zeta_truncated_edges():
     assert kv.value == 0
     kv = plus_zeta_truncated(3, 5, 2.5, 50)
     assert kv.tail_bound is not None and kv.tail_bound > 0
+    empty = plus_zeta_batch(3, [-4, 5], 2.5, 0)
+    assert [kv.value for kv in empty] == [0, 0]
+    assert all(kv.tail_bound is None and kv.cutoff == 0 for kv in empty)
+    with pytest.raises(ValueError):
+        plus_zeta_batch(3, [-4, 5], 2.5, -1)
+
+
+def test_jacobi_table_matches_kronecker():
+    spf = _spf_table(2001)
+    for m in range(1, 2002, 2):
+        table = _jacobi_table(m, spf)
+        assert table.tolist() == [kronecker(x, m) for x in range(m)], m
+
+
+def test_inner_sums_match_plus_term():
+    """The numpy inner sums equal the mpmath oracle divided by its weight.
+
+    c <= 40 covers odd nu_2(c), c_odd = 3 mod 4 and non-squarefree c_odd.
+    """
+    spf = _spf_table(100)
+    n_list = [-4, -3, 0, 5, 8]
+    for big_n in (1, 3, 5, 15):
+        per4n = np.array([kronecker(4 * big_n, x) for x in range(4 * big_n)], dtype=np.int8)
+        for c in range(1, 41):
+            weight = 1 + kronecker(4, c)
+            for n, val in zip(n_list, _inner_sums(big_n, c, n_list, per4n, spf)):
+                oracle = complex(plus_term(big_n, n, c)) / weight
+                assert abs(val - oracle) < 1e-9, (big_n, n, c)
+
+
+def test_inner_sums_bit_identical_to_direct_exp():
+    """The shared root table gives the same floats as exp per index."""
+    spf = _spf_table(100)
+    n_list = [-4, -3, 0, 5, 8]
+    for big_n in (1, 3, 5):
+        per4n = np.array([kronecker(4 * big_n, x) for x in range(4 * big_n)], dtype=np.int8)
+        for c in range(1, 61):
+            m_mod = 4 * big_n * c
+            r = np.arange(1, m_mod, 2, dtype=np.int64)
+            sym = np.array([kronecker(m_mod, x) for x in r.tolist()], dtype=np.int64)
+            base = sym * np.where(r % 4 == 1, 1.0 + 0.0j, 1.0j)
+            for n, val in zip(n_list, _inner_sums(big_n, c, n_list, per4n, spf)):
+                phase = np.exp((2j * np.pi / m_mod) * ((n % m_mod) * r % m_mod))
+                assert val == complex((base * phase).sum()), (big_n, n, c)
+
+
+def test_plus_zeta_batch_equals_single_index():
+    n_list = [-4, -3, 0, 5, 8]
+    for big_n in (1, 3):
+        batch = plus_zeta_batch(big_n, n_list, 2.5, 60)
+        for n, kv in zip(n_list, batch):
+            single = plus_zeta_truncated(big_n, n, 2.5, 60)
+            assert kv.value == single.value, (big_n, n)
+            assert kv.tail_bound == single.tail_bound
 
 
 def test_plus_zeta_tail_decay_empirical():
