@@ -4,12 +4,17 @@ Factorization is deterministic: trial division over a 6k+-1 wheel, with a
 Brent-cycle rho fallback for cofactors beyond 10**12 so that accidental
 large inputs terminate.  Everything here is pure and exact; the
 factorization cache is safe under concurrent reads and duplicate inserts.
+Legendre symbols come one at a time (kronecker) or as a numpy table over a
+full period (legendre_table), the building block of the character tables
+in lvalues and the Jacobi tables in kloosterman.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+import numpy as np
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_LIMIT = 10**6
@@ -211,16 +216,13 @@ def eps_odd(d: int) -> complex:
     return 1 if d % 4 == 1 else 1j
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(range(p * p, n + 1, p))
-    return [i for i in range(2, n + 1) if sieve[i]]
+def legendre_table(q: int) -> np.ndarray:
+    """(x/q) for 0 <= x < q, odd prime q: +1 exactly on the nonzero squares."""
+    table = np.full(q, -1, dtype=np.int8)
+    x = np.arange(q, dtype=np.int64)
+    table[x * x % q] = 1
+    table[0] = 0
+    return table
 
 
 def smallest_prime_factors(n: int) -> list[int]:

@@ -15,6 +15,7 @@ is exact rational arithmetic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -106,7 +107,7 @@ def generalized_hurwitz(ell: int, big_n: int, n: int) -> Fraction:
     def moebius_sum(sig_ell: int) -> Fraction:
         total = Fraction(0)
         for a in divisors(m):
-            if _gcd(a, big_n) != 1:
+            if math.gcd(a, big_n) != 1:
                 continue
             mu = moebius(a)
             if mu == 0:
@@ -128,19 +129,13 @@ def generalized_hurwitz(ell: int, big_n: int, n: int) -> Fraction:
     return l0 * euler * moebius_sum(ell)
 
 
-def _gcd(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b)
-
-
 def regulator_class_sum(n: int):
     """h*(n) = (1/2 pi) sum over r^2 | n with n/r^2 = 0,1 (mod 4) of
     2 log(eps_{n/r^2}) h(n/r^2), with order-level units and wide class numbers.
     """
     if n <= 0 or n % 4 in (2, 3):
         raise ValueError("requires a positive discriminant")
-    rt = _isqrt(n)
+    rt = math.isqrt(n)
     if rt * rt == n:
         raise ValueError("square index is not supported")
     with hp():
@@ -156,18 +151,24 @@ def regulator_class_sum(n: int):
         return +(total / (2 * mp.pi))
 
 
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
-
-
 def verify_linear_relation(p: int, n: int) -> VerificationReport:
     """Exact check of H_{p,p}(n)/(1-p) = H(n) - (p+1)/p * H_{1,p}(n)."""
-    lhs = generalized_hurwitz(p, p, n) / (1 - p)
-    rhs = hurwitz_class_number_forms(n) - Fraction(p + 1, p) * generalized_hurwitz(
-        1, p, n
+    return linear_relation_report(
+        p,
+        n,
+        hurwitz_class_number_forms(n),
+        generalized_hurwitz(1, p, n),
+        generalized_hurwitz(p, p, n),
     )
+
+
+def linear_relation_report(
+    p: int, n: int, h: Fraction, h1p: Fraction, hpp: Fraction
+) -> VerificationReport:
+    """The linear relation of verify_linear_relation on given values
+    h = H(n), h1p = H_{1,p}(n), hpp = H_{p,p}(n)."""
+    lhs = hpp / (1 - p)
+    rhs = h - Fraction(p + 1, p) * h1p
     return VerificationReport(
         check="hurwitz-linear-relation",
         params={"p": p, "n": n},

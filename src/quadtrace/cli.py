@@ -17,7 +17,7 @@ from .arith import is_prime
 from .classnumbers import (
     generalized_hurwitz,
     hurwitz_class_number_forms,
-    verify_linear_relation,
+    linear_relation_report,
 )
 from .coefficients import (
     coeff_oracle_4,
@@ -57,7 +57,6 @@ from .traces import (
 
 def _add_common(sub):
     sub.add_argument("--p", type=int, nargs="+", default=[3], help="odd primes")
-    sub.add_argument("--n-min", type=int, default=None)
     sub.add_argument("--n-max", type=int, default=None)
     sub.add_argument("--m-max", type=int, default=None)
     sub.add_argument("--prec", type=int, default=64, help="decimal digits")
@@ -88,6 +87,9 @@ def _emit_reports(reports, fmt) -> int:
         if not r.passed:
             failures += 1
     total = len(reports)
+    if total == 0:
+        print("no checks in the requested range", file=sys.stderr)
+        return 2
     print(f"# {total - failures}/{total} checks passed", file=sys.stderr)
     return 0 if failures == 0 else 1
 
@@ -105,7 +107,7 @@ def _discs_pos_nonsquare(n_max):
 
 
 def cmd_hurwitz(args) -> int:
-    n_max = args.n_max or 100
+    n_max = 100 if args.n_max is None else args.n_max
     failures = 0
     rows = []
     for p in args.p:
@@ -115,7 +117,7 @@ def cmd_hurwitz(args) -> int:
             hpp = generalized_hurwitz(p, p, n)
             ok = True
             if n > 0:
-                ok = verify_linear_relation(p, n).passed
+                ok = linear_relation_report(p, n, h, h1p, hpp).passed
             failures += 0 if ok else 1
             rows.append((p, n, h, h1p, hpp, ok))
     if args.format == "csv":
@@ -161,17 +163,17 @@ def cmd_verify(args) -> int:
             )
         )
     if which == "imaginary":
-        n_max = args.n_max or 400
+        n_max = 400 if args.n_max is None else args.n_max
         for p in args.p:
             for n in _discs_neg(n_max):
-                reports.append(_verify_imaginary_with(p, n, convention))
+                reports.append(verify_imaginary_trace_identity(p, n, convention))
     elif which == "real":
-        n_max = args.n_max or 300
+        n_max = 300 if args.n_max is None else args.n_max
         for p in args.p:
             for n in _discs_pos_nonsquare(n_max):
                 reports.append(verify_real_trace_identity(p, n))
     elif which == "coefficients":
-        m_max = args.m_max or 12
+        m_max = 12 if args.m_max is None else args.m_max
         for p in args.p:
             c0 = sesqui4p_const_coeff(p)
             o0 = coeff_oracle_4p(p, 0)
@@ -195,7 +197,7 @@ def cmd_verify(args) -> int:
                         scale_floor="1e-8",
                     )
                 )
-            n_max = args.n_max or 200
+            n_max = 200 if args.n_max is None else args.n_max
             for n in range(1, n_max + 1):
                 if (-n) % 4 not in (0, 1) or math.isqrt(n) ** 2 == n:
                     continue
@@ -204,7 +206,7 @@ def cmd_verify(args) -> int:
                 reports.append(
                     numeric_report("coeff-negative-two-path", {"p": p, "n": -n}, lhs, rhs, "1e-9")
                 )
-            for m in range(1, (args.m_max or 10) + 1):
+            for m in range(1, (10 if args.m_max is None else args.m_max) + 1):
                 reports.append(square_trace_consistency(p, m))
     elif which == "constants":
         for p in args.p:
@@ -300,29 +302,6 @@ def cmd_verify(args) -> int:
     return _emit_reports(reports, args.format)
 
 
-def _verify_imaginary_with(p, n, convention) -> VerificationReport:
-    if convention == "both-signs":
-        return verify_imaginary_trace_identity(p, n)
-    from fractions import Fraction
-
-    from .classnumbers import generalized_hurwitz
-    from .traces import trace_imaginary
-
-    lhs = trace_imaginary(p, n, convention)
-    rhs = Fraction(4 * (p + 1), p) * generalized_hurwitz(1, p, -n) - Fraction(
-        2 * (p + 1), p - 1
-    ) * generalized_hurwitz(p, p, -n)
-    return VerificationReport(
-        check="imaginary-trace",
-        params={"p": p, "n": n, "convention": convention},
-        lhs=fmt_exact(lhs),
-        rhs=fmt_exact(rhs),
-        abs_err=fmt_exact(abs(lhs - rhs)),
-        rel_err="0" if lhs == rhs else "1",
-        passed=lhs == rhs,
-    )
-
-
 def _residual_report(check, params, residual, tol) -> VerificationReport:
     return VerificationReport(
         check=check,
@@ -336,7 +315,7 @@ def _residual_report(check, params, residual, tol) -> VerificationReport:
 
 
 def cmd_coeffs(args) -> int:
-    m_max = args.m_max or 12
+    m_max = 12 if args.m_max is None else args.m_max
     rows = []
     failures = 0
     for p in args.p:
@@ -398,9 +377,11 @@ def main(argv=None) -> int:
     if args.prec < 30:
         print("precision must be at least 30 digits", file=sys.stderr)
         return 2
-    if args.cutoff is not None and args.cutoff < 1:
-        print(f"--cutoff must be at least 1 (got {args.cutoff})", file=sys.stderr)
-        return 2
+    limits = (("--cutoff", args.cutoff), ("--n-max", args.n_max), ("--m-max", args.m_max))
+    for flag, value in limits:
+        if value is not None and value < 1:
+            print(f"{flag} must be at least 1 (got {value})", file=sys.stderr)
+            return 2
     for p in args.p:
         if p == 2 or not is_prime(p):
             print(f"--p values must be odd primes (got {p})", file=sys.stderr)

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 from mpmath import mp
 
-from .arith import divisors, euler_phi, kronecker, moebius, valuation
+from .arith import divisors, euler_phi, kronecker, legendre_table, moebius, valuation
 from .lvalues import chi, dirichlet_l, fundamental_decomposition, l_value_at_1
 from .precision import hp, to_mpf
 
@@ -101,7 +101,7 @@ def local_sum_p_exp(p: int, j: int, n: int) -> complex:
     m_mod = p**j
     r = np.arange(m_mod, dtype=np.int64)
     if j % 2:
-        chi_m = _legendre_table(p)[r % p]
+        chi_m = legendre_table(p)[r % p]
     else:
         chi_m = np.where(r % p != 0, 1, 0)
     e = 1 if m_mod % 4 == 1 else 1j
@@ -249,15 +249,6 @@ def _spf_table(limit: int) -> tuple:
     return tuple(smallest_prime_factors(limit))
 
 
-def _legendre_table(q: int) -> np.ndarray:
-    """(x/q) for 0 <= x < q, odd prime q: +1 exactly on the nonzero squares."""
-    table = np.full(q, -1, dtype=np.int8)
-    x = np.arange(q, dtype=np.int64)
-    table[x * x % q] = 1
-    table[0] = 0
-    return table
-
-
 def _jacobi_table(m: int, spf) -> np.ndarray:
     """(x/m) for 0 <= x < m, odd m > 0, as a product of Legendre tables.
 
@@ -272,7 +263,7 @@ def _jacobi_table(m: int, spf) -> np.ndarray:
         while rest % q == 0:
             rest //= q
             e += 1
-        table *= _legendre_table(q)[x % q] if e % 2 else (x % q != 0)
+        table *= legendre_table(q)[x % q] if e % 2 else (x % q != 0)
     return table
 
 
@@ -449,14 +440,22 @@ def kzeta_coprime_closed(p: int, s):
 
 
 def kzeta_level_truncated(p: int, s: float, cutoff: int) -> KloostermanValue:
-    """Truncated sum_{p | c} phi(c) c^{-2s} with a rigorous phi(c) <= c tail."""
+    """Truncated sum_{p | c} phi(c) c^{-2s} with a rigorous phi(c) <= c tail.
+
+    The tail bound is None at cutoff 0 (nothing summed); a negative cutoff
+    raises ValueError.
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
     spf = _spf_table(max(p * cutoff + 1, 100))
     total = 0.0
     for k in range(1, cutoff + 1):
         c = p * k
         total += _phi_from_spf(c, spf) * float(c) ** (-2 * s)
     # tail: sum_{k > cutoff} (pk)^{1-2s} <= p^{1-2s} cutoff^{2-2s} / (2s-2)
-    tail = float(p) ** (1 - 2 * s) * cutoff ** (2 - 2 * s) / (2 * s - 2)
+    tail = None
+    if cutoff:
+        tail = float(p) ** (1 - 2 * s) * cutoff ** (2 - 2 * s) / (2 * s - 2)
     return KloostermanValue(
         value=total, params={"p": p, "s": s}, cutoff=cutoff, tail_bound=tail
     )

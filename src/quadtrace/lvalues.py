@@ -4,6 +4,13 @@ Exact values:
     L(0, chi_t) = -(1/|t|) * sum_{a=1}^{|t|-1} chi_t(a) a          (t < 0 fundamental)
     L_N(-1, id) = zeta(-1) * prod_{p|N} (1 - p) = (-1/12) prod (1 - p)
 
+The L(0) sum runs over a numpy table of chi_t on one period (character_table):
+chi_t is the product of the characters of the prime discriminants dividing
+t, i.e. a Legendre table (a/q) per odd prime q | t times chi_{-4}, chi_8 or
+chi_{-8} for the 2-part, so one table costs a few vector products instead of
+|t| Kronecker-symbol evaluations.  All entries and the weighted sum are
+integers, so the value stays exact.
+
 High-precision values:
     L(1, chi_t) = -(1/sqrt(t)) sum_a chi_t(a) log sin(pi a / t)    (t > 0)
     L(1, chi_t) = pi * L(0, chi_t) / sqrt(|t|)                     (t < 0)
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 from mpmath import mp, mpf
 
 from .arith import (
@@ -27,6 +35,7 @@ from .arith import (
     factorize,
     is_squarefree,
     kronecker,
+    legendre_table,
     moebius,
     squarefree_kernel,
 )
@@ -86,6 +95,38 @@ def chi(t: int, k: int) -> int:
     return kronecker(t, k)
 
 
+# chi_{-4}, chi_8 and chi_{-8} on a mod 8, keyed by the 2-part of t
+_TWO_PART_TABLES = {
+    -4: np.array([0, 1, 0, -1, 0, 1, 0, -1], dtype=np.int8),
+    8: np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8),
+    -8: np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8),
+}
+
+
+def character_table(t: int) -> np.ndarray:
+    """chi_t(a) = (t/a) for 0 <= a < |t|, t fundamental, as an int8 table.
+
+    chi_t is the product of the characters of the prime discriminants of t:
+    the Legendre table (a/q) for each odd prime q | t (the character of
+    q* = +-q = 1 mod 4), times chi_{-4}, chi_8 or chi_{-8} for the 2-part
+    t / prod q*.  The primes come from the factorization that
+    is_fundamental_discriminant looked up (of t, or of t/4 when 4 | t).
+    """
+    q = abs(t)
+    a = np.arange(q, dtype=np.int64)
+    table = np.ones(q, dtype=np.int8)
+    odd_disc = 1
+    for prime, _ in factorize(t if t % 4 == 1 else t // 4):
+        if prime == 2:
+            continue
+        table *= legendre_table(prime)[a % prime]
+        odd_disc *= prime if prime % 4 == 1 else -prime
+    two_part = t // odd_disc
+    if two_part != 1:
+        table *= _TWO_PART_TABLES[two_part][a % 8]
+    return table
+
+
 @lru_cache(maxsize=None)
 def l_value_at_0(t: int) -> Fraction:
     """L(0, chi_t) for t < 0 fundamental, as an exact rational."""
@@ -94,7 +135,7 @@ def l_value_at_0(t: int) -> Fraction:
     if not is_fundamental_discriminant(t):
         raise ValueError(f"{t} is not a fundamental discriminant")
     q = abs(t)
-    total = sum(chi(t, a) * a for a in range(1, q))
+    total = int(np.dot(character_table(t), np.arange(q, dtype=np.int64)))
     return Fraction(-total, q)
 
 
@@ -169,16 +210,6 @@ def _zpz2_cached(_ambient_dps: int) -> mpf:
 def zeta_prime_over_zeta_2() -> mpf:
     """The constant zeta'(2)/zeta(2), cached per precision."""
     return _zpz2_cached(mp.dps)
-
-
-def euler_gamma() -> mpf:
-    with hp():
-        return +mp.euler
-
-
-def zeta_residue_constant() -> mpf:
-    """d/ds [(s-1) zeta(s)] at s = 1, which equals the Euler-Mascheroni constant."""
-    return euler_gamma()
 
 
 def sigma_constrained(ell: int, big_n: int, s, r: int):

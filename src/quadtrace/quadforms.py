@@ -8,6 +8,18 @@ discriminants, fundamental/automorph units from reduction cycles rather
 than brute-force Pell searches, Gamma_0(p)-orbit enumeration with projective
 stabilizer orders, and the numerical closed-geodesic integral.
 
+Gamma_0(p)-orbits come from a group action rather than pairwise tests.  The
+cosets g Gamma_0(p) of SL2(Z) are the points of P^1(F_p), through the first
+column of g, and SL2(Z) acts on them from the left.  For a class
+representative r, the form r.g has p | a iff r vanishes mod p at the point of
+g, and r.g1, r.g2 are Gamma_0(p)-equivalent iff some automorph of r carries
+the point of g2 to the point of g1 (gamma = g1^-1 A g2 lies in Gamma_0(p)
+exactly then).  So the orbits of one class are the orbits of Aut(r) on its
+admissible points: the 2, 4 or 6 definite automorphs for n < 0, the group
++-<automorph_generator(r)> reduced mod p for n > 0.  gamma0_equivalent decides
+the same relation for two arbitrary forms through SL2(Z)-reduction and stays
+as the independent oracle.
+
 Conventions pinned by the seed-identity runs (see README):
   * for n < 0 the set of forms with p | a carries both definiteness signs;
   * stabilizer orders are taken in the projective group, so weights are
@@ -26,7 +38,6 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from .arith import factorize
 from .precision import hp
 
 Mat = tuple[int, int, int, int]  # (alpha, beta, gamma, delta), row-major
@@ -46,10 +57,6 @@ def mat_inv(g: Mat) -> Mat:
     if a * d - b * c != 1:
         raise ValueError("not in SL2(Z)")
     return (d, -b, -c, a)
-
-
-def mat_neg(g: Mat) -> Mat:
-    return tuple(-x for x in g)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True, order=True)
@@ -160,10 +167,6 @@ def reduce_definite(q: QuadForm) -> QuadForm:
     return _reduce_definite_transform(q)[0]
 
 
-def _isqrt(n: int) -> int:
-    return math.isqrt(n)
-
-
 def _is_reduced_indefinite(q: QuadForm, d: int) -> bool:
     # |sqrt(D) - 2|a|| < b < sqrt(D), all checks exact
     a, b = q.a, q.b
@@ -180,7 +183,7 @@ def _rho_step(q: QuadForm, d: int) -> tuple[QuadForm, Mat]:
     if c == 0:
         raise ValueError("rho undefined for c = 0 (square discriminant)")
     ac = abs(c)
-    root = _isqrt(d)
+    root = math.isqrt(d)
     if ac > root:
         hi = ac  # window -|c| < r <= |c|
     else:
@@ -195,7 +198,7 @@ def _rho_step(q: QuadForm, d: int) -> tuple[QuadForm, Mat]:
 
 def _reduce_indefinite_transform(q: QuadForm) -> tuple[QuadForm, Mat]:
     d = q.disc
-    if d <= 0 or _isqrt(d) ** 2 == d:
+    if d <= 0 or math.isqrt(d) ** 2 == d:
         raise ValueError("needs a positive nonsquare discriminant")
     g = IDENTITY
     while not _is_reduced_indefinite(q, d):
@@ -223,7 +226,7 @@ def _cycle_with_transforms(r0: QuadForm) -> tuple[list[QuadForm], Mat]:
 
 def _reduced_definite_forms(d: int, include_imprimitive: bool) -> list[QuadForm]:
     out = []
-    amax = _isqrt(-d // 3) if d < -3 else 1
+    amax = math.isqrt(-d // 3) if d < -3 else 1
     for a in range(1, amax + 1):
         for b in range(-a + 1, a + 1):
             num = b * b - d
@@ -242,7 +245,7 @@ def _reduced_definite_forms(d: int, include_imprimitive: bool) -> list[QuadForm]
 
 def _reduced_indefinite_forms(d: int, include_imprimitive: bool) -> list[QuadForm]:
     out = []
-    root = _isqrt(d)
+    root = math.isqrt(d)
     for b in range(1, root + 1):
         if (b - d) % 2:
             continue
@@ -260,7 +263,7 @@ def _reduced_indefinite_forms(d: int, include_imprimitive: bool) -> list[QuadFor
 def _divisor_range(num: int, b: int, d: int):
     """Candidate leading coefficients a with 4a | num for the reduced window."""
     n4 = abs(num)
-    hi = (_isqrt(d) + b) // 2 + 1
+    hi = (math.isqrt(d) + b) // 2 + 1
     for a in range(1, hi + 1):
         if n4 % (4 * a) == 0:
             yield a
@@ -289,7 +292,7 @@ def class_reps(d: int, include_imprimitive: bool = False) -> list[QuadForm]:
 def _check_disc(d: int) -> None:
     if d == 0 or d % 4 in (2, 3):
         raise ValueError(f"{d} is not a discriminant")
-    if d > 0 and _isqrt(d) ** 2 == d:
+    if d > 0 and math.isqrt(d) ** 2 == d:
         raise ValueError("square discriminants are not supported here")
 
 
@@ -336,7 +339,7 @@ def order_unit_pm(d: int) -> PellUnit:
     """
     aut = automorph_unit(d)
     x2 = aut.t - 2
-    x = _isqrt(x2)
+    x = math.isqrt(x2)
     if x > 0 and x * x == x2 and aut.u % x == 0:
         y = aut.u // x
         if x * x - d * y * y == -4:
@@ -469,9 +472,19 @@ def _coset_reps(p: int) -> list[Mat]:
     return reps
 
 
-def _definite_stabilizer_order(p: int, q: QuadForm) -> int:
-    hits = sum(1 for a in automorphs_definite(q) if a[2] % p == 0)
-    return hits // 2
+def _p1_point(x: int, y: int, p: int) -> tuple[int, int]:
+    """The point [x : y] of P^1(F_p) as (1, y/x) or (0, 1)."""
+    x, y = x % p, y % p
+    if x:
+        return (1, y * pow(x, -1, p) % p)
+    return (0, 1)
+
+
+def _p1_act(m: Mat, pt: tuple[int, int], p: int) -> tuple[int, int]:
+    """Left action of m on a point of P^1(F_p) through column vectors."""
+    al, be, ga, de = m
+    x, y = pt
+    return _p1_point(al * x + be * y, ga * x + de * y, p)
 
 
 def gamma0_orbits(
@@ -479,52 +492,54 @@ def gamma0_orbits(
 ) -> list[OrbitClass]:
     """Orbit decomposition of the forms of discriminant n with p | a.
 
+    Every such form is r.g for a class representative r and a coset
+    g Gamma_0(p), i.e. a point [alpha : gamma] of P^1(F_p), admissible when
+    r(alpha, gamma) = 0 mod p.  r.g1 and r.g2 are Gamma_0(p)-equivalent iff
+    A g2 Gamma_0(p) = g1 Gamma_0(p) for some automorph A of r, so the orbits
+    of one class are the Aut(r)-orbits on its admissible points; forms of
+    different classes are never equivalent.  Classes are visited in class_reps
+    order and points in _coset_reps order, so orbit_id numbers the orbits by
+    their first member, as a pairwise gamma0_equivalent grouping of the same
+    candidates would.  For n < 0 the stabilizer order is |Aut(r)| / (2 |orbit|)
+    by orbit-stabilizer (projective, the -1 of Aut(r) fixes every point).
+
     convention applies to n < 0 only: "both-signs" (default, pinned by the
     seed identities) also counts negative-definite orbits, "pos-def" does not.
     """
     _check_disc(n)
     if convention not in ("both-signs", "pos-def"):
         raise ValueError(f"unknown convention {convention!r}")
-    reps = class_reps(n, include_imprimitive=True)
     cosets = _coset_reps(p)
-    candidates = []
-    for r in reps:
+    out: list[OrbitClass] = []
+    for r in class_reps(n, include_imprimitive=True):
+        auts = automorphs_definite(r) if n < 0 else [automorph_generator(r)]
+        images: dict[tuple[int, int], QuadForm] = {}
         for g in cosets:
             img = r.apply(g)
             if img.a % p == 0:
-                candidates.append(img)
-    orbits: list[list[QuadForm]] = []
-    for q in candidates:
-        for orbit in orbits:
-            if gamma0_equivalent(p, orbit[0], q):
-                orbit.append(q)
-                break
-        else:
-            orbits.append([q])
-    out = []
-    for i, orbit in enumerate(orbits):
-        rep = min(orbit)
-        if n < 0:
-            stab = _definite_stabilizer_order(p, rep)
+                images[_p1_point(g[0], g[2], p)] = img
+        seen: set[tuple[int, int]] = set()
+        for start in images:
+            if start in seen:
+                continue
+            orbit = [start]
+            seen.add(start)
+            for pt in orbit:  # grows while iterating: closure under auts
+                for a in auts:
+                    img_pt = _p1_act(a, pt, p)
+                    if img_pt not in seen:
+                        seen.add(img_pt)
+                        orbit.append(img_pt)
+            members = sorted({images[pt] for pt in orbit})
+            rep = members[0]
             out.append(
                 OrbitClass(
                     rep=rep,
-                    stabilizer_order=stab,
-                    infinite_stabilizer=False,
-                    orbit_id=i,
+                    stabilizer_order=len(auts) // (2 * len(orbit)) if n < 0 else 1,
+                    infinite_stabilizer=n > 0,
+                    orbit_id=len(out),
                     content=rep.content(),
-                    members=sorted(set(orbit)),
-                )
-            )
-        else:
-            out.append(
-                OrbitClass(
-                    rep=rep,
-                    stabilizer_order=1,
-                    infinite_stabilizer=True,
-                    orbit_id=i,
-                    content=rep.content(),
-                    members=sorted(set(orbit)),
+                    members=members,
                 )
             )
     if n < 0 and convention == "both-signs":
@@ -584,7 +599,7 @@ def geodesic_integral(q: QuadForm):
     unit of the primitive discriminant.
     """
     d = q.disc
-    if d <= 0 or _isqrt(d) ** 2 == d:
+    if d <= 0 or math.isqrt(d) ** 2 == d:
         raise ValueError("needs a positive nonsquare discriminant")
     if q.a == 0:
         raise ValueError("needs a != 0")

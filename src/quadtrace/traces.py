@@ -115,14 +115,20 @@ def real_trace_rhs(p: int, n: int, via_l_value: bool = True):
         return +(term1 + to_mpf(rational) * atom)
 
 
-def verify_imaginary_trace_identity(p: int, n: int) -> VerificationReport:
+def verify_imaginary_trace_identity(
+    p: int, n: int, convention: str = PINNED_CONVENTION
+) -> VerificationReport:
     """Exact rational comparison of the weighted orbit count with the
-    H_{1,p}/H_{p,p} combination."""
-    lhs = trace_imaginary(p, n)
+    H_{1,p}/H_{p,p} combination.  The report names the convention only when
+    it is not the pinned one."""
+    lhs = trace_imaginary(p, n, convention)
     rhs = _imaginary_rhs(p, n)
+    params = {"p": p, "n": n}
+    if convention != PINNED_CONVENTION:
+        params["convention"] = convention
     return VerificationReport(
         check="imaginary-trace",
-        params={"p": p, "n": n},
+        params=params,
         lhs=fmt_exact(lhs),
         rhs=fmt_exact(rhs),
         abs_err="0" if lhs == rhs else fmt_exact(abs(lhs - rhs)),

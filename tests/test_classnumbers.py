@@ -4,12 +4,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from quadtrace.classnumbers import (
     generalized_hurwitz,
     hurwitz_class_number_forms,
     hurwitz_class_number_lseries,
+    linear_relation_report,
     regulator_class_sum,
     verify_linear_relation,
 )
@@ -34,6 +37,12 @@ def test_lseries_route_examples():
 def test_dual_routes_agree_to_600():
     for n in range(0, 600):
         assert hurwitz_class_number_forms(n) == hurwitz_class_number_lseries(n), n
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(min_value=0, max_value=10**4))
+def test_dual_routes_agree_property(n):
+    assert hurwitz_class_number_forms(n) == hurwitz_class_number_lseries(n)
 
 
 def test_twelve_h_integral():
@@ -63,6 +72,15 @@ def test_linear_relation_sweep():
     for p in (3, 5, 7):
         for n in range(1, 200):
             assert verify_linear_relation(p, n).passed, (p, n)
+
+
+def test_linear_relation_report_on_given_values():
+    for p, n in ((3, 3), (5, 23), (7, 48)):
+        h = hurwitz_class_number_forms(n)
+        h1p, hpp = generalized_hurwitz(1, p, n), generalized_hurwitz(p, p, n)
+        report = linear_relation_report(p, n, h, h1p, hpp)
+        assert report == verify_linear_relation(p, n) and report.passed
+        assert not linear_relation_report(p, n, h + 1, h1p, hpp).passed
 
 
 def test_regulator_sum_values():

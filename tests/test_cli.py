@@ -75,6 +75,30 @@ def test_kloosterman_cutoff_below_one_rejected(capsys):
         assert "Traceback" not in err
 
 
+def test_range_below_one_rejected(capsys):
+    for argv in (
+        ["verify", "real", "--p", "3", "--n-max", "0"],
+        ["verify", "real", "--p", "3", "--n-max", "-5"],
+        ["hurwitz", "--p", "3", "--n-max", "0"],
+        ["verify", "coefficients", "--p", "3", "--m-max", "0"],
+        ["coeffs", "--p", "3", "--m-max", "0"],
+    ):
+        code, out, err = run(capsys, argv)
+        flag = argv[-2]
+        assert code == 2, argv
+        assert out == ""
+        assert f"{flag} must be at least 1 (got {argv[-1]})" in err
+        assert "Traceback" not in err
+
+
+def test_verify_without_checks_rejected(capsys):
+    # --n-max 4 leaves no nonsquare discriminant: nothing to verify is not a pass
+    code, out, err = run(capsys, ["verify", "real", "--p", "3", "--n-max", "4"])
+    assert code == 2
+    assert out == ""
+    assert "no checks" in err and "0/0" not in err
+
+
 def test_coeffs_table(capsys):
     code, out, _ = run(
         capsys, ["coeffs", "--p", "3", "--m-max", "3", "--format", "csv", "--prec", "40"]

@@ -167,6 +167,10 @@ def test_plus_zeta_truncated_edges():
     assert all(kv.tail_bound is None and kv.cutoff == 0 for kv in empty)
     with pytest.raises(ValueError):
         plus_zeta_batch(3, [-4, 5], 2.5, -1)
+    kv = kzeta_level_truncated(3, 1.25, 0)
+    assert kv.value == 0 and kv.tail_bound is None and kv.cutoff == 0
+    with pytest.raises(ValueError):
+        kzeta_level_truncated(3, 1.25, -1)
 
 
 def test_jacobi_table_matches_kronecker():

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from quadtrace.arith import kronecker
 from quadtrace.lvalues import (
+    character_table,
     chi,
     dirichlet_l,
     fundamental_decomposition,
@@ -28,6 +30,23 @@ def test_fundamental_discriminants():
         assert is_fundamental_discriminant(t), t
     for t in (9, -9, 18, -12, 25, 45, 4, -16):
         assert not is_fundamental_discriminant(t), t
+
+
+def test_character_table_matches_kronecker():
+    count = 0
+    for t in range(-5000, 5001):
+        if t == 0 or not is_fundamental_discriminant(t):
+            continue
+        table = character_table(t)
+        assert table.tolist() == [kronecker(t, a) for a in range(abs(t))], t
+        count += 1
+    assert count > 3000
+
+
+def test_l_value_at_0_matches_kronecker_sum():
+    for t in (-3, -4, -7, -8, -15, -20, -24, -84, -120, -4004):
+        q = abs(t)
+        assert l_value_at_0(t) == Fraction(-sum(kronecker(t, a) * a for a in range(q)), q)
 
 
 def test_fundamental_decomposition():

@@ -10,6 +10,7 @@ from quadtrace.quadforms import (
     IDENTITY,
     QuadForm,
     S_MAT,
+    _coset_reps,
     _sl2_transform,
     automorph_generator,
     automorph_unit,
@@ -241,6 +242,59 @@ def test_orbits_definiteness_convention():
     assert weighted_orbit_count(3, -3, "both-signs") == Fraction(2, 3)
     assert weighted_orbit_count(3, -3, "pos-def") == Fraction(1, 3)
     assert weighted_orbit_count(3, -4) == 0  # empty: -4 is a nonresidue mod 3
+
+
+def pairwise_orbits(p, n):
+    """(rep, stabilizer order, members) per orbit, grouping the coset images
+    of every class by pairwise gamma0_equivalent tests, first member first."""
+    candidates = []
+    for r in class_reps(n, include_imprimitive=True):
+        for g in _coset_reps(p):
+            img = r.apply(g)
+            if img.a % p == 0:
+                candidates.append(img)
+    orbits = []
+    for q in candidates:
+        for orbit in orbits:
+            if gamma0_equivalent(p, orbit[0], q):
+                orbit.append(q)
+                break
+        else:
+            orbits.append([q])
+    out = []
+    for orbit in orbits:
+        rep = min(orbit)
+        stab = 1
+        if n < 0:
+            stab = sum(1 for a in automorphs_definite(rep) if a[2] % p == 0) // 2
+        out.append((rep, stab, sorted(set(orbit))))
+    return out
+
+
+def test_gamma0_orbits_match_pairwise_grouping():
+    discs = [
+        n
+        for m in range(1, 201)
+        for n in (-m, m)
+        if n % 4 in (0, 1) and not (n > 0 and math.isqrt(n) ** 2 == n)
+    ]
+    # the sweep reaches the extra automorphs and the imprimitive classes
+    assert {-3 * 9, -4 * 9, -3 * 49, -4 * 36, 45, 200} <= set(discs)
+    imprimitive = 0
+    for p in (3, 5, 7, 11, 13):
+        for n in discs:
+            orbits = gamma0_orbits(p, n, "pos-def")
+            got = [(oc.rep, oc.stabilizer_order, oc.members) for oc in orbits]
+            assert got == pairwise_orbits(p, n), (p, n)
+            assert [oc.orbit_id for oc in orbits] == list(range(len(orbits)))
+            imprimitive += sum(oc.content > 1 for oc in orbits)
+            both = gamma0_orbits(p, n)
+            if n < 0:
+                assert both[: len(orbits)] == orbits
+                assert [oc.rep for oc in both[len(orbits) :]] == [oc.rep.neg() for oc in orbits]
+            else:
+                assert both == orbits
+    assert imprimitive > 0
 
 
 def test_orbit_order_independence(monkeypatch):

@@ -46,6 +46,15 @@ def test_imaginary_identity_sweep():
             assert verify_imaginary_trace_identity(p, n).passed, (p, n)
 
 
+def test_imaginary_report_names_only_an_unpinned_convention():
+    pinned = verify_imaginary_trace_identity(3, -20)
+    assert pinned.params == {"p": 3, "n": -20} and pinned.passed
+    assert verify_imaginary_trace_identity(3, -20, "both-signs") == pinned
+    other = verify_imaginary_trace_identity(3, -3, "pos-def")
+    assert other.params == {"p": 3, "n": -3, "convention": "pos-def"}
+    assert other.lhs == "1/3" and not other.passed
+
+
 def test_imaginary_invariant_under_rep_permutation(monkeypatch):
     import quadtrace.quadforms as qf
 
