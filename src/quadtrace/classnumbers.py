@@ -31,7 +31,7 @@ from .lvalues import (
 )
 from .precision import hp
 from .quadforms import class_number, order_unit_pm, _reduced_definite_forms
-from .report import VerificationReport, fmt_exact
+from .report import VerificationReport, exact_report
 
 
 @lru_cache(maxsize=None)
@@ -169,12 +169,4 @@ def linear_relation_report(
     h = H(n), h1p = H_{1,p}(n), hpp = H_{p,p}(n)."""
     lhs = hpp / (1 - p)
     rhs = h - Fraction(p + 1, p) * h1p
-    return VerificationReport(
-        check="hurwitz-linear-relation",
-        params={"p": p, "n": n},
-        lhs=fmt_exact(lhs),
-        rhs=fmt_exact(rhs),
-        abs_err="0" if lhs == rhs else fmt_exact(abs(lhs - rhs)),
-        rel_err="0" if lhs == rhs else "1",
-        passed=lhs == rhs,
-    )
+    return exact_report("hurwitz-linear-relation", {"p": p, "n": n}, lhs, rhs)

@@ -3,13 +3,18 @@
 Output is deterministic for a fixed configuration: json-lines (one report
 per line) or CSV for tables.  Exit codes: 0 all checks pass, 1 at least
 one verification failed, 2 configuration error.
+
+Each verify target is one entry of CHECKS: a sweep over the primes and the
+defaults of its parameters.  The acceptance suite runs the same sweeps.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 from mpmath import mp
 
@@ -29,7 +34,6 @@ from .coefficients import (
     sesqui4p_neg_coeff,
     sesqui4p_square_coeff,
     square_trace_consistency,
-    theta_multiple_const,
 )
 from .kloosterman import (
     assembled_product,
@@ -46,7 +50,13 @@ from .modular import (
     modularity_residual,
 )
 from .precision import set_working_dps
-from .report import VerificationReport, fmt_exact, fmt_hp, numeric_report
+from .report import (
+    VerificationReport,
+    fmt_exact,
+    fmt_hp,
+    numeric_report,
+    tail_bound_report,
+)
 from .specialfns import alpha, alpha_companion
 from .traces import (
     pin_convention,
@@ -56,17 +66,13 @@ from .traces import (
 
 
 def _add_common(sub):
-    sub.add_argument("--p", type=int, nargs="+", default=[3], help="odd primes")
+    sub.add_argument("--p", type=int, nargs="+", help="odd primes (default 3)")
     sub.add_argument("--n-max", type=int, default=None)
     sub.add_argument("--m-max", type=int, default=None)
     sub.add_argument("--prec", type=int, default=64, help="decimal digits")
     sub.add_argument("--cutoff", type=int, default=None)
     sub.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    sub.add_argument(
-        "--convention",
-        choices=["auto", "pos-def", "both-signs"],
-        default="auto",
-    )
+    sub.add_argument("--convention", choices=["auto", "pos-def", "both-signs"])
     sub.add_argument(
         "--seed-cases",
         action="store_true",
@@ -94,18 +100,6 @@ def _emit_reports(reports, fmt) -> int:
     return 0 if failures == 0 else 1
 
 
-def _discs_neg(n_max):
-    return [n for n in range(-n_max, 0) if n % 4 in (0, 1)]
-
-
-def _discs_pos_nonsquare(n_max):
-    return [
-        n
-        for n in range(5, n_max + 1)
-        if n % 4 in (0, 1) and math.isqrt(n) ** 2 != n
-    ]
-
-
 def cmd_hurwitz(args) -> int:
     n_max = 100 if args.n_max is None else args.n_max
     failures = 0
@@ -125,8 +119,6 @@ def cmd_hurwitz(args) -> int:
         for p, n, h, h1p, hpp, ok in rows:
             print(f"{p},{n},{fmt_exact(h)},{fmt_exact(h1p)},{fmt_exact(hpp)},{int(ok)}")
     else:
-        import json
-
         for p, n, h, h1p, hpp, ok in rows:
             print(
                 json.dumps(
@@ -144,162 +136,177 @@ def cmd_hurwitz(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_verify(args) -> int:
-    which = args.which
-    reports: list[VerificationReport] = []
-    convention = args.convention
+def _coefficient_rows(p, m_max):
+    """(m, closed form, derivative oracle) of c(0) and of c(m^2) for m <= m_max."""
+    yield 0, sesqui4p_const_coeff(p), coeff_oracle_4p(p, 0)
+    for m in range(1, m_max + 1):
+        yield m, sesqui4p_square_coeff(p, m), coeff_oracle_4p(p, m)
+
+
+# ---------------------------------------------------------------------------
+# sweeps: each takes the prime list and named parameters and returns its
+# reports in output order
+
+
+def sweep_imaginary(primes, n_max, convention):
     if convention == "auto":
         convention = pin_convention()
-    if args.seed_cases:
-        reports.append(
-            VerificationReport(
-                check="convention-pinning",
-                params={"seed_cases": "(3,-3);(3,-4);(5,-4)"},
-                lhs=pin_convention(),
-                rhs=convention,
-                abs_err="0",
-                rel_err="0",
-                passed=pin_convention() == convention,
-            )
-        )
-    if which == "imaginary":
-        n_max = 400 if args.n_max is None else args.n_max
-        for p in args.p:
-            for n in _discs_neg(n_max):
-                reports.append(verify_imaginary_trace_identity(p, n, convention))
-    elif which == "real":
-        n_max = 300 if args.n_max is None else args.n_max
-        for p in args.p:
-            for n in _discs_pos_nonsquare(n_max):
-                reports.append(verify_real_trace_identity(p, n))
-    elif which == "coefficients":
-        m_max = 12 if args.m_max is None else args.m_max
-        for p in args.p:
-            c0 = sesqui4p_const_coeff(p)
-            o0 = coeff_oracle_4p(p, 0)
+    return [
+        verify_imaginary_trace_identity(p, n, convention)
+        for p in primes
+        for n in range(-n_max, 0)
+        if n % 4 in (0, 1)
+    ]
+
+
+def sweep_real(primes, n_max):
+    return [
+        verify_real_trace_identity(p, n)
+        for p in primes
+        for n in range(5, n_max + 1)
+        if n % 4 in (0, 1) and math.isqrt(n) ** 2 != n
+    ]
+
+
+def sweep_coefficient_oracles(primes, m_max):
+    """c(0), b(m^2) and c(m^2) against their derivative oracles."""
+    reports = []
+    for p in primes:
+        for m, value, oracle in _coefficient_rows(p, m_max):
+            if m:
+                b, ob = sesqui4_square_coeff(m), coeff_oracle_4(m)
+                reports.append(
+                    numeric_report("coeff-b-oracle", {"m": m}, b, ob, "1e-8", scale_floor="1e-8")
+                )
             reports.append(
                 numeric_report(
-                    "coeff-const-oracle", {"p": p, "m": 0}, c0, o0, "1e-8",
+                    "coeff-c-oracle" if m else "coeff-const-oracle",
+                    {"p": p, "m": m},
+                    value,
+                    oracle,
+                    "1e-8",
                     scale_floor="1e-8",
                 )
             )
-            for m in range(1, m_max + 1):
-                b, ob = sesqui4_square_coeff(m), coeff_oracle_4(m)
-                reports.append(
-                    numeric_report(
-                        "coeff-b-oracle", {"m": m}, b, ob, "1e-8", scale_floor="1e-8"
-                    )
-                )
-                c, oc = sesqui4p_square_coeff(p, m), coeff_oracle_4p(p, m)
-                reports.append(
-                    numeric_report(
-                        "coeff-c-oracle", {"p": p, "m": m}, c, oc, "1e-8",
-                        scale_floor="1e-8",
-                    )
-                )
-            n_max = 200 if args.n_max is None else args.n_max
-            for n in range(1, n_max + 1):
-                if (-n) % 4 not in (0, 1) or math.isqrt(n) ** 2 == n:
-                    continue
-                lhs = sesqui4p_neg_coeff(p, -n)
-                rhs = plus_zeta_special_value(p, -n)
-                reports.append(
-                    numeric_report("coeff-negative-two-path", {"p": p, "n": -n}, lhs, rhs, "1e-9")
-                )
-            for m in range(1, (10 if args.m_max is None else args.m_max) + 1):
-                reports.append(square_trace_consistency(p, m))
-    elif which == "constants":
-        for p in args.p:
-            reports.extend(constant_term_checks(p))
-            reports.append(deformation_b_check(p))
-    elif which == "kloosterman":
-        cutoff = 2000 if args.cutoff is None else args.cutoff
-        for p in args.p:
-            kv = kzeta_level_truncated(p, 1.25, cutoff)
-            closed = kzeta_level_closed(p, 1.25)
-            diff = abs(kv.value - complex(closed))
+    return reports
+
+
+def sweep_negative_two_path(primes, n_max):
+    """c(-n) by class numbers against the Kloosterman-zeta special value."""
+    return [
+        numeric_report(
+            "coeff-negative-two-path",
+            {"p": p, "n": -n},
+            sesqui4p_neg_coeff(p, -n),
+            plus_zeta_special_value(p, -n),
+            "1e-9",
+        )
+        for p in primes
+        for n in range(1, n_max + 1)
+        if (-n) % 4 in (0, 1) and math.isqrt(n) ** 2 != n
+    ]
+
+
+def sweep_square_traces(primes, m_max):
+    return [square_trace_consistency(p, m) for p in primes for m in range(1, m_max + 1)]
+
+
+def sweep_coefficients(primes, m_max, n_max, square_m_max):
+    reports = []
+    for p in primes:
+        reports += sweep_coefficient_oracles([p], m_max)
+        reports += sweep_negative_two_path([p], n_max)
+        reports += sweep_square_traces([p], square_m_max)
+    return reports
+
+
+def sweep_constants(primes):
+    reports = []
+    for p in primes:
+        reports += constant_term_checks(p)
+        reports.append(deformation_b_check(p))
+    return reports
+
+
+def sweep_kloosterman(primes, cutoff):
+    reports = []
+    for p in primes:
+        kv = kzeta_level_truncated(p, 1.25, cutoff)
+        reports.append(
+            tail_bound_report(
+                "kzeta-closed-form",
+                {"p": p, "s": "1.25", "cutoff": kv.cutoff},
+                kv.value,
+                kzeta_level_closed(p, 1.25),
+                kv.tail_bound,
+            )
+        )
+        for tv in plus_zeta_batch(p, [-4, -3, 5, 8], 2.5, cutoff):
+            n = tv.params["n"]
             reports.append(
-                VerificationReport(
-                    check="kzeta-closed-form",
-                    params={"p": p, "s": "1.25", "cutoff": kv.cutoff},
-                    lhs=fmt_hp(kv.value),
-                    rhs=fmt_hp(closed),
-                    abs_err=f"{diff:.3e}",
-                    rel_err=f"{diff / abs(complex(closed)):.3e}",
-                    passed=bool(diff <= kv.tail_bound),
-                    detail=f"tail_bound={kv.tail_bound:.3e}",
+                tail_bound_report(
+                    "plus-zeta-factorization",
+                    {"p": p, "n": n, "s": "2.5", "cutoff": tv.cutoff},
+                    tv.value,
+                    assembled_product(p, n, 2.5),
+                    tv.tail_bound,
                 )
             )
-            for tv in plus_zeta_batch(p, [-4, -3, 5, 8], 2.5, cutoff):
-                n = tv.params["n"]
-                prod = assembled_product(p, n, 2.5)
-                diff = abs(tv.value - prod)
+    return reports
+
+
+def sweep_special(primes):
+    """-2 F(2m sqrt(pi N v)) = alpha(4 N m^2 v) on a 36-point grid."""
+    reports = []
+    for big_n in (1, 3, 5):
+        for v in ("0.3", "0.5", "1", "2"):
+            for m in (1, 2, 3):
+                left = alpha_companion(2 * m * mp.sqrt(mp.pi * big_n * mp.mpf(v)))
+                right = alpha(4 * big_n * m * m * mp.mpf(v))
                 reports.append(
-                    VerificationReport(
-                        check="plus-zeta-factorization",
-                        params={"p": p, "n": n, "s": "2.5", "cutoff": tv.cutoff},
-                        lhs=fmt_hp(tv.value),
-                        rhs=fmt_hp(prod),
-                        abs_err=f"{diff:.3e}",
-                        rel_err=f"{diff / abs(prod):.3e}",
-                        passed=bool(diff <= tv.tail_bound),
-                        detail=f"tail_bound={tv.tail_bound:.3e}",
-                    )
-                )
-    elif which == "special":
-        for big_n in (1, 3, 5):
-            for v in ("0.3", "0.5", "1", "2"):
-                for m in (1, 2, 3):
-                    y = 4 * big_n * m * m * mp.mpf(v)
-                    t = 2 * m * mp.sqrt(mp.pi * big_n * mp.mpf(v))
-                    left = alpha_companion(t)
-                    right = alpha(y)
-                    rep = numeric_report(
+                    numeric_report(
                         "special-function-relation",
                         {"N": big_n, "v": v, "m": m},
                         -2 * left.value,
                         right.value,
                         "1e-8",
                         scale_floor="1e-8",
+                        detail=f"err_bounds={fmt_hp(2 * left.error_bound, 4)};"
+                        f"{fmt_hp(right.error_bound, 4)}",
                     )
-                    rep.detail = (
-                        f"err_bounds={fmt_hp(2 * left.error_bound, 4)};"
-                        f"{fmt_hp(right.error_bound, 4)}"
-                    )
-                    reports.append(rep)
-    elif which == "modularity":
-        tau = mp.mpc("0.13", "0.9")
-        r = modularity_residual(eval_theta, (1, 0, 4, 1), mp.mpf(1) / 2, tau)
-        reports.append(_residual_report("theta-residual", {"gamma": "[1,0;4,1]"}, r, "1e-10"))
+                )
+    return reports
+
+
+def sweep_modularity(primes):
+    reports = []
+    tau = mp.mpc("0.13", "0.9")
+    r = modularity_residual(eval_theta, (1, 0, 4, 1), mp.mpf(1) / 2, tau)
+    reports.append(_residual_report("theta-residual", {"gamma": "[1,0;4,1]"}, r, "1e-10"))
+    r = modularity_residual(eval_zagier_eisenstein, (1, 0, 4, 1), mp.mpf(3) / 2, tau)
+    reports.append(_residual_report("zagier-residual", {"gamma": "[1,0;4,1]"}, r, "1e-6"))
+    tau2 = mp.mpc("0.21", "0.63")
+    for g in ((1, 0, 12, 1), (5, 2, 12, 5)):
         r = modularity_residual(
-            eval_zagier_eisenstein, (1, 0, 4, 1), mp.mpf(3) / 2, tau
+            lambda t, c: eval_cohen_eisenstein(3, 3, t, c),
+            g,
+            mp.mpf(3) / 2,
+            tau2,
+            tol=mp.mpf("1e-7"),
         )
-        reports.append(_residual_report("zagier-residual", {"gamma": "[1,0;4,1]"}, r, "1e-6"))
-        tau2 = mp.mpc("0.21", "0.63")
-        for g in ((1, 0, 12, 1), (5, 2, 12, 5)):
-            r = modularity_residual(
-                lambda t, c: eval_cohen_eisenstein(3, 3, t, c),
-                g,
-                mp.mpf(3) / 2,
-                tau2,
-                tol=mp.mpf("1e-7"),
-            )
-            reports.append(
-                _residual_report("cohen-eisenstein-residual", {"gamma": str(g)}, r, "1e-5")
-            )
-        tau3 = mp.mpc("0.21", "1.1")
-        r = modularity_residual(
-            lambda t, c: eval_sesqui_4p(3, t, c),
-            (1, 0, 12, 1),
-            mp.mpf(1) / 2,
-            tau3,
-            tol=mp.mpf("2e-5"),
+        reports.append(
+            _residual_report("cohen-eisenstein-residual", {"gamma": str(g)}, r, "1e-5")
         )
-        reports.append(_residual_report("sesqui-4p-residual", {"p": 3}, r, "1e-4"))
-    else:
-        print(f"unknown verification target {which!r}", file=sys.stderr)
-        return 2
-    return _emit_reports(reports, args.format)
+    tau3 = mp.mpc("0.21", "1.1")
+    r = modularity_residual(
+        lambda t, c: eval_sesqui_4p(3, t, c),
+        (1, 0, 12, 1),
+        mp.mpf(1) / 2,
+        tau3,
+        tol=mp.mpf("2e-5"),
+    )
+    reports.append(_residual_report("sesqui-4p-residual", {"p": 3}, r, "1e-4"))
+    return reports
 
 
 def _residual_report(check, params, residual, tol) -> VerificationReport:
@@ -314,30 +321,83 @@ def _residual_report(check, params, residual, tol) -> VerificationReport:
     )
 
 
+class Check(NamedTuple):
+    """A verify target: its sweep and the defaults of the sweep's named
+    parameters.  Each parameter is read from the flag of its name, except
+    that `--m-max` also sets `square_m_max`; `--p` is read when reads_p."""
+
+    sweep: Callable[..., list[VerificationReport]]
+    defaults: dict
+    reads_p: bool = True
+
+    def run(self, primes, **params) -> list[VerificationReport]:
+        return self.sweep(primes, **{**self.defaults, **params})
+
+    def flags(self) -> set:
+        return {_flag(name) for name in self.defaults} | ({"p"} if self.reads_p else set())
+
+
+CHECKS = {
+    "imaginary": Check(sweep_imaginary, {"n_max": 400, "convention": "auto"}),
+    "real": Check(sweep_real, {"n_max": 300}),
+    "coefficients": Check(
+        sweep_coefficients, {"m_max": 12, "n_max": 200, "square_m_max": 10}
+    ),
+    "constants": Check(sweep_constants, {}),
+    "kloosterman": Check(sweep_kloosterman, {"cutoff": 2000}),
+    "special": Check(sweep_special, {}, reads_p=False),
+    "modularity": Check(sweep_modularity, {}, reads_p=False),
+}
+SWEEP_FLAGS = ("p", "n_max", "m_max", "cutoff", "convention")
+
+
+def _flag(param: str) -> str:
+    return "m_max" if param == "square_m_max" else param
+
+
+def cmd_verify(args) -> int:
+    check = CHECKS[args.which]
+    read = check.flags() | ({"convention"} if args.seed_cases else set())
+    for flag in SWEEP_FLAGS:
+        if flag in args.given and flag not in read:
+            print(f"verify {args.which} ignores --{flag.replace('_', '-')}", file=sys.stderr)
+    reports: list[VerificationReport] = []
+    if args.seed_cases:
+        pinned = pin_convention()
+        convention = pinned if args.convention in (None, "auto") else args.convention
+        reports.append(
+            VerificationReport(
+                check="convention-pinning",
+                params={"seed_cases": "(3,-3);(3,-4);(5,-4)"},
+                lhs=pinned,
+                rhs=convention,
+                abs_err="0",
+                rel_err="0",
+                passed=pinned == convention,
+            )
+        )
+    params = {
+        name: getattr(args, _flag(name)) for name in check.defaults if _flag(name) in args.given
+    }
+    reports += check.run(args.p, **params)
+    return _emit_reports(reports, args.format)
+
+
 def cmd_coeffs(args) -> int:
-    m_max = 12 if args.m_max is None else args.m_max
-    rows = []
+    m_max = CHECKS["coefficients"].defaults["m_max"] if args.m_max is None else args.m_max
+    lines = []
     failures = 0
     for p in args.p:
-        c0, o0 = sesqui4p_const_coeff(p), coeff_oracle_4p(p, 0)
-        rows.append((p, 0, c0, o0))
-        for m in range(1, m_max + 1):
-            c, o = sesqui4p_square_coeff(p, m), coeff_oracle_4p(p, m)
-            rows.append((p, m, c, o))
-    header = "p,m,value,oracle,delta"
-    lines = []
-    for p, m, c, o in rows:
-        delta = abs(c - o)
-        if delta > mp.mpf("1e-8"):
-            failures += 1
-        lines.append((p, m, fmt_hp(c), fmt_hp(o), fmt_hp(delta, 6)))
+        for m, c, o in _coefficient_rows(p, m_max):
+            delta = abs(c - o)
+            if delta > mp.mpf("1e-8"):
+                failures += 1
+            lines.append((p, m, fmt_hp(c), fmt_hp(o), fmt_hp(delta, 6)))
     if args.format == "csv":
-        print(header)
+        print("p,m,value,oracle,delta")
         for row in lines:
             print(",".join(str(x) for x in row))
     else:
-        import json
-
         for p, m, c, o, d in lines:
             print(
                 json.dumps(
@@ -357,23 +417,16 @@ def main(argv=None) -> int:
     p_h = subs.add_parser("hurwitz", help="class-number tables with relation checks")
     _add_common(p_h)
     p_v = subs.add_parser("verify", help="identity verification sweeps")
-    p_v.add_argument(
-        "which",
-        choices=[
-            "imaginary",
-            "real",
-            "coefficients",
-            "constants",
-            "kloosterman",
-            "special",
-            "modularity",
-        ],
-    )
+    p_v.add_argument("which", choices=list(CHECKS))
     _add_common(p_v)
     p_c = subs.add_parser("coeffs", help="coefficient tables with oracle deltas")
     _add_common(p_c)
 
     args = parser.parse_args(argv)
+    # flags left unset are None, so that verify can name the ones it ignores
+    args.given = {flag for flag in SWEEP_FLAGS if getattr(args, flag) is not None}
+    if args.p is None:
+        args.p = [3]
     if args.prec < 30:
         print("precision must be at least 30 digits", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .arith import divisors, kronecker, moebius, valuation
+from .arith import divisors, moebius, valuation
 from .classnumbers import generalized_hurwitz
 from .kloosterman import (
     local_factor_2_exact,
@@ -26,11 +26,10 @@ from .kloosterman import (
     local_series_2,
     local_series_p,
     plus_zeta_special_value,
-    t_sum_special,
 )
 from .lvalues import chi, zeta_prime_over_zeta_2
 from .precision import hp, to_mpf
-from .report import VerificationReport, fmt_exact, fmt_hp, numeric_report
+from .report import VerificationReport, exact_report, fmt_hp, numeric_report
 
 # local factor aliases: the same tables serve the special value at s = 3/2
 # and the real-trace identity
@@ -366,33 +365,20 @@ def constant_term_checks(p: int) -> list[VerificationReport]:
     log(16 v)/pi); (c) ties the theta-multiple constant to the two series'
     constants and is checked to 1e-12.
     """
-    out = []
-    lhs_a = Fraction(2, 3 * (p - 1)) + Fraction(2, 3)
-    rhs_a = Fraction(2, 3) * Fraction(p * (p + 1), p * p - 1)
-    out.append(
-        VerificationReport(
-            check="constant-term-v-half",
-            params={"p": p},
-            lhs=fmt_exact(lhs_a),
-            rhs=fmt_exact(rhs_a),
-            abs_err=fmt_exact(abs(lhs_a - rhs_a)),
-            rel_err="0" if lhs_a == rhs_a else "1",
-            passed=lhs_a == rhs_a,
-        )
-    )
-    lhs_b = Fraction(-1, 2 * (p - 1)) + Fraction(-1, 2 * (p + 1))
-    rhs_b = Fraction(-p, p * p - 1)
-    out.append(
-        VerificationReport(
-            check="constant-term-log16v",
-            params={"p": p},
-            lhs=fmt_exact(lhs_b),
-            rhs=fmt_exact(rhs_b),
-            abs_err=fmt_exact(abs(lhs_b - rhs_b)),
-            rel_err="0" if lhs_b == rhs_b else "1",
-            passed=lhs_b == rhs_b,
-        )
-    )
+    out = [
+        exact_report(
+            "constant-term-v-half",
+            {"p": p},
+            Fraction(2, 3 * (p - 1)) + Fraction(2, 3),
+            Fraction(2, 3) * Fraction(p * (p + 1), p * p - 1),
+        ),
+        exact_report(
+            "constant-term-log16v",
+            {"p": p},
+            Fraction(-1, 2 * (p - 1)) + Fraction(-1, 2 * (p + 1)),
+            Fraction(-p, p * p - 1),
+        ),
+    ]
     with hp():
         z = zeta_prime_over_zeta_2()
         base = mp.euler - mp.log(2) - z

@@ -29,7 +29,6 @@ building blocks are also available at working precision.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction

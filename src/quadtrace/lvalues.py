@@ -39,7 +39,7 @@ from .arith import (
     moebius,
     squarefree_kernel,
 )
-from .precision import hp, to_mpf
+from .precision import hp, to_mpf, working_dps
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,11 @@ def l_value_at_1(t: int) -> mpf:
         raise ValueError("t = 1 has a pole at s = 1")
     if not is_fundamental_discriminant(t):
         raise ValueError(f"{t} is not a fundamental discriminant")
-    return _l1_cached(t, mp.dps)
+    return _l1_cached(t, working_dps())
 
 
 @lru_cache(maxsize=None)
-def _l1_cached(t: int, _ambient_dps: int) -> mpf:
+def _l1_cached(t: int, _working_dps: int) -> mpf:
     with hp():
         if t < 0:
             return +(mp.pi * to_mpf(l_value_at_0(t)) / mp.sqrt(abs(t)))
@@ -202,14 +202,14 @@ def zeta_star(s) -> mpf:
 
 
 @lru_cache(maxsize=None)
-def _zpz2_cached(_ambient_dps: int) -> mpf:
+def _zpz2_cached(_working_dps: int) -> mpf:
     with hp(extra=10):
         return +(mp.zeta(2, derivative=1) / mp.zeta(2))
 
 
 def zeta_prime_over_zeta_2() -> mpf:
-    """The constant zeta'(2)/zeta(2), cached per precision."""
-    return _zpz2_cached(mp.dps)
+    """The constant zeta'(2)/zeta(2), cached per working precision."""
+    return _zpz2_cached(working_dps())
 
 
 def sigma_constrained(ell: int, big_n: int, s, r: int):

@@ -49,6 +49,38 @@ class VerificationReport:
         return json.dumps(payload, separators=(",", ":"))
 
 
+def exact_report(check, params, lhs, rhs) -> VerificationReport:
+    """Build a report from two exact rationals that must be equal."""
+    return VerificationReport(
+        check=check,
+        params=params,
+        lhs=fmt_exact(lhs),
+        rhs=fmt_exact(rhs),
+        abs_err="0" if lhs == rhs else fmt_exact(abs(lhs - rhs)),
+        rel_err="0" if lhs == rhs else "1",
+        passed=lhs == rhs,
+    )
+
+
+def tail_bound_report(check, params, lhs, rhs, tail_bound) -> VerificationReport:
+    """Build a report from a truncated series value and its closed form.
+
+    It passes when |lhs - rhs| is within the series' tail bound.  Both sides
+    are printed as computed: an mpf closed form keeps its mpf rendering.
+    """
+    diff = abs(lhs - complex(rhs))
+    return VerificationReport(
+        check=check,
+        params=params,
+        lhs=fmt_hp(lhs),
+        rhs=fmt_hp(rhs),
+        abs_err=f"{diff:.3e}",
+        rel_err=f"{diff / abs(complex(rhs)):.3e}",
+        passed=bool(diff <= tail_bound),
+        detail=f"tail_bound={tail_bound:.3e}",
+    )
+
+
 def numeric_report(check, params, lhs, rhs, tol, scale_floor="1e-30", detail=""):
     """Build a report from two high-precision numbers and a relative tolerance.
 

@@ -40,7 +40,7 @@ from .quadforms import (
     gamma0_stabilizer_index,
     weighted_orbit_count,
 )
-from .report import VerificationReport, fmt_exact, numeric_report
+from .report import VerificationReport, exact_report, numeric_report
 
 PINNED_CONVENTION = "both-signs"
 _SEED_CASES = ((3, -3), (3, -4), (5, -4))
@@ -126,15 +126,7 @@ def verify_imaginary_trace_identity(
     params = {"p": p, "n": n}
     if convention != PINNED_CONVENTION:
         params["convention"] = convention
-    return VerificationReport(
-        check="imaginary-trace",
-        params=params,
-        lhs=fmt_exact(lhs),
-        rhs=fmt_exact(rhs),
-        abs_err="0" if lhs == rhs else fmt_exact(abs(lhs - rhs)),
-        rel_err="0" if lhs == rhs else "1",
-        passed=lhs == rhs,
-    )
+    return exact_report("imaginary-trace", params, lhs, rhs)
 
 
 def verify_real_trace_identity(p: int, n: int) -> VerificationReport:

@@ -1,15 +1,21 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Tolerances are pinned here and nowhere else.
+lines.  Criteria 2, 4, 5, 6, 8 and 13 run the sweeps of `quadtrace verify`
+(`quadtrace.cli`), whose reports carry the tolerances; criteria 6 and 8 add
+an absolute bound on the reports' errors.
 """
 
-import math
 import time
-from fractions import Fraction
 
 from mpmath import mp
 
+from quadtrace.cli import (
+    CHECKS,
+    sweep_coefficient_oracles,
+    sweep_negative_two_path,
+    sweep_square_traces,
+)
 from quadtrace.precision import set_working_dps
 
 
@@ -22,6 +28,14 @@ def _report(num, label, passed, detail=""):
     status = "PASS" if passed else "FAIL"
     print(f"criterion {num:02d} [{status}] {label} {detail}")
     assert passed, f"criterion {num}: {label} {detail}"
+
+
+def _failed(reports):
+    return [r.params for r in reports if not r.passed]
+
+
+def _worst(reports, field="rel_err"):
+    return max(mp.mpf(getattr(r, field)) for r in reports)
 
 
 def test_criterion_01_dual_algorithm_class_numbers():
@@ -47,23 +61,16 @@ def test_criterion_01_dual_algorithm_class_numbers():
 
 
 def test_criterion_02_imaginary_trace_sweep():
-    from quadtrace.traces import pin_convention, verify_imaginary_trace_identity
+    from quadtrace.traces import pin_convention
 
     t0 = time.time()
-    conv = pin_convention()
-    bad = []
-    for p in (3, 5, 7):
-        for n in range(-400, 0):
-            if n % 4 not in (0, 1):
-                continue
-            if not verify_imaginary_trace_identity(p, n).passed:
-                bad.append((p, n))
+    bad = _failed(CHECKS["imaginary"].run((3, 5, 7), n_max=400))
     elapsed = time.time() - t0
     _report(
         2,
         "imaginary trace identity p in {3,5,7}, -400 <= n < 0 exact",
         not bad and elapsed < 300,
-        f"(convention={conv}, {elapsed:.1f}s)",
+        f"(convention={pin_convention()}, {elapsed:.1f}s)",
     )
 
 
@@ -80,69 +87,29 @@ def test_criterion_03_linear_relation():
 
 
 def test_criterion_04_real_trace_sweep():
-    from quadtrace.traces import verify_real_trace_identity
-
     t0 = time.time()
-    worst = mp.mpf(0)
-    bad = []
-    for p in (3, 5):
-        for n in range(5, 301):
-            if n % 4 in (2, 3) or math.isqrt(n) ** 2 == n:
-                continue
-            rep = verify_real_trace_identity(p, n)
-            worst = max(worst, mp.mpf(rep.rel_err))
-            if not rep.passed:
-                bad.append((p, n))
+    reports = CHECKS["real"].run((3, 5), n_max=300)
     _report(
         4,
         "real trace identity p in {3,5}, nonsquare n <= 300, rel 1e-9",
-        not bad,
-        f"(worst={mp.nstr(worst, 3)}, {time.time()-t0:.1f}s)",
+        not _failed(reports),
+        f"(worst={mp.nstr(_worst(reports), 3)}, {time.time()-t0:.1f}s)",
     )
 
 
 def test_criterion_05_negative_coefficient_two_path():
-    from quadtrace.coefficients import sesqui4p_neg_coeff, sesqui4p_nonsquare_coeff
-
-    worst = mp.mpf(0)
-    bad = []
-    for p in (3, 5, 7):
-        for n in range(3, 201):
-            if (-n) % 4 not in (0, 1) or math.isqrt(n) ** 2 == n:
-                continue
-            lhs = sesqui4p_neg_coeff(p, -n)
-            rhs = sesqui4p_nonsquare_coeff(p, -n)
-            rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), mp.mpf("1e-30"))
-            worst = max(worst, rel)
-            if rel > mp.mpf("1e-9"):
-                bad.append((p, n))
+    reports = sweep_negative_two_path((3, 5, 7), n_max=200)
     _report(
         5,
         "negative-index coefficient two-path p in {3,5,7}, n <= 200, rel 1e-9",
-        not bad,
-        f"(worst={mp.nstr(worst, 3)})",
+        not _failed(reports),
+        f"(worst={mp.nstr(_worst(reports), 3)})",
     )
 
 
 def test_criterion_06_derivative_oracles():
-    from quadtrace.coefficients import (
-        coeff_oracle_4,
-        coeff_oracle_4p,
-        sesqui4_square_coeff,
-        sesqui4p_const_coeff,
-        sesqui4p_square_coeff,
-    )
-
     t0 = time.time()
-    worst = mp.mpf(0)
-    for m in range(1, 13):
-        worst = max(worst, abs(sesqui4_square_coeff(m) - coeff_oracle_4(m)))
-    for p in (3, 5):
-        worst = max(worst, abs(sesqui4p_const_coeff(p) - coeff_oracle_4p(p, 0)))
-        for m in range(1, 13):
-            worst = max(
-                worst, abs(sesqui4p_square_coeff(p, m) - coeff_oracle_4p(p, m))
-            )
+    worst = _worst(sweep_coefficient_oracles((3, 5), m_max=12), "abs_err")
     _report(
         6,
         "closed coefficients vs derivative oracles, abs 1e-8",
@@ -172,16 +139,8 @@ def test_criterion_07_constant_term_system():
 
 
 def test_criterion_08_special_function_grid():
-    from quadtrace.specialfns import alpha, alpha_companion
-
     t0 = time.time()
-    worst = mp.mpf(0)
-    for big_n in (1, 3, 5):
-        for v in (mp.mpf("0.3"), mp.mpf("0.5"), mp.mpf(1), mp.mpf(2)):
-            for m in (1, 2, 3):
-                lhs = -2 * alpha_companion(2 * m * mp.sqrt(mp.pi * big_n * v)).value
-                rhs = alpha(4 * big_n * m * m * v).value
-                worst = max(worst, abs(lhs - rhs))
+    worst = _worst(CHECKS["special"].run(()), "abs_err")
     _report(
         8,
         "kernel relation sup over 36-point grid, abs 1e-8",
@@ -335,19 +294,10 @@ def test_criterion_12_modularity_battery():
 
 
 def test_criterion_13_square_trace_consistency():
-    from quadtrace.coefficients import square_trace_consistency
-
-    worst = mp.mpf(0)
-    bad = []
-    for p in (3, 5, 7):
-        for m in range(1, 11):
-            rep = square_trace_consistency(p, m)
-            worst = max(worst, mp.mpf(rep.rel_err))
-            if not rep.passed:
-                bad.append((p, m))
+    reports = sweep_square_traces((3, 5, 7), m_max=10)
     _report(
         13,
         "square-index trace consistency p in {3,5,7}, m <= 10, rel 1e-10",
-        not bad,
-        f"(worst={mp.nstr(worst, 3)})",
+        not _failed(reports),
+        f"(worst={mp.nstr(_worst(reports), 3)})",
     )

@@ -1,8 +1,9 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
-from quadtrace.cli import main
+from quadtrace.cli import CHECKS, main
 
 
 def run(capsys, argv):
@@ -107,3 +108,24 @@ def test_coeffs_table(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "p,m,value,oracle,delta"
     assert len(lines) == 5
+
+
+def test_verify_names_the_flags_it_ignores(capsys):
+    argv = ["verify", "real", "--p", "3", "--n-max", "30"]
+    code, out, err = run(capsys, argv + ["--m-max", "4", "--convention", "pos-def"])
+    assert code == 0
+    assert "verify real ignores --m-max\nverify real ignores --convention\n" in err
+    _, plain_out, plain_err = run(capsys, argv)
+    assert out == plain_out and "ignores" not in plain_err
+    # --seed-cases reads --convention
+    _, _, err = run(capsys, argv + ["--convention", "both-signs", "--seed-cases"])
+    assert "ignores" not in err
+    assert CHECKS["special"].flags() == CHECKS["modularity"].flags() == set()
+    assert CHECKS["coefficients"].flags() == {"p", "m_max", "n_max"}
+
+
+def test_readme_cli_block_matches_checks():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line.split() for line in readme.splitlines()]
+    named = {words[2] for words in lines if words[:2] == ["quadtrace", "verify"]}
+    assert named == set(CHECKS)

@@ -19,7 +19,6 @@ from quadtrace.coefficients import (
     sesqui4p_neg_coeff,
     sesqui4p_nonsquare_coeff,
     sesqui4p_square_coeff,
-    square_trace_consistency,
     t_divisor_sum,
     t_log_sum,
     theta_multiple_const,
@@ -95,22 +94,6 @@ def test_negative_coefficient_rational_values():
     )
 
 
-def test_negative_two_path_sweep():
-    """Class-number route vs zeta-product route, relative 1e-9."""
-    for p in (3, 5, 7):
-        for n in range(3, 120):
-            if (-n) % 4 not in (0, 1):
-                continue
-            import math
-
-            if math.isqrt(n) ** 2 == n:
-                continue
-            lhs = sesqui4p_neg_coeff(p, -n)
-            rhs = sesqui4p_nonsquare_coeff(p, -n)
-            scale = max(abs(lhs), abs(rhs), mp.mpf("1e-30"))
-            assert abs(lhs - rhs) / scale < mp.mpf("1e-9"), (p, n)
-
-
 def test_theta_multiple_const_positive():
     for p in (3, 5, 11):
         assert theta_multiple_const(p) != 0
@@ -135,12 +118,6 @@ def test_deformation_values_and_check():
     # the recorded variant/numeric ratio is pi^2 (p^2 - 1)
     ratio = mp.mpf(r.flags["variant_vs_numeric_ratio_inf"])
     assert abs(ratio - mp.pi**2 * 8) < mp.mpf("1e-6")
-
-
-def test_square_trace_consistency_sweep():
-    for p in (3, 5, 7):
-        for m in range(1, 11):
-            assert square_trace_consistency(p, m).passed, (p, m)
 
 
 def test_nonsquare_coeff_rejects_squares():

@@ -22,6 +22,7 @@ from quadtrace.lvalues import (
     zeta_prime_over_zeta_2,
     zeta_star,
 )
+from quadtrace.precision import set_working_dps, working_dps
 
 
 def test_fundamental_discriminants():
@@ -186,6 +187,23 @@ def test_zeta_prime_ratio_cached_consistent():
         assert abs(z1 - num / zeta(2)) < mp.mpf("1e-20")
     finally:
         mp.dps = 15
+
+
+def test_precision_caches_follow_the_working_precision():
+    # values cached at 40 working digits must not be returned at 200
+    old = working_dps()
+    mp.dps = 15
+    try:
+        for dps in (40, 200):
+            set_working_dps(dps)
+            l1, ratio = l_value_at_1(5), zeta_prime_over_zeta_2()
+        with mp.workdps(210):
+            golden = (1 + mp.sqrt(5)) / 2
+            assert abs(l1 - 2 * mp.log(golden) / mp.sqrt(5)) < mp.mpf("1e-190")
+            glaisher = mp.log(2 * mp.pi) + mp.euler - 12 * mp.log(mp.glaisher)
+            assert abs(ratio - glaisher) < mp.mpf("1e-190")
+    finally:
+        set_working_dps(old)
 
 
 def sigma_filter_oracle(ell, big_n, s, r):

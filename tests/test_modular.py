@@ -1,6 +1,5 @@
 """q-series evaluation and numerical modularity residuals."""
 
-import math
 import random
 
 import pytest
@@ -11,7 +10,6 @@ from quadtrace.modular import (
     choose_cutoff,
     eval_cohen_eisenstein,
     eval_sesqui_4,
-    eval_sesqui_4p,
     eval_theta,
     eval_zagier_eisenstein,
     modularity_residual,
@@ -161,18 +159,6 @@ def test_sesqui4p_negative_coefficients_exact_rational_family():
         assert r == expected
         c = sesqui4p_neg_coeff(p, n)
         assert ((1 - 1j) * c).imag == 0
-
-
-def test_sesqui4p_residual_end_to_end():
-    tau = mp.mpc("0.21", "1.1")
-    r = modularity_residual(
-        lambda t, c: eval_sesqui_4p(3, t, c),
-        (1, 0, 12, 1),
-        mp.mpf(1) / 2,
-        tau,
-        tol=mp.mpf("2e-5"),
-    )
-    assert r < mp.mpf("1e-4")
 
 
 def test_slash_trivial_cases():

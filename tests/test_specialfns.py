@@ -66,18 +66,6 @@ def test_alpha_two_scheme_agreement():
     assert res.error_bound < mp.mpf("1e-10")
 
 
-def test_companion_relation_grid():
-    """sup over the 36-point grid of |-2 F(2 m sqrt(pi N v)) - alpha(4 N m^2 v)|."""
-    worst = mp.mpf(0)
-    for big_n in (1, 3, 5):
-        for v in (mp.mpf("0.3"), mp.mpf("0.5"), mp.mpf(1), mp.mpf(2)):
-            for m in (1, 2, 3):
-                lhs = -2 * alpha_companion(2 * m * mp.sqrt(mp.pi * big_n * v)).value
-                rhs = alpha(4 * big_n * m * m * v).value
-                worst = max(worst, abs(lhs - rhs))
-    assert worst < mp.mpf("1e-8")
-
-
 def test_companion_small_argument_limit():
     t = mp.mpf("1e-12")
     val = alpha_companion(t).value - mp.log(t)

@@ -1,6 +1,5 @@
 """Trace identities over Gamma_0(p)."""
 
-import math
 from fractions import Fraction
 
 from mpmath import mp
@@ -11,7 +10,6 @@ from quadtrace.traces import (
     trace_imaginary,
     trace_real_nonsquare,
     verify_imaginary_trace_identity,
-    verify_real_trace_identity,
 )
 
 
@@ -36,14 +34,6 @@ def test_trace_denominators_divide_six():
             if n % 4 not in (0, 1):
                 continue
             assert 6 % trace_imaginary(p, n).denominator == 0
-
-
-def test_imaginary_identity_sweep():
-    for p in (3, 5, 7):
-        for n in range(-150, 0):
-            if n % 4 not in (0, 1):
-                continue
-            assert verify_imaginary_trace_identity(p, n).passed, (p, n)
 
 
 def test_imaginary_report_names_only_an_unpinned_convention():
@@ -85,7 +75,6 @@ def test_real_trace_seed_values():
 
 def test_real_trace_translate_invariance():
     from quadtrace.quadforms import (
-        QuadForm,
         automorph_unit,
         gamma0_orbits,
         gamma0_stabilizer_index,
@@ -98,15 +87,6 @@ def test_real_trace_translate_invariance():
         d0 = n // (translate.content() ** 2)
         total += gamma0_stabilizer_index(p, translate) * automorph_unit(d0).log_value()
     assert abs(total - trace_real_nonsquare(p, n)) < mp.mpf("1e-25")
-
-
-def test_real_identity_sweep():
-    for p in (3, 5):
-        for n in range(5, 150):
-            if n % 4 in (2, 3) or math.isqrt(n) ** 2 == n:
-                continue
-            rep = verify_real_trace_identity(p, n)
-            assert rep.passed, (p, n, rep.rel_err)
 
 
 def test_real_identity_unit_route_matches_l_value_route():
