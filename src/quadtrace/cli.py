@@ -263,18 +263,21 @@ def sweep_special(primes):
             for m in (1, 2, 3):
                 left = alpha_companion(2 * m * mp.sqrt(mp.pi * big_n * mp.mpf(v)))
                 right = alpha(4 * big_n * m * m * mp.mpf(v))
-                reports.append(
-                    numeric_report(
-                        "special-function-relation",
-                        {"N": big_n, "v": v, "m": m},
-                        -2 * left.value,
-                        right.value,
-                        "1e-8",
-                        scale_floor="1e-8",
-                        detail=f"err_bounds={fmt_hp(2 * left.error_bound, 4)};"
-                        f"{fmt_hp(right.error_bound, 4)}",
-                    )
+                r = numeric_report(
+                    "special-function-relation",
+                    {"N": big_n, "v": v, "m": m},
+                    -2 * left.value,
+                    right.value,
+                    "1e-8",
+                    scale_floor="1e-8",
+                    detail=f"err_bounds={fmt_hp(2 * left.error_bound, 4)};"
+                    f"{fmt_hp(right.error_bound, 4)}",
                 )
+                if not (left.converged and right.converged):
+                    # a side whose quadrature missed its target cannot pass
+                    r.passed = False
+                    r.flags["quadrature"] = "unconverged"
+                reports.append(r)
     return reports
 
 

@@ -1,9 +1,20 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+from mpmath import mp
+
+from quadtrace import cli
 from quadtrace.cli import CHECKS, main
+from quadtrace.specialfns import QuadratureResult
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, argv):
@@ -125,7 +136,49 @@ def test_verify_names_the_flags_it_ignores(capsys):
 
 
 def test_readme_cli_block_matches_checks():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     lines = [line.split() for line in readme.splitlines()]
     named = {words[2] for words in lines if words[:2] == ["quadtrace", "verify"]}
     assert named == set(CHECKS)
+
+
+def test_special_fails_an_unconverged_side(monkeypatch):
+    # both sides agree exactly; only the companion at m = 2 missed its target
+    def fake_companion(t):
+        unconverged = abs(t - 4 * mp.sqrt(mp.pi)) < 1e-20
+        return QuadratureResult(mp.mpf(-1), mp.mpf(0), 1, converged=not unconverged)
+
+    monkeypatch.setattr(cli, "alpha_companion", fake_companion)
+    converged = QuadratureResult(mp.mpf(2), mp.mpf(0), 1, converged=True)
+    monkeypatch.setattr(cli, "alpha", lambda y: converged)
+    reports = CHECKS["special"].run(())
+    failed = [r for r in reports if not r.passed]
+    assert [r.params for r in failed] == [{"N": 1, "v": "1", "m": 2}]
+    assert failed[0].flags == {"quadrature": "unconverged"}
+    assert all(r.flags == {} for r in reports if r.passed)
+
+
+# invocations of perfbench/digests.json cheap enough for the unit suite
+DRIFT_ARGV = (
+    "verify constants --p 3 5 7",
+    "coeffs --p 3 --m-max 12",
+    "verify coefficients --p 3 --m-max 12",
+    "verify special",
+)
+
+
+@pytest.mark.parametrize("argv", DRIFT_ARGV)
+def test_stdout_matches_recorded_digest(argv):
+    # a fresh interpreter, as the benchmark runs it: these sweeps read the
+    # ambient mp.dps, which other tests change
+    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadtrace.cli", *argv.split()],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == digests[argv]["sha256"]

@@ -3,13 +3,19 @@
 import pytest
 from mpmath import mp
 
+from quadtrace import specialfns
+from quadtrace.precision import set_working_dps, working_dps
 from quadtrace.specialfns import (
+    _CF_CROSSOVER,
+    _head_log,
+    _scaled_erfc,
     alpha,
     alpha_companion,
     digamma_convention,
     erfc,
     inc_gamma_half,
     inc_gamma_minus_half,
+    quad_certified,
 )
 
 
@@ -98,3 +104,75 @@ def test_digamma_convention():
     assert abs(digamma_convention(1) - psi1) < mp.mpf("1e-3")
     with pytest.raises(ValueError):
         digamma_convention(2)
+
+
+def _at_working_dps(dps, f):
+    """f() with the working precision set to dps, restored afterwards."""
+    saved = working_dps()
+    set_working_dps(dps)
+    try:
+        return f()
+    finally:
+        set_working_dps(saved)
+
+
+def _integrand_prec(dps, monkeypatch):
+    """The precision alpha_companion's quadrature evaluates its integrand at."""
+    seen = set()
+    monkeypatch.setattr(specialfns, "_scaled_erfc", lambda w: seen.add(mp.prec) or w)
+    _at_working_dps(dps, lambda: alpha_companion(1))
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return seen.pop()
+
+
+@pytest.mark.parametrize("dps", [64, 200])
+def test_scaled_erfc_continued_fraction_accuracy(dps, monkeypatch):
+    prec = _integrand_prec(dps, monkeypatch)
+    eps = mp.ldexp(1, 1 - prec)
+    worst = 0
+    with mp.workprec(prec):
+        for k in range(472):  # w = 7, 7.07, ..., 39.97
+            w = _CF_CROSSOVER + k * mp.mpf("0.07")
+            value = _scaled_erfc(w)
+            with mp.workdps(mp.dps + 60):
+                ref = mp.exp(w * w) * mp.erfc(w)
+                worst = max(worst, abs(value - ref) / ref)
+    assert worst <= 2 * eps
+
+
+def test_scaled_erfc_both_sides_of_crossover(monkeypatch):
+    with mp.workprec(_integrand_prec(64, monkeypatch)):
+        below = _CF_CROSSOVER - 8 * mp.eps
+        # below the crossover the integrand is mpmath's own, bit for bit
+        assert _scaled_erfc(below) == mp.exp(below * below) * mp.erfc(below)
+        at = mp.mpf(_CF_CROSSOVER)
+        with mp.workdps(mp.dps + 60):
+            ref = mp.exp(at * at) * mp.erfc(at)
+        assert abs(_scaled_erfc(at) - ref) <= 2 * mp.eps * ref
+        # mpmath's side rounds w^2 before exp, a relative error up to w^2 eps
+        step = abs(_scaled_erfc(at) / _scaled_erfc(below) - 1)
+        assert step <= 2 * _CF_CROSSOVER**2 * mp.eps
+
+
+def test_head_cache_keeps_precisions_apart():
+    assert _head_log.cache_info().maxsize is not None
+    y = mp.mpf("0.7")
+    _at_working_dps(40, lambda: alpha(y))
+    after_40 = _at_working_dps(200, lambda: alpha(y))
+    _head_log.cache_clear()
+    fresh = _at_working_dps(200, lambda: alpha(y))
+    assert after_40.value._mpf_ == fresh.value._mpf_
+    assert after_40.error_bound._mpf_ == fresh.error_bound._mpf_
+
+
+def test_unmet_target_is_not_converged():
+    # a jump inside the interval defeats tanh-sinh even after refinement
+    res = quad_certified(lambda t: mp.mpf(3 * t < 1), [0, 1])
+    assert not res.converged
+    assert res.error_bound >= mp.mpf("1e-12")
+    assert quad_certified(mp.exp, [0, 1]).converged
+    assert alpha(1).converged and alpha_companion(1).converged
+    # at small y the tail is cut at t = 500 with a remainder above the target
+    assert not alpha("0.001").converged
+
