@@ -5,8 +5,8 @@ Brent-cycle rho fallback for cofactors beyond 10**12 so that accidental
 large inputs terminate.  Everything here is pure and exact; the
 factorization cache is safe under concurrent reads and duplicate inserts.
 Legendre symbols come one at a time (kronecker) or as a numpy table over a
-full period (legendre_table), the building block of the character tables
-in lvalues and the Jacobi tables in kloosterman.
+full period (legendre_table, and CHI8_TABLE for (2/x)), the building blocks
+of the character tables in lvalues and the Jacobi tables in kloosterman.
 """
 
 from __future__ import annotations
@@ -223,6 +223,12 @@ def legendre_table(q: int) -> np.ndarray:
     table[x * x % q] = 1
     table[0] = 0
     return table
+
+
+# chi_8(x) = (2/x) on x mod 8: the factor (2/r) of a Jacobi symbol with an
+# odd power of 2 on top, and the character of the prime discriminant 8
+CHI8_TABLE = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
+CHI8_TABLE.setflags(write=False)
 
 
 def smallest_prime_factors(n: int) -> list[int]:

@@ -28,6 +28,7 @@ from .lvalues import (
     l_incomplete,
     l_value_at_0,
     sigma_constrained,
+    t_divisor_sum,
 )
 from .precision import hp
 from .quadforms import class_number, order_unit_pm, _reduced_definite_forms
@@ -60,7 +61,8 @@ def hurwitz_class_number_forms(n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def hurwitz_class_number_lseries(n: int) -> Fraction:
-    """H(n) via L(0, chi_t) sum_{a | m} mu(a) chi_t(a) sigma_1(m/a), -n = t m^2."""
+    """H(n) = L(0, chi_t) T^{chi_t}_{1,1}(m) = L(0, chi_t) sum_{a | m} mu(a) chi_t(a)
+    sigma_1(m/a), -n = t m^2."""
     if n < 0:
         raise ValueError("requires n >= 0")
     if n == 0:
@@ -68,26 +70,19 @@ def hurwitz_class_number_lseries(n: int) -> Fraction:
     if n % 4 in (1, 2):
         return Fraction(0)
     split = fundamental_decomposition(-n)
-    t, m = split.t, split.m
-    total = Fraction(0)
-    for a in divisors(m):
-        mu = moebius(a)
-        if mu == 0:
-            continue
-        total += mu * chi(t, a) * sigma_constrained(1, 1, 1, m // a)
-    return l_value_at_0(t) * total
+    return l_value_at_0(split.t) * t_divisor_sum(1, 1, split.t, split.m)
 
 
 def generalized_hurwitz(ell: int, big_n: int, n: int) -> Fraction:
     """Level-N Hurwitz class number H_{ell,N}(n), exact.
 
-    For ell != N:
+    For n > 0:
         L_ell(0, chi_t) * prod_{p | N/ell} (1 - chi_t(p)/p)/(1 - 1/p^2)
                         * sum_{a | m, gcd(a,N)=1} mu(a) chi_t(a)
                           sigma_{ell,N,1}(m/a)
-    For ell = N: L_N(-1, id) at n = 0, else
-        L_N(0, chi_t) * sum_{a | m, gcd(a,N)=1} mu(a) chi_t(a) sigma_{N,1}(m/a)
-    with -n = t m^2, t fundamental; 0 off the discriminant progression.
+    with -n = t m^2, t fundamental; 0 off the discriminant progression.  At
+    ell = N the Euler product is empty and the sum is T^{chi_t}_{N,1}(m).
+    At n = 0: L_N(-1, id) for ell = N, else 0.
     """
     if big_n % 2 == 0 or not is_squarefree(big_n):
         raise ValueError("N must be odd and squarefree")
@@ -103,30 +98,22 @@ def generalized_hurwitz(ell: int, big_n: int, n: int) -> Fraction:
         return Fraction(0)
     split = fundamental_decomposition(-n)
     t, m = split.t, split.m
-
-    def moebius_sum(sig_ell: int) -> Fraction:
-        total = Fraction(0)
-        for a in divisors(m):
-            if math.gcd(a, big_n) != 1:
-                continue
-            mu = moebius(a)
-            if mu == 0:
-                continue
-            total += mu * chi(t, a) * sigma_constrained(sig_ell, big_n, 1, m // a)
-        return total
-
-    if ell == big_n:
-        l0 = l_value_at_0(t)
-        for p, _ in factorize(big_n):
-            l0 *= 1 - Fraction(chi(t, p))
-        return l0 * moebius_sum(big_n)
     l0 = l_value_at_0(t)
     for p, _ in factorize(ell) if ell > 1 else ():
         l0 *= 1 - Fraction(chi(t, p))
     euler = Fraction(1)
     for p, _ in factorize(big_n // ell):
         euler *= (1 - Fraction(chi(t, p), p)) / (1 - Fraction(1, p * p))
-    return l0 * euler * moebius_sum(ell)
+    # for ell != N, sigma_{ell,N,1} is not the inner sum of a T-sum
+    moebius_sum = Fraction(0)
+    for a in divisors(m):
+        if math.gcd(a, big_n) != 1:
+            continue
+        mu = moebius(a)
+        if mu == 0:
+            continue
+        moebius_sum += mu * chi(t, a) * sigma_constrained(ell, big_n, 1, m // a)
+    return l0 * euler * moebius_sum
 
 
 def regulator_class_sum(n: int):

@@ -76,6 +76,7 @@ def _add_common(sub):
     sub.add_argument(
         "--seed-cases",
         action="store_true",
+        default=None,
         help="run the convention-pinning seed cases and report the outcome",
     )
 
@@ -351,19 +352,23 @@ CHECKS = {
     "special": Check(sweep_special, {}, reads_p=False),
     "modularity": Check(sweep_modularity, {}, reads_p=False),
 }
-SWEEP_FLAGS = ("p", "n_max", "m_max", "cutoff", "convention")
+SWEEP_FLAGS = ("p", "n_max", "m_max", "cutoff", "convention", "seed_cases")
 
 
 def _flag(param: str) -> str:
     return "m_max" if param == "square_m_max" else param
 
 
+def _flags_read(args) -> tuple[str, set]:
+    """The command as named in notes, and the flags of SWEEP_FLAGS it reads."""
+    if args.command == "verify":
+        read = CHECKS[args.which].flags() | {"seed_cases"}
+        return f"verify {args.which}", read | ({"convention"} if args.seed_cases else set())
+    return args.command, {"p", "n_max" if args.command == "hurwitz" else "m_max"}
+
+
 def cmd_verify(args) -> int:
     check = CHECKS[args.which]
-    read = check.flags() | ({"convention"} if args.seed_cases else set())
-    for flag in SWEEP_FLAGS:
-        if flag in args.given and flag not in read:
-            print(f"verify {args.which} ignores --{flag.replace('_', '-')}", file=sys.stderr)
     reports: list[VerificationReport] = []
     if args.seed_cases:
         pinned = pin_convention()
@@ -426,7 +431,7 @@ def main(argv=None) -> int:
     _add_common(p_c)
 
     args = parser.parse_args(argv)
-    # flags left unset are None, so that verify can name the ones it ignores
+    # flags left unset are None, so that each command can name the ones it ignores
     args.given = {flag for flag in SWEEP_FLAGS if getattr(args, flag) is not None}
     if args.p is None:
         args.p = [3]
@@ -443,6 +448,10 @@ def main(argv=None) -> int:
             print(f"--p values must be odd primes (got {p})", file=sys.stderr)
             return 2
     set_working_dps(args.prec)
+    name, read = _flags_read(args)
+    for flag in SWEEP_FLAGS:
+        if flag in args.given and flag not in read:
+            print(f"{name} ignores --{flag.replace('_', '-')}", file=sys.stderr)
     if args.command == "hurwitz":
         return cmd_hurwitz(args)
     if args.command == "verify":

@@ -20,57 +20,10 @@ from mpmath import mp
 
 from .arith import divisors, moebius, valuation
 from .classnumbers import generalized_hurwitz
-from .kloosterman import (
-    local_factor_2_exact,
-    local_factor_p_exact,
-    local_series_2,
-    local_series_p,
-    plus_zeta_special_value,
-)
-from .lvalues import chi, zeta_prime_over_zeta_2
+from .kloosterman import local_series_2, local_series_p, plus_zeta_special_value
+from .lvalues import t_divisor_sum, zeta_prime_over_zeta_2
 from .precision import hp, to_mpf
 from .report import VerificationReport, exact_report, fmt_hp, numeric_report
-
-# local factor aliases: the same tables serve the special value at s = 3/2
-# and the real-trace identity
-local_factor_2 = local_factor_2_exact
-local_factor_p = local_factor_p_exact
-
-
-def t_divisor_sum(big_n: int, s, t: int, n: int):
-    """T^{chi_t}_{N,s}(n) = sum_{d | n, gcd(d,N)=1} mu(d) chi_t(d) d^{s-1}
-    sigma_{N, 2s-1}(n/d).  Exact Fraction for integer s, else mpf.
-    """
-    if isinstance(s, int):
-        total = Fraction(0)
-        for d in divisors(n):
-            if math.gcd(d, big_n) != 1:
-                continue
-            mu = moebius(d)
-            if mu == 0:
-                continue
-            inner = sum(
-                (Fraction(r) ** (2 * s - 1) for r in divisors(n // d) if math.gcd(r, big_n) == 1),
-                Fraction(0),
-            )
-            total += mu * chi(t, d) * Fraction(d) ** (s - 1) * inner
-        return total
-    with hp():
-        s = mp.mpf(s)
-        total = mp.mpf(0)
-        for d in divisors(n):
-            if math.gcd(d, big_n) != 1:
-                continue
-            mu = moebius(d)
-            if mu == 0:
-                continue
-            inner = mp.fsum(
-                mp.power(r, 2 * s - 1)
-                for r in divisors(n // d)
-                if math.gcd(r, big_n) == 1
-            )
-            total += mu * chi(t, d) * mp.power(d, s - 1) * inner
-        return +total
 
 
 def t_log_sum(big_n: int, m: int):
@@ -263,16 +216,6 @@ def coeff_oracle_4(m: int):
         step = mp.mpf("1e-5")
         s0 = mp.mpf(3) / 4
 
-        def t_plain(s):
-            return mp.fsum(
-                moebius(r) * mp.power(r, mp.mpf(1) / 2 - 2 * s) * sigma_power(m // r, 2 - 4 * s)
-                for r in divisors(m)
-                if moebius(r) != 0
-            )
-
-        def sigma_power(r, e):
-            return mp.fsum(mp.power(d, e) for d in divisors(r))
-
         def g(s):
             pref = mp.power(mp.pi, s + mp.mpf(1) / 4) * mp.power(2, 2 - 4 * s)
             return (
@@ -280,7 +223,7 @@ def coeff_oracle_4(m: int):
                 * pref
                 * mp.zeta(2 * s - mp.mpf(1) / 2)
                 / mp.zeta(4 * s - 1)
-                * t_plain(s)
+                * t_divisor_sum(1, mp.mpf(3) / 2 - 2 * s, 1, m)
             )
 
         return +(mp.mpf(2) / 9 * _derivative_at(g, s0, step))

@@ -11,7 +11,8 @@ At an index n = t m^2 the series factors as
     K(0, n; s) = [L_{4N}(s - 1/2, chi_t) / L_{4N}(2s - 1, id)]
                  * T^{chi_t}_{4N, 3/2 - s}(m) * F_2(n, s) * F_p(n, s)
 
-where F_2, F_p are local Dirichlet polynomials/series built from the finite
+where T is the Moebius-twisted divisor sum of lvalues.t_divisor_sum and
+F_2, F_p are local Dirichlet polynomials/series built from the finite
 twisted Gauss-type sums
 
     a(2^j, n) = sum_{r mod 2^j} (2^j / r) eps_r e(n r / 2^j),
@@ -37,8 +38,14 @@ from functools import lru_cache
 import numpy as np
 from mpmath import mp
 
-from .arith import divisors, euler_phi, kronecker, legendre_table, moebius, valuation
-from .lvalues import chi, dirichlet_l, fundamental_decomposition, l_value_at_1
+from .arith import CHI8_TABLE, eps_odd, euler_phi, kronecker, legendre_table, valuation
+from .lvalues import (
+    chi,
+    dirichlet_l,
+    fundamental_decomposition,
+    l_value_at_1,
+    t_divisor_sum,
+)
 from .precision import hp, to_mpf
 
 
@@ -48,10 +55,6 @@ class KloostermanValue:
     params: dict
     cutoff: int | None = None
     tail_bound: float | None = None
-
-
-def _eps(r: int) -> complex:
-    return 1 if r % 4 == 1 else 1j
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +79,7 @@ def plus_term(big_n: int, n: int, c: int, two_k: int = 1):
             kr = kronecker(m_mod, r)
             if kr == 0:
                 continue
-            total += kr * mp.mpc(_eps(r)) ** two_k * mp.e ** (
+            total += kr * mp.mpc(eps_odd(r)) ** two_k * mp.e ** (
                 2j * mp.pi * n * r / m_mod
             )
         return +(w * total)
@@ -87,8 +90,7 @@ def local_sum_2_exp(j: int, n: int) -> complex:
     m_mod = 1 << j
     r = np.arange(1, m_mod, 2, dtype=np.int64)
     if j % 2:
-        per8 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int64)
-        chi_m = per8[r % 8]
+        chi_m = CHI8_TABLE[r % 8]
     else:
         chi_m = np.ones_like(r)
     eps_r = np.where(r % 4 == 1, 1.0 + 0.0j, 1.0j)
@@ -103,8 +105,9 @@ def local_sum_p_exp(p: int, j: int, n: int) -> complex:
         chi_m = legendre_table(p)[r % p]
     else:
         chi_m = np.where(r % p != 0, 1, 0)
-    e = 1 if m_mod % 4 == 1 else 1j
-    return complex((chi_m * np.exp((2j * np.pi / m_mod) * ((n % m_mod) * r % m_mod))).sum() / e)
+    return complex(
+        (chi_m * np.exp((2j * np.pi / m_mod) * ((n % m_mod) * r % m_mod))).sum() / eps_odd(m_mod)
+    )
 
 
 def local_sum_2(j: int, n: int = 0) -> complex:
@@ -200,22 +203,6 @@ def _local_factor_p_series(p: int, n: int, sigma) -> complex:
     return sum(local_sum_p_exp(p, j, n) / p ** (j * sigma) for j in range(1, jmax))
 
 
-def t_sum_float(p: int, t: int, m: int, expo: float) -> float:
-    """T^{chi_t}_{4p, expo}(m) as a float (general real exponent)."""
-    total = 0.0
-    for d in divisors(m):
-        if math.gcd(d, 4 * p) != 1:
-            continue
-        mu = moebius(d)
-        if mu == 0:
-            continue
-        inner = sum(
-            r ** (2 * expo - 1) for r in divisors(m // d) if math.gcd(r, 4 * p) == 1
-        )
-        total += mu * chi(t, d) * float(d) ** (expo - 1) * inner
-    return total
-
-
 def assembled_product(p: int, n: int, s: float) -> complex:
     """The factored form of the plus Kloosterman zeta at index n != 0, real s > 1."""
     split = fundamental_decomposition(n)
@@ -231,7 +218,7 @@ def assembled_product(p: int, n: int, s: float) -> complex:
     l_den *= (1 - 2.0 ** -(2 * s - 1)) * (1 - float(p) ** -(2 * s - 1))
     return (
         (l_num / l_den)
-        * t_sum_float(p, t, m, 1.5 - s)
+        * float(t_divisor_sum(4 * p, 1.5 - s, t, m))
         * _local_factor_2_series(n, s)
         * _local_factor_p_series(p, n, s)
     )
@@ -285,7 +272,7 @@ def _inner_sums(big_n: int, c: int, n_list, per4n: np.ndarray, spf):
         e2 += 1
     chi = per4n[r % (4 * big_n)] * _jacobi_table(c_odd, spf)[r % c_odd]
     if e2 % 2:
-        chi *= np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)[r % 8]
+        chi *= CHI8_TABLE[r % 8]
     if c_odd % 4 == 3:
         chi[r % 4 == 3] *= -1
     base = chi * np.where(r % 4 == 1, 1.0 + 0.0j, 1.0j)
@@ -372,23 +359,6 @@ def local_factor_p_exact(p: int, n: int) -> Fraction:
     return Fraction(1, p) - Fraction(2, p ** (v // 2 + 1))
 
 
-def t_sum_special(p: int, t: int, m: int) -> Fraction:
-    """T^{chi_t}_{4p, 0}(m), exact."""
-    total = Fraction(0)
-    for d in divisors(m):
-        if math.gcd(d, 4 * p) != 1:
-            continue
-        mu = moebius(d)
-        if mu == 0:
-            continue
-        inner = sum(
-            (Fraction(1, r) for r in divisors(m // d) if math.gcd(r, 4 * p) == 1),
-            Fraction(0),
-        )
-        total += mu * chi(t, d) * Fraction(1, d) * inner
-    return total
-
-
 def plus_zeta_special_value(p: int, n: int):
     """K^+_{1/2,4p}(0, n; 3/2) for nonsquare n via the factored closed form.
 
@@ -409,7 +379,7 @@ def plus_zeta_special_value(p: int, n: int):
         l_num *= (1 - chi(t, 2) * mp.mpf(1) / 2) * (1 - chi(t, p) * mp.mpf(1) / p)
         l_den = mp.zeta(2) * (1 - mp.mpf(1) / 4) * (1 - mp.mpf(1) / (p * p))
         rational = (
-            t_sum_special(p, t, m)
+            t_divisor_sum(4 * p, 0, t, m)
             * local_factor_2_exact(n)
             * local_factor_p_exact(p, n)
             * Fraction(3, 8)

@@ -23,6 +23,7 @@ General real s away from {0, 1} go through Hurwitz zeta functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +32,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .arith import (
+    CHI8_TABLE,
     divisors,
     factorize,
     is_squarefree,
@@ -98,7 +100,7 @@ def chi(t: int, k: int) -> int:
 # chi_{-4}, chi_8 and chi_{-8} on a mod 8, keyed by the 2-part of t
 _TWO_PART_TABLES = {
     -4: np.array([0, 1, 0, -1, 0, 1, 0, -1], dtype=np.int8),
-    8: np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8),
+    8: CHI8_TABLE,
     -8: np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8),
 }
 
@@ -224,7 +226,7 @@ def sigma_constrained(ell: int, big_n: int, s, r: int):
     ds = [
         d
         for d in divisors(r)
-        if _coprime(d, ell) and _coprime(r // d, co)
+        if math.gcd(d, ell) == 1 and math.gcd(r // d, co) == 1
     ]
     if isinstance(s, int):
         return sum((Fraction(d) ** s for d in ds), Fraction(0))
@@ -232,10 +234,31 @@ def sigma_constrained(ell: int, big_n: int, s, r: int):
         return +mp.fsum(mp.power(d, s) for d in ds)
 
 
-def _coprime(a: int, b: int) -> bool:
-    from math import gcd
-
-    return gcd(a, b) == 1
+def t_divisor_sum(big_n: int, s, t: int, n: int):
+    """T^{chi_t}_{N,s}(n) = sum_{d | n, gcd(d,N)=1} mu(d) chi_t(d) d^{s-1}
+    sigma_{N, 2s-1}(n/d), with sigma_{N, 2s-1} = sigma_constrained(N, N, 2s-1, .)
+    the sum of r^{2s-1} over the divisors r coprime to N.  Exact Fraction for
+    integer s, else mpf.  Every T-sum of the package is computed here.
+    """
+    terms = [
+        (mu * chi(t, d), d)
+        for d in divisors(n)
+        if math.gcd(d, big_n) == 1 and (mu := moebius(d))
+    ]
+    if isinstance(s, int):
+        return sum(
+            (
+                mu * Fraction(d) ** (s - 1) * sigma_constrained(big_n, big_n, 2 * s - 1, n // d)
+                for mu, d in terms
+            ),
+            Fraction(0),
+        )
+    with hp():
+        s = mp.mpf(s)
+        total = mp.mpf(0)
+        for mu, d in terms:
+            total += mu * mp.power(d, s - 1) * sigma_constrained(big_n, big_n, 2 * s - 1, n // d)
+        return +total
 
 
 def l_incomplete(big_n: int, s, t: int) -> LValue:

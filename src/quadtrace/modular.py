@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from mpmath import mp, mpc
 
-from .arith import kronecker
+from .arith import eps_odd, kronecker
 from .classnumbers import (
     generalized_hurwitz,
     hurwitz_class_number_forms,
@@ -237,8 +237,7 @@ def theta_multiplier(gamma, two_k: int):
         raise ValueError("gamma must have c = 0 mod 4")
     if d % 2 == 0:
         raise ValueError("gamma must have odd d")
-    eps = 1 if d % 4 == 1 else 1j
-    return kronecker(c, d) * mp.mpc(eps) ** two_k
+    return kronecker(c, d) * mp.mpc(eps_odd(d)) ** two_k
 
 
 def slash_half(f_at_gamma_tau, gamma, k, tau):

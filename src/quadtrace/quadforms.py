@@ -129,13 +129,6 @@ class OrbitClass:
 # reduction
 
 
-def _is_reduced_definite(q: QuadForm) -> bool:
-    a, b, c = q.a, q.b, q.c
-    if not (-a < b <= a <= c):
-        return False
-    return b >= 0 or (abs(b) < a and a < c)
-
-
 def _reduce_definite_transform(q: QuadForm) -> tuple[QuadForm, Mat]:
     """Gauss reduction of a positive-definite form, returning (R, g), Q.g = R."""
     if q.disc >= 0 or q.a <= 0:

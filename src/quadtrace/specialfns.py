@@ -193,11 +193,3 @@ def alpha_companion(t) -> QuadratureResult:
             evaluations=res.evaluations,
             converged=res.converged,
         )
-
-
-def digamma_convention(k: int) -> mpf:
-    """psi at the only arguments in scope: psi(0) := -gamma (convention), psi(1) = -gamma."""
-    if k not in (0, 1):
-        raise ValueError("only psi(0) and psi(1) are defined here")
-    with hp():
-        return +(-mp.euler)

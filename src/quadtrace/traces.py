@@ -30,8 +30,8 @@ from fractions import Fraction
 from mpmath import mp
 
 from .classnumbers import generalized_hurwitz, regulator_class_sum
-from .kloosterman import local_factor_2_exact, local_factor_p_exact, t_sum_special
-from .lvalues import chi, fundamental_decomposition, l_value_at_1
+from .kloosterman import local_factor_2_exact, local_factor_p_exact
+from .lvalues import chi, fundamental_decomposition, l_value_at_1, t_divisor_sum
 from .precision import hp, to_mpf
 from .quadforms import (
     automorph_unit,
@@ -102,7 +102,7 @@ def real_trace_rhs(p: int, n: int, via_l_value: bool = True):
             * m
             * (1 - Fraction(chi(t, 2), 2))
             * (1 - Fraction(chi(t, p), p))
-            * t_sum_special(p, t, m)
+            * t_divisor_sum(4 * p, 0, t, m)
             * local_factor_2_exact(n)
             * local_factor_p_exact(p, n)
         )

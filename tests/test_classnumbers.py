@@ -15,6 +15,7 @@ from quadtrace.classnumbers import (
     regulator_class_sum,
     verify_linear_relation,
 )
+from quadtrace.lvalues import chi, fundamental_decomposition, l_value_at_0, t_divisor_sum
 
 
 def test_small_values():
@@ -60,6 +61,21 @@ def test_generalized_values():
 def test_generalized_reduces_to_classical():
     for n in range(0, 250):
         assert generalized_hurwitz(1, 1, n) == hurwitz_class_number_lseries(n)
+
+
+def test_generalized_hurwitz_at_level_is_a_t_sum():
+    """H_{p,p}(n) = L(0, chi_t) (1 - chi_t(p)) T^{chi_t}_{p,1}(m), -n = t m^2."""
+    cases = 0
+    for p in (3, 5, 7):
+        for n in range(1, 401):
+            if n % 4 not in (0, 3):
+                continue
+            split = fundamental_decomposition(-n)
+            t, m = split.t, split.m
+            expected = l_value_at_0(t) * (1 - chi(t, p)) * t_divisor_sum(p, 1, t, m)
+            assert generalized_hurwitz(p, p, n) == expected, (p, n)
+            cases += 1
+    assert cases == 600
 
 
 def test_linear_relation_report_on_given_values():

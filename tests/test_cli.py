@@ -135,6 +135,26 @@ def test_verify_names_the_flags_it_ignores(capsys):
     assert CHECKS["coefficients"].flags() == {"p", "m_max", "n_max"}
 
 
+def test_tables_name_the_flags_they_ignore(capsys):
+    for argv, ignored, notes in (
+        (
+            ["hurwitz", "--p", "3", "--n-max", "5"],
+            ["--cutoff", "7", "--m-max", "3", "--seed-cases"],
+            "hurwitz ignores --m-max\nhurwitz ignores --cutoff\nhurwitz ignores --seed-cases\n",
+        ),
+        (
+            ["coeffs", "--p", "3", "--m-max", "2"],
+            ["--n-max", "9", "--convention", "pos-def"],
+            "coeffs ignores --n-max\ncoeffs ignores --convention\n",
+        ),
+    ):
+        code, out, err = run(capsys, argv + ignored)
+        assert code == 0
+        assert err == notes
+        plain_code, plain_out, plain_err = run(capsys, argv)
+        assert (plain_code, plain_out, plain_err) == (code, out, "")
+
+
 def test_readme_cli_block_matches_checks():
     readme = (ROOT / "README.md").read_text()
     lines = [line.split() for line in readme.splitlines()]

@@ -19,10 +19,10 @@ from quadtrace.coefficients import (
     sesqui4p_neg_coeff,
     sesqui4p_nonsquare_coeff,
     sesqui4p_square_coeff,
-    t_divisor_sum,
     t_log_sum,
     theta_multiple_const,
 )
+from quadtrace.lvalues import t_divisor_sum
 
 
 def setup_module():

@@ -18,6 +18,7 @@ from quadtrace.lvalues import (
     l_value_at_1,
     moebius_char_squared_sum,
     sigma_constrained,
+    t_divisor_sum,
     zeta,
     zeta_prime_over_zeta_2,
     zeta_star,
@@ -228,6 +229,57 @@ def test_sigma_constrained():
             )
     with pytest.raises(ValueError):
         sigma_constrained(2, 3, 1, 6)
+
+
+def _moebius_by_trial_division(k):
+    mu, q = 1, 2
+    while k > 1:
+        if k % q == 0:
+            k //= q
+            if k % q == 0:
+                return 0
+            mu = -mu
+        q += 1
+    return mu
+
+
+def t_sum_oracle(big_n, s, t, n, power):
+    """T^{chi_t}_{N,s}(n) from its definition: sum over d | n and r | n/d,
+    both coprime to N, of mu(d) chi_t(d) d^{s-1} r^{2s-1}."""
+    return sum(
+        _moebius_by_trial_division(d) * kronecker(t, d) * power(d, s - 1) * power(r, 2 * s - 1)
+        for d in range(1, n + 1)
+        if n % d == 0 and math.gcd(d, big_n) == 1
+        for r in range(1, n // d + 1)
+        if (n // d) % r == 0 and math.gcd(r, big_n) == 1
+    )
+
+
+T_SUM_LEVELS = (1, 4, 12, 20, 28)
+T_SUM_CHARACTERS = (1, -3, -4, 5, -7, 8, -8, 12)
+
+
+def test_t_divisor_sum_matches_definition_exactly():
+    for big_n in T_SUM_LEVELS:
+        for t in T_SUM_CHARACTERS:
+            for n in range(1, 61):
+                for s in (-1, 0, 1, 2):
+                    value = t_divisor_sum(big_n, s, t, n)
+                    assert isinstance(value, Fraction)
+                    expected = t_sum_oracle(big_n, s, t, n, lambda x, e: Fraction(x) ** e)
+                    assert value == expected, (big_n, s, t, n)
+
+
+def test_t_divisor_sum_matches_definition_numerically():
+    for big_n in T_SUM_LEVELS:
+        for t in T_SUM_CHARACTERS:
+            for n in range(1, 61):
+                for s in (-1.0, 0.3):
+                    value = t_divisor_sum(big_n, s, t, n)
+                    assert isinstance(value, mp.mpf)
+                    with mp.workdps(working_dps() + 30):
+                        expected = t_sum_oracle(big_n, mp.mpf(s), t, n, mp.power)
+                        assert abs(value - expected) <= mp.mpf("1e-60") * abs(expected)
 
 
 def test_sigma_multiplicative_when_conditions_factor():

@@ -11,7 +11,6 @@ from quadtrace.specialfns import (
     _scaled_erfc,
     alpha,
     alpha_companion,
-    digamma_convention,
     erfc,
     inc_gamma_half,
     inc_gamma_minus_half,
@@ -92,18 +91,6 @@ def test_quadrature_self_consistency():
     r2 = alpha(y)
     mp.dps = 30
     assert abs(r1.value - r2.value) <= r1.error_bound * 10
-
-
-def test_digamma_convention():
-    assert abs(digamma_convention(0) + mp.euler) < mp.mpf("1e-30")
-    assert abs(digamma_convention(1) + mp.euler) < mp.mpf("1e-30")
-    # series oracle for psi(1) = -gamma
-    n = 4000
-    psi1 = mp.fsum(mp.mpf(1) / k - mp.log((k + 1) / mp.mpf(k)) for k in range(1, n))
-    psi1 = -(psi1 - mp.log(1))  # harmonic-log partial sums converge to gamma
-    assert abs(digamma_convention(1) - psi1) < mp.mpf("1e-3")
-    with pytest.raises(ValueError):
-        digamma_convention(2)
 
 
 def _at_working_dps(dps, f):
