@@ -36,9 +36,11 @@ from .coefficients import (
     square_trace_consistency,
 )
 from .kloosterman import (
+    MAX_MODULUS,
     assembled_product,
     kzeta_level_closed,
     kzeta_level_truncated,
+    largest_modulus,
     plus_zeta_batch,
     plus_zeta_special_value,
 )
@@ -229,6 +231,9 @@ def sweep_constants(primes):
     return reports
 
 
+PLUS_ZETA_INDICES = (-4, -3, 5, 8)
+
+
 def sweep_kloosterman(primes, cutoff):
     reports = []
     for p in primes:
@@ -242,7 +247,7 @@ def sweep_kloosterman(primes, cutoff):
                 kv.tail_bound,
             )
         )
-        for tv in plus_zeta_batch(p, [-4, -3, 5, 8], 2.5, cutoff):
+        for tv in plus_zeta_batch(p, PLUS_ZETA_INDICES, 2.5, cutoff):
             n = tv.params["n"]
             reports.append(
                 tail_bound_report(
@@ -443,9 +448,22 @@ def main(argv=None) -> int:
         if value is not None and value < 1:
             print(f"{flag} must be at least 1 (got {value})", file=sys.stderr)
             return 2
-    for p in args.p:
+    for i, p in enumerate(args.p):
         if p == 2 or not is_prime(p):
             print(f"--p values must be odd primes (got {p})", file=sys.stderr)
+            return 2
+        if p in args.p[:i]:
+            print(f"duplicate --p value {p}", file=sys.stderr)
+            return 2
+    if args.command == "verify" and args.which == "kloosterman":
+        cutoff = CHECKS["kloosterman"].defaults["cutoff"] if args.cutoff is None else args.cutoff
+        largest = max(largest_modulus(p, n, cutoff) for p in args.p for n in PLUS_ZETA_INDICES)
+        if largest > MAX_MODULUS:
+            print(
+                f"verify kloosterman would sum modulo {largest}, above the limit "
+                f"{MAX_MODULUS}: lower --cutoff or --p",
+                file=sys.stderr,
+            )
             return 2
     set_working_dps(args.prec)
     name, read = _flags_read(args)

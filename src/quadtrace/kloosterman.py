@@ -31,6 +31,8 @@ building blocks are also available at working precision.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -203,6 +205,18 @@ def _local_factor_p_series(p: int, n: int, sigma) -> complex:
     return sum(local_sum_p_exp(p, j, n) / p ** (j * sigma) for j in range(1, jmax))
 
 
+# Largest modulus of an exponential sum the CLI lets a check form.  A sum of
+# modulus M peaks at about 50 bytes per unit of M (0.5 GB at the limit).
+MAX_MODULUS = 10**7
+
+
+def largest_modulus(p: int, n: int, cutoff: int) -> int:
+    """The largest modulus of the exponential sums that plus_zeta_batch(p, [n],
+    s, cutoff) and assembled_product(p, n, s) form, n != 0: 4p * cutoff in the
+    truncated series, 2^(nu_2(n) + 5) and p^(nu_p(n) + 4) in the local factors."""
+    return max(4 * p * cutoff, 2 ** (valuation(n, 2) + 5), p ** (valuation(n, p) + 4))
+
+
 def assembled_product(p: int, n: int, s: float) -> complex:
     """The factored form of the plus Kloosterman zeta at index n != 0, real s > 1."""
     split = fundamental_decomposition(n)
@@ -226,6 +240,12 @@ def assembled_product(p: int, n: int, s: float) -> complex:
 
 # ---------------------------------------------------------------------------
 # truncated series (float precision, numpy inner sums)
+
+
+# plus_zeta_batch sums c = 1..cutoff serially below this cutoff: at level
+# N = 3, the smallest the CLI runs, two forked workers first beat the serial
+# pass between cutoff 400 and 500 on a 2-core machine.
+SPLIT_MIN_CUTOFF = 500
 
 
 @lru_cache(maxsize=8)
@@ -263,6 +283,9 @@ def _inner_sums(big_n: int, c: int, n_list, per4n: np.ndarray, spf):
     The exp argument is the float product of 2 pi i / 4Nc and the reduced
     integer n r mod 4Nc, exactly as when e(n r / 4Nc) is evaluated for one
     index alone, so the sums are bit-identical to that direct evaluation.
+
+    One call depends on nothing but its arguments, which is what lets
+    _all_inner_sums run the calls for different c in different processes.
     """
     m_mod = 4 * big_n * c
     r = np.arange(1, m_mod, 2, dtype=np.int64)
@@ -281,22 +304,83 @@ def _inner_sums(big_n: int, c: int, n_list, per4n: np.ndarray, spf):
     return [complex((base * roots[(n % m_mod) * r % m_mod]).sum()) for n in n_list]
 
 
+def _inner_sums_of(big_n: int, cs, n_list, per4n: np.ndarray, spf) -> list:
+    """_inner_sums for each c of cs, in the order of cs."""
+    return [_inner_sums(big_n, c, n_list, per4n, spf) for c in cs]
+
+
+def _deal(cutoff: int, workers: int) -> list[list[int]]:
+    """c = 1..cutoff dealt to `workers` shares of nearly equal sum of c.
+
+    The cost of one c grows like c (its modulus is 4Nc), so the c values go
+    out in blocks of `workers`, every other block dealt in reverse.
+    """
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    for i in range(cutoff):
+        block, slot = divmod(i, workers)
+        shares[slot if block % 2 == 0 else workers - 1 - slot].append(i + 1)
+    return shares
+
+
+def _usable_workers(cutoff: int) -> int:
+    """Worker processes for a pass over c = 1..cutoff, 1 meaning serial.
+
+    Serial below SPLIT_MIN_CUTOFF, where starting the workers costs more
+    than they save; while the process runs other threads, which a fork
+    would copy in whatever state they are in; on a platform without fork
+    or the affinity call; and with one usable core.
+    """
+    if cutoff < SPLIT_MIN_CUTOFF or threading.active_count() > 1:
+        return 1
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _all_inner_sums(big_n: int, n_list, cutoff: int, per4n: np.ndarray, spf) -> list:
+    """_inner_sums for c = 1..cutoff, in c order, split over the usable cores.
+
+    Each worker process gets a fixed share of the c values (_deal) and sends
+    back its complex sums, which pickle exactly; the results do not depend
+    on the number of workers.  The workers are forked, so they start with
+    the caller's imports and tables instead of importing them again.
+    """
+    workers = _usable_workers(cutoff)
+    if workers == 1:
+        return _inner_sums_of(big_n, range(1, cutoff + 1), n_list, per4n, spf)
+    # imported here: every CLI command imports this module, few of them split
+    import multiprocessing
+
+    shares = _deal(cutoff, workers)
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        results = pool.starmap(_inner_sums_of, [(big_n, cs, n_list, per4n, spf) for cs in shares])
+    by_c = [None] * cutoff
+    for cs, sums in zip(shares, results):
+        for c, val in zip(cs, sums):
+            by_c[c - 1] = val
+    return by_c
+
+
 def plus_zeta_batch(big_n: int, n_list, s: float, cutoff: int):
     """Truncated K^+_{1/2,4N}(0, n; s) for several indices in one pass over c.
 
     Each c costs one Jacobi table, one root table and one gather per index
-    (see _inner_sums).  The tail bound is the rigorous trivial one, left
-    infinite when s <= 2 (no decay) and None at cutoff 0 (nothing summed).
+    (see _inner_sums).  Those per-c sums are computed across the usable
+    cores (_all_inner_sums); the weighted sum over c stays here and runs in
+    c order, because float addition in another order gives other bits and
+    the reports print the totals to 30 digits.  The tail bound is the
+    rigorous trivial one, left infinite when s <= 2 (no decay) and None at
+    cutoff 0 (nothing summed).
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     per4n = np.array([kronecker(4 * big_n, x) for x in range(4 * big_n)], dtype=np.int8)
     spf = _spf_table(max(cutoff + 1, 100))
     totals = np.zeros(len(n_list), dtype=complex)
-    for c in range(1, cutoff + 1):
+    for c, sums in enumerate(_all_inner_sums(big_n, n_list, cutoff, per4n, spf), start=1):
         w = 1 + kronecker(4, c)
         m_mod = 4 * big_n * c
-        for i, val in enumerate(_inner_sums(big_n, c, n_list, per4n, spf)):
+        for i, val in enumerate(sums):
             totals[i] += w * val / m_mod**s
     # rigorous trivial tail: |inner| <= phi(4Nc) <= 4Nc, weight <= 2
     if cutoff == 0:
@@ -416,11 +500,11 @@ def kzeta_level_truncated(p: int, s: float, cutoff: int) -> KloostermanValue:
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    spf = _spf_table(max(p * cutoff + 1, 100))
+    spf = _spf_table(max(cutoff + 1, 100))
     total = 0.0
     for k in range(1, cutoff + 1):
-        c = p * k
-        total += _phi_from_spf(c, spf) * float(c) ** (-2 * s)
+        phi = _phi_from_spf(k, spf) * (p if k % p == 0 else p - 1)  # phi(pk)
+        total += phi * float(p * k) ** (-2 * s)
     # tail: sum_{k > cutoff} (pk)^{1-2s} <= p^{1-2s} cutoff^{2-2s} / (2s-2)
     tail = None
     if cutoff:

@@ -87,6 +87,33 @@ def test_kloosterman_cutoff_below_one_rejected(capsys):
         assert "Traceback" not in err
 
 
+def test_kloosterman_modulus_above_limit_rejected(capsys):
+    for argv, largest in (
+        (["--p", "3", "--cutoff", "100000000000"], 1200000000000),
+        (["--p", "1000003"], (1000003) ** 4),  # local sum mod p^4 above 4p * 2000
+        (["--p", "3", "59", "--cutoff", "10"], 59**4),
+    ):
+        code, out, err = run(capsys, ["verify", "kloosterman", *argv])
+        assert code == 2, argv
+        assert out == ""
+        assert f"would sum modulo {largest}, above the limit 10000000" in err
+        assert "Traceback" not in err
+
+
+def test_duplicate_p_rejected(capsys):
+    for argv, dup in (
+        (["verify", "kloosterman", "--p", "3", "3", "--cutoff", "10"], 3),
+        (["hurwitz", "--p", "5", "3", "5"], 5),
+        (["coeffs", "--p", "7", "7"], 7),
+        (["verify", "special", "--p", "3", "3"], 3),
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert f"duplicate --p value {dup}" in err
+        assert "Traceback" not in err
+
+
 def test_range_below_one_rejected(capsys):
     for argv in (
         ["verify", "real", "--p", "3", "--n-max", "0"],
@@ -184,6 +211,7 @@ DRIFT_ARGV = (
     "coeffs --p 3 --m-max 12",
     "verify coefficients --p 3 --m-max 12",
     "verify special",
+    "verify kloosterman --p 3 5 --cutoff 2000",
 )
 
 
