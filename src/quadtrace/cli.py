@@ -44,6 +44,7 @@ from .kloosterman import (
     plus_zeta_batch,
     plus_zeta_special_value,
 )
+from .lvalues import fundamental_decomposition, l_values_at_1
 from .modular import (
     eval_cohen_eisenstein,
     eval_sesqui_4p,
@@ -51,6 +52,7 @@ from .modular import (
     eval_zagier_eisenstein,
     modularity_residual,
 )
+from .parallel import fork_map
 from .precision import set_working_dps
 from .report import (
     VerificationReport,
@@ -59,7 +61,7 @@ from .report import (
     numeric_report,
     tail_bound_report,
 )
-from .specialfns import alpha, alpha_companion
+from .specialfns import SPLIT_MIN_QUADRATURES, alpha, alpha_companion
 from .traces import (
     pin_convention,
     verify_imaginary_trace_identity,
@@ -163,12 +165,10 @@ def sweep_imaginary(primes, n_max, convention):
 
 
 def sweep_real(primes, n_max):
-    return [
-        verify_real_trace_identity(p, n)
-        for p in primes
-        for n in range(5, n_max + 1)
-        if n % 4 in (0, 1) and math.isqrt(n) ** 2 != n
-    ]
+    ns = [n for n in range(5, n_max + 1) if n % 4 in (0, 1) and math.isqrt(n) ** 2 != n]
+    # the L(1, chi_t) of every t in range, in one batch that may split
+    l_values_at_1([fundamental_decomposition(n).t for n in ns])
+    return [verify_real_trace_identity(p, n) for p in primes for n in ns]
 
 
 def sweep_coefficient_oracles(primes, m_max):
@@ -261,29 +261,43 @@ def sweep_kloosterman(primes, cutoff):
     return reports
 
 
+SPECIAL_GRID = [
+    (big_n, v, m) for big_n in (1, 3, 5) for v in ("0.3", "0.5", "1", "2") for m in (1, 2, 3)
+]
+
+
+def _special_sides(point):
+    """alpha_companion(2 m sqrt(pi N v)) and alpha(4 N m^2 v)."""
+    big_n, v, m = point
+    left = alpha_companion(2 * m * mp.sqrt(mp.pi * big_n * mp.mpf(v)))
+    right = alpha(4 * big_n * m * m * mp.mpf(v))
+    return left, right
+
+
 def sweep_special(primes):
-    """-2 F(2m sqrt(pi N v)) = alpha(4 N m^2 v) on a 36-point grid."""
+    """-2 F(2m sqrt(pi N v)) = alpha(4 N m^2 v) on a 36-point grid.
+
+    The 72 quadratures run over the usable cores; the reports are built here.
+    """
     reports = []
-    for big_n in (1, 3, 5):
-        for v in ("0.3", "0.5", "1", "2"):
-            for m in (1, 2, 3):
-                left = alpha_companion(2 * m * mp.sqrt(mp.pi * big_n * mp.mpf(v)))
-                right = alpha(4 * big_n * m * m * mp.mpf(v))
-                r = numeric_report(
-                    "special-function-relation",
-                    {"N": big_n, "v": v, "m": m},
-                    -2 * left.value,
-                    right.value,
-                    "1e-8",
-                    scale_floor="1e-8",
-                    detail=f"err_bounds={fmt_hp(2 * left.error_bound, 4)};"
-                    f"{fmt_hp(right.error_bound, 4)}",
-                )
-                if not (left.converged and right.converged):
-                    # a side whose quadrature missed its target cannot pass
-                    r.passed = False
-                    r.flags["quadrature"] = "unconverged"
-                reports.append(r)
+    split = 2 * len(SPECIAL_GRID) >= SPLIT_MIN_QUADRATURES
+    sides = fork_map(_special_sides, SPECIAL_GRID, split=split)
+    for (big_n, v, m), (left, right) in zip(SPECIAL_GRID, sides):
+        r = numeric_report(
+            "special-function-relation",
+            {"N": big_n, "v": v, "m": m},
+            -2 * left.value,
+            right.value,
+            "1e-8",
+            scale_floor="1e-8",
+            detail=f"err_bounds={fmt_hp(2 * left.error_bound, 4)};"
+            f"{fmt_hp(right.error_bound, 4)}",
+        )
+        if not (left.converged and right.converged):
+            # a side whose quadrature missed its target cannot pass
+            r.passed = False
+            r.flags["quadrature"] = "unconverged"
+        reports.append(r)
     return reports
 
 

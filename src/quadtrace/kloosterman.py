@@ -31,8 +31,6 @@ building blocks are also available at working precision.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,6 +46,7 @@ from .lvalues import (
     l_value_at_1,
     t_divisor_sum,
 )
+from .parallel import fork_map, usable_workers
 from .precision import hp, to_mpf
 
 
@@ -304,11 +303,6 @@ def _inner_sums(big_n: int, c: int, n_list, per4n: np.ndarray, spf):
     return [complex((base * roots[(n % m_mod) * r % m_mod]).sum()) for n in n_list]
 
 
-def _inner_sums_of(big_n: int, cs, n_list, per4n: np.ndarray, spf) -> list:
-    """_inner_sums for each c of cs, in the order of cs."""
-    return [_inner_sums(big_n, c, n_list, per4n, spf) for c in cs]
-
-
 def _deal(cutoff: int, workers: int) -> list[list[int]]:
     """c = 1..cutoff dealt to `workers` shares of nearly equal sum of c.
 
@@ -322,38 +316,17 @@ def _deal(cutoff: int, workers: int) -> list[list[int]]:
     return shares
 
 
-def _usable_workers(cutoff: int) -> int:
-    """Worker processes for a pass over c = 1..cutoff, 1 meaning serial.
-
-    Serial below SPLIT_MIN_CUTOFF, where starting the workers costs more
-    than they save; while the process runs other threads, which a fork
-    would copy in whatever state they are in; on a platform without fork
-    or the affinity call; and with one usable core.
-    """
-    if cutoff < SPLIT_MIN_CUTOFF or threading.active_count() > 1:
-        return 1
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _all_inner_sums(big_n: int, n_list, cutoff: int, per4n: np.ndarray, spf) -> list:
     """_inner_sums for c = 1..cutoff, in c order, split over the usable cores.
 
-    Each worker process gets a fixed share of the c values (_deal) and sends
-    back its complex sums, which pickle exactly; the results do not depend
-    on the number of workers.  The workers are forked, so they start with
-    the caller's imports and tables instead of importing them again.
+    Each worker gets a fixed share of the c values (_deal), one share per
+    usable core, and sends back its complex sums, which pickle exactly; the
+    results do not depend on the number of workers.  Below SPLIT_MIN_CUTOFF
+    there is one share, computed here.
     """
-    workers = _usable_workers(cutoff)
-    if workers == 1:
-        return _inner_sums_of(big_n, range(1, cutoff + 1), n_list, per4n, spf)
-    # imported here: every CLI command imports this module, few of them split
-    import multiprocessing
-
+    workers = usable_workers() if cutoff >= SPLIT_MIN_CUTOFF else 1
     shares = _deal(cutoff, workers)
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        results = pool.starmap(_inner_sums_of, [(big_n, cs, n_list, per4n, spf) for cs in shares])
+    results = fork_map(lambda cs: [_inner_sums(big_n, c, n_list, per4n, spf) for c in cs], shares)
     by_c = [None] * cutoff
     for cs, sums in zip(shares, results):
         for c, val in zip(cs, sums):

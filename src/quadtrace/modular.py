@@ -27,9 +27,10 @@ from .coefficients import (
     sesqui4p_nonsquare_coeff,
     sesqui4p_square_coeff,
 )
-from .lvalues import zeta_prime_over_zeta_2
+from .lvalues import fundamental_decomposition, l_values_at_1, zeta_prime_over_zeta_2
+from .parallel import fork_map
 from .precision import hp, to_mpf
-from .specialfns import alpha, inc_gamma_half, inc_gamma_minus_half
+from .specialfns import SPLIT_MIN_QUADRATURES, alpha, inc_gamma_half, inc_gamma_minus_half
 
 
 @dataclass
@@ -200,16 +201,19 @@ def eval_sesqui_4p(p: int, tau, cutoff: int) -> SeriesEvaluation:
         total = mp.mpc(2 * mp.sqrt(v) / 3 - mp.log(16 * v) / (2 * mp.pi * (p + 1)))
         total += pref * mp.pi * sesqui4p_const_coeff(p)
         sqmax = max(1, math.isqrt(cutoff))
+        nonsquare = [n for n in range(1, cutoff + 1) if n % 4 in (0, 1) and math.isqrt(n) ** 2 != n]
+        # the independent high-precision units first, each batch over the usable cores
+        l_values_at_1([fundamental_decomposition(n).t for n in nonsquare])
+        ys = [4 * m * m * v for m in range(1, sqmax + 1)]
+        alphas = fork_map(alpha, ys, split=len(ys) >= SPLIT_MIN_QUADRATURES)
         for m in range(1, sqmax + 1):
             total += (
-                (mp.euler + mp.log(mp.pi * m * m) + alpha(4 * m * m * v).value)
+                (mp.euler + mp.log(mp.pi * m * m) + alphas[m - 1].value)
                 / (mp.pi * (p + 1))
                 * q ** (m * m)
             )
             total += pref * mp.pi * sesqui4p_square_coeff(p, m) * q ** (m * m)
-        for n in range(1, cutoff + 1):
-            if n % 4 in (2, 3) or math.isqrt(n) ** 2 == n:
-                continue
+        for n in nonsquare:
             total += pref * mp.pi * sesqui4p_nonsquare_coeff(p, n) * q**n
         for n in range(1, cutoff + 1):
             if (-n) % 4 not in (0, 1):

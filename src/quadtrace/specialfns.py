@@ -45,6 +45,14 @@ from .precision import hp
 _CF_CROSSOVER = 7
 
 
+# Callers map at least this many alpha or companion quadratures over forked
+# workers (parallel.fork_map), fewer serially: in a fresh interpreter on a
+# 2-core machine, two workers first beat the serial pass between 4 and 5
+# values alpha(4.4 m^2), m = 1..k, at 64 digits; each worker computes its own
+# quadrature nodes unless the caller already has them.
+SPLIT_MIN_QUADRATURES = 5
+
+
 @dataclass
 class QuadratureResult:
     value: mpf

@@ -212,6 +212,8 @@ DRIFT_ARGV = (
     "verify coefficients --p 3 --m-max 12",
     "verify special",
     "verify kloosterman --p 3 5 --cutoff 2000",
+    "verify modularity",
+    "verify real --p 3 5 7 --n-max 600",
 )
 
 

@@ -2,10 +2,7 @@
 
 import math
 import multiprocessing
-import os
-import signal
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -34,6 +31,8 @@ from quadtrace.kloosterman import (
     plus_zeta_batch,
     plus_zeta_truncated,
 )
+
+from .forks import count_forks, deadline, set_cores
 
 
 def setup_module():
@@ -282,40 +281,6 @@ def test_kzeta_level_truncated_matches_sieve_to_p_cutoff():
 SPLIT = kloosterman.SPLIT_MIN_CUTOFF
 
 
-class WorkerFault(Exception):
-    pass
-
-
-def _set_cores(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def _count_forks(monkeypatch) -> list:
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-@contextmanager
-def _deadline(seconds):
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_deal_balances_sum_of_c():
     for workers in (1, 2, 3, 4):
         for cutoff in (1, 7, 500, 2001):
@@ -328,12 +293,12 @@ def test_deal_balances_sum_of_c():
 def test_split_equals_serial(monkeypatch):
     cutoff = SPLIT + 1
     n_list = [-4, -3, 0, 5, 8]
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     for big_n in (1, 3, 5, 15):
-        _set_cores(monkeypatch, 1)
+        set_cores(monkeypatch, 1)
         serial = plus_zeta_batch(big_n, n_list, 2.5, cutoff)
-        _set_cores(monkeypatch, 2)
-        with _deadline(120):
+        set_cores(monkeypatch, 2)
+        with deadline(120):
             split = plus_zeta_batch(big_n, n_list, 2.5, cutoff)
         assert [kv.value for kv in split] == [kv.value for kv in serial], big_n
         assert multiprocessing.active_children() == []
@@ -345,8 +310,8 @@ def test_split_equals_serial(monkeypatch):
     [(1, SPLIT + 1, False), (2, SPLIT - 1, False), (2, SPLIT + 1, True)],
 )
 def test_serial_pass_starts_no_process(monkeypatch, cores, cutoff, other_thread):
-    _set_cores(monkeypatch, cores)
-    forks = _count_forks(monkeypatch)
+    set_cores(monkeypatch, cores)
+    forks = count_forks(monkeypatch)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     if other_thread:
@@ -359,20 +324,3 @@ def test_serial_pass_starts_no_process(monkeypatch, cores, cutoff, other_thread)
         thread.join(timeout=10)
         assert not thread.is_alive()
     assert forks == []
-
-
-def test_worker_exception_reaches_caller(monkeypatch):
-    real_inner_sums = kloosterman._inner_sums
-
-    def faulty(big_n, c, *args):
-        if c == 400:
-            raise WorkerFault(c)
-        return real_inner_sums(big_n, c, *args)
-
-    monkeypatch.setattr(kloosterman, "_inner_sums", faulty)
-    _set_cores(monkeypatch, 2)
-    forks = _count_forks(monkeypatch)
-    with _deadline(120), pytest.raises(WorkerFault):
-        plus_zeta_batch(3, [5], 2.5, SPLIT + 1)
-    assert len(forks) == 2
-    assert multiprocessing.active_children() == []

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from quadtrace import lvalues
 from quadtrace.arith import kronecker
 from quadtrace.lvalues import (
+    _l_value_at_1,
     character_table,
     chi,
     dirichlet_l,
@@ -23,7 +25,7 @@ from quadtrace.lvalues import (
     zeta_prime_over_zeta_2,
     zeta_star,
 )
-from quadtrace.precision import set_working_dps, working_dps
+from quadtrace.precision import hp, set_working_dps, working_dps
 
 
 def test_fundamental_discriminants():
@@ -111,13 +113,56 @@ def test_l_at_1_leibniz_partial_sums():
 
 
 def test_l_at_1_even_character_class_number_formula():
-    mp.dps = 30
     from quadtrace.quadforms import class_number, fundamental_unit
 
-    for t in (5, 8, 12, 13, 24):
-        unit = fundamental_unit(t)
-        rhs = 2 * class_number(t) * unit.log_value() / mp.sqrt(t)
-        assert abs(l_value_at_1(t) - rhs) < mp.mpf("1e-30"), t
+    with mp.workdps(80):
+        for t in range(2, 201):
+            if is_fundamental_discriminant(t):
+                unit = fundamental_unit(t)
+                rhs = 2 * class_number(t) * unit.log_value() / mp.sqrt(t)
+                assert abs(l_value_at_1(t) - rhs) < mp.mpf("1e-60"), t
+
+
+def reference_l_at_1(t):
+    """L(1, chi_t), t > 0, as a sum of mpf objects: the kernel must equal it."""
+    with hp():
+        total = mp.mpf(0)
+        for a in range(1, t):
+            c = chi(t, a)
+            if c:
+                total += c * mp.log(mp.sin(mp.pi * a / t))
+        return +(-total / mp.sqrt(t))
+
+
+POSITIVE_FUNDAMENTALS = [t for t in range(2, 702) if is_fundamental_discriminant(t)]
+
+
+@pytest.mark.parametrize("dps", [64, 80])
+def test_log_sine_kernel_equals_mpf_sum(dps):
+    old = working_dps()
+    set_working_dps(dps)
+    try:
+        for t in [t for t in POSITIVE_FUNDAMENTALS if t <= 300] + POSITIVE_FUNDAMENTALS[-10:]:
+            assert _l_value_at_1(t) == reference_l_at_1(t), (dps, t)
+    finally:
+        set_working_dps(old)
+
+
+def test_l1_table_holds_one_precision():
+    old = working_dps()
+    try:
+        set_working_dps(64)
+        at_64 = l_value_at_1(13)
+        set_working_dps(80)
+        at_80 = l_value_at_1(13)
+        assert list(lvalues._L1_TABLE) == [80]
+        with mp.workdps(100):
+            # recomputed: the 64-digit value differs, beyond its guard digits
+            assert 0 < abs(at_80 - at_64) < mp.mpf("1e-70")
+            golden = (3 + mp.sqrt(13)) / 2
+            assert abs(at_80 - 2 * mp.log(golden) / mp.sqrt(13)) < mp.mpf("1e-80")
+    finally:
+        set_working_dps(old)
 
 
 def test_dirichlet_l_series_oracle():
