@@ -61,7 +61,7 @@ from .report import (
     numeric_report,
     tail_bound_report,
 )
-from .specialfns import SPLIT_MIN_QUADRATURES, alpha, alpha_companion
+from .specialfns import alpha, alpha_companion
 from .traces import (
     pin_convention,
     verify_imaginary_trace_identity,
@@ -280,8 +280,7 @@ def sweep_special(primes):
     The 72 quadratures run over the usable cores; the reports are built here.
     """
     reports = []
-    split = 2 * len(SPECIAL_GRID) >= SPLIT_MIN_QUADRATURES
-    sides = fork_map(_special_sides, SPECIAL_GRID, split=split)
+    sides = fork_map(_special_sides, SPECIAL_GRID)
     for (big_n, v, m), (left, right) in zip(SPECIAL_GRID, sides):
         r = numeric_report(
             "special-function-relation",
@@ -290,8 +289,9 @@ def sweep_special(primes):
             right.value,
             "1e-8",
             scale_floor="1e-8",
-            detail=f"err_bounds={fmt_hp(2 * left.error_bound, 4)};"
-            f"{fmt_hp(right.error_bound, 4)}",
+            # the key keeps its old name until the digests are re-recorded
+            detail=f"err_bounds={fmt_hp(2 * left.error_estimate, 4)};"
+            f"{fmt_hp(right.error_estimate, 4)}",
         )
         if not (left.converged and right.converged):
             # a side whose quadrature missed its target cannot pass

@@ -46,7 +46,7 @@ from .lvalues import (
     l_value_at_1,
     t_divisor_sum,
 )
-from .parallel import fork_map, usable_workers
+from .parallel import fork_map
 from .precision import hp, to_mpf
 
 
@@ -241,12 +241,6 @@ def assembled_product(p: int, n: int, s: float) -> complex:
 # truncated series (float precision, numpy inner sums)
 
 
-# plus_zeta_batch sums c = 1..cutoff serially below this cutoff: at level
-# N = 3, the smallest the CLI runs, two forked workers first beat the serial
-# pass between cutoff 400 and 500 on a 2-core machine.
-SPLIT_MIN_CUTOFF = 500
-
-
 @lru_cache(maxsize=8)
 def _spf_table(limit: int) -> tuple:
     from .arith import smallest_prime_factors
@@ -284,7 +278,7 @@ def _inner_sums(big_n: int, c: int, n_list, per4n: np.ndarray, spf):
     index alone, so the sums are bit-identical to that direct evaluation.
 
     One call depends on nothing but its arguments, which is what lets
-    _all_inner_sums run the calls for different c in different processes.
+    plus_zeta_batch run the calls for different c in different processes.
     """
     m_mod = 4 * big_n * c
     r = np.arange(1, m_mod, 2, dtype=np.int64)
@@ -303,44 +297,13 @@ def _inner_sums(big_n: int, c: int, n_list, per4n: np.ndarray, spf):
     return [complex((base * roots[(n % m_mod) * r % m_mod]).sum()) for n in n_list]
 
 
-def _deal(cutoff: int, workers: int) -> list[list[int]]:
-    """c = 1..cutoff dealt to `workers` shares of nearly equal sum of c.
-
-    The cost of one c grows like c (its modulus is 4Nc), so the c values go
-    out in blocks of `workers`, every other block dealt in reverse.
-    """
-    shares: list[list[int]] = [[] for _ in range(workers)]
-    for i in range(cutoff):
-        block, slot = divmod(i, workers)
-        shares[slot if block % 2 == 0 else workers - 1 - slot].append(i + 1)
-    return shares
-
-
-def _all_inner_sums(big_n: int, n_list, cutoff: int, per4n: np.ndarray, spf) -> list:
-    """_inner_sums for c = 1..cutoff, in c order, split over the usable cores.
-
-    Each worker gets a fixed share of the c values (_deal), one share per
-    usable core, and sends back its complex sums, which pickle exactly; the
-    results do not depend on the number of workers.  Below SPLIT_MIN_CUTOFF
-    there is one share, computed here.
-    """
-    workers = usable_workers() if cutoff >= SPLIT_MIN_CUTOFF else 1
-    shares = _deal(cutoff, workers)
-    results = fork_map(lambda cs: [_inner_sums(big_n, c, n_list, per4n, spf) for c in cs], shares)
-    by_c = [None] * cutoff
-    for cs, sums in zip(shares, results):
-        for c, val in zip(cs, sums):
-            by_c[c - 1] = val
-    return by_c
-
-
 def plus_zeta_batch(big_n: int, n_list, s: float, cutoff: int):
     """Truncated K^+_{1/2,4N}(0, n; s) for several indices in one pass over c.
 
     Each c costs one Jacobi table, one root table and one gather per index
     (see _inner_sums).  Those per-c sums are computed across the usable
-    cores (_all_inner_sums); the weighted sum over c stays here and runs in
-    c order, because float addition in another order gives other bits and
+    cores (parallel.fork_map); the weighted sum over c stays here and runs
+    in c order, because float addition in another order gives other bits and
     the reports print the totals to 30 digits.  The tail bound is the
     rigorous trivial one, left infinite when s <= 2 (no decay) and None at
     cutoff 0 (nothing summed).
@@ -350,7 +313,12 @@ def plus_zeta_batch(big_n: int, n_list, s: float, cutoff: int):
     per4n = np.array([kronecker(4 * big_n, x) for x in range(4 * big_n)], dtype=np.int8)
     spf = _spf_table(max(cutoff + 1, 100))
     totals = np.zeros(len(n_list), dtype=complex)
-    for c, sums in enumerate(_all_inner_sums(big_n, n_list, cutoff, per4n, spf), start=1):
+    # c ascending: the serial head of fork_map runs the small moduli here,
+    # which keeps this process's peak memory at that of the smallest tables
+    sums_by_c = fork_map(
+        lambda c: _inner_sums(big_n, c, n_list, per4n, spf), range(1, cutoff + 1)
+    )
+    for c, sums in enumerate(sums_by_c, start=1):
         w = 1 + kronecker(4, c)
         m_mod = 4 * big_n * c
         for i, val in enumerate(sums):

@@ -159,13 +159,6 @@ def l_value_at_0(t: int) -> Fraction:
     return Fraction(-total, q)
 
 
-# l_values_at_1 splits the t > 0 values it computes over forked workers once
-# their sum of t, to which the cost of the sine sums is proportional, reaches
-# this: in a fresh interpreter on a 2-core machine, two workers first beat
-# the serial batch between the sums 3,894 (every fundamental t <= 160) and
-# 6,038 (t <= 200); each worker pays its own pool start and log tables.
-L1_SPLIT_MIN_SUM = 5000
-
 # {working dps: {t: L(1, chi_t)}}, holding the one precision in use
 _L1_TABLE: dict[int, dict[int, mpf]] = {}
 
@@ -180,7 +173,7 @@ def l_values_at_1(ts) -> list[mpf]:
 
     Values are kept in a table for the current working precision, emptied
     when that changes.  The missing ones are computed largest t first, over
-    forked workers when their sum of t reaches L1_SPLIT_MIN_SUM.
+    the usable cores (parallel.fork_map).
     """
     ts = list(ts)
     for t in ts:
@@ -194,8 +187,7 @@ def l_values_at_1(ts) -> list[mpf]:
         _L1_TABLE[dps] = {}
     table = _L1_TABLE[dps]
     todo = sorted(set(ts) - table.keys(), reverse=True)
-    split = sum(t for t in todo if t > 0) >= L1_SPLIT_MIN_SUM
-    table.update(zip(todo, fork_map(_l_value_at_1, todo, split=split)))
+    table.update(zip(todo, fork_map(_l_value_at_1, todo)))
     return [table[t] for t in ts]
 
 

@@ -30,7 +30,7 @@ from .coefficients import (
 from .lvalues import fundamental_decomposition, l_values_at_1, zeta_prime_over_zeta_2
 from .parallel import fork_map
 from .precision import hp, to_mpf
-from .specialfns import SPLIT_MIN_QUADRATURES, alpha, inc_gamma_half, inc_gamma_minus_half
+from .specialfns import alpha, inc_gamma_half, inc_gamma_minus_half
 
 
 @dataclass
@@ -205,7 +205,7 @@ def eval_sesqui_4p(p: int, tau, cutoff: int) -> SeriesEvaluation:
         # the independent high-precision units first, each batch over the usable cores
         l_values_at_1([fundamental_decomposition(n).t for n in nonsquare])
         ys = [4 * m * m * v for m in range(1, sqmax + 1)]
-        alphas = fork_map(alpha, ys, split=len(ys) >= SPLIT_MIN_QUADRATURES)
+        alphas = fork_map(alpha, ys)
         for m in range(1, sqmax + 1):
             total += (
                 (mp.euler + mp.log(mp.pi * m * m) + alphas[m - 1].value)

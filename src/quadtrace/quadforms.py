@@ -588,8 +588,9 @@ def geodesic_integral(q: QuadForm):
 
     The geodesic is the half-circle over the real roots of Q(tau, 1); one
     period is cut out by the automorph of q acting on a base point.  Returns
-    (value, error_bound); the value equals twice the log of the automorph
-    unit of the primitive discriminant.
+    (value, error_estimate), the estimate being mpmath's heuristic one; the
+    value equals twice the log of the automorph unit of the primitive
+    discriminant.
     """
     d = q.disc
     if d <= 0 or math.isqrt(d) ** 2 == d:

@@ -45,18 +45,10 @@ from .precision import hp
 _CF_CROSSOVER = 7
 
 
-# Callers map at least this many alpha or companion quadratures over forked
-# workers (parallel.fork_map), fewer serially: in a fresh interpreter on a
-# 2-core machine, two workers first beat the serial pass between 4 and 5
-# values alpha(4.4 m^2), m = 1..k, at 64 digits; each worker computes its own
-# quadrature nodes unless the caller already has them.
-SPLIT_MIN_QUADRATURES = 5
-
-
 @dataclass
 class QuadratureResult:
     value: mpf
-    error_bound: mpf
+    error_estimate: mpf
     evaluations: int
     converged: bool
 
@@ -149,12 +141,12 @@ def quad_certified(f, points, target=mpf("1e-12"), extra_dps=10) -> QuadratureRe
             val, err = mp.quad(wrapped, points, error=True, maxdegree=10)
             err = mp.mpf(err)
         return QuadratureResult(
-            value=+val, error_bound=+err, evaluations=count, converged=bool(err < target)
+            value=+val, error_estimate=+err, evaluations=count, converged=bool(err < target)
         )
 
 
 def alpha(y) -> QuadratureResult:
-    """Certified evaluation of the decaying special function alpha(y), y > 0."""
+    """The decaying special function alpha(y), y > 0, with its error estimate."""
     with hp(extra=10):
         y = mp.mpf(y)
         if y <= 0:
@@ -178,17 +170,17 @@ def alpha(y) -> QuadratureResult:
         )
         trunc = mp.exp(-mp.pi * y * t_cut) / (mp.pi * y)
         val = mp.sqrt(y) * (head.value + tail.value)
-        err = mp.sqrt(y) * (head.error_bound + tail.error_bound + trunc)
+        err = mp.sqrt(y) * (head.error_estimate + tail.error_estimate + trunc)
         return QuadratureResult(
             value=+val,
-            error_bound=+err,
+            error_estimate=+err,
             evaluations=head.evaluations + tail.evaluations,
             converged=head.converged and tail.converged and trunc < target,
         )
 
 
 def alpha_companion(t) -> QuadratureResult:
-    """The log-plus-erfc-integral companion of alpha, certified quadrature."""
+    """The log-plus-erfc-integral companion of alpha, with its error estimate."""
     with hp(extra=10):
         t = mp.mpf(t)
         if t <= 0:
@@ -197,7 +189,7 @@ def alpha_companion(t) -> QuadratureResult:
         val = mp.log(t) - mp.sqrt(mp.pi) * res.value + mp.log(2) + mp.euler / 2
         return QuadratureResult(
             value=+val,
-            error_bound=+(mp.sqrt(mp.pi) * res.error_bound),
+            error_estimate=+(mp.sqrt(mp.pi) * res.error_estimate),
             evaluations=res.evaluations,
             converged=res.converged,
         )

@@ -1,17 +1,15 @@
 """Kloosterman machinery: local sums, closed forms, truncations, factorization."""
 
 import math
-import multiprocessing
 import threading
 
 import numpy as np
 import pytest
 from mpmath import mp
 
-from quadtrace import kloosterman
+from quadtrace import parallel
 from quadtrace.arith import euler_phi, kronecker
 from quadtrace.kloosterman import (
-    _deal,
     _inner_sums,
     _jacobi_table,
     _spf_table,
@@ -32,7 +30,7 @@ from quadtrace.kloosterman import (
     plus_zeta_truncated,
 )
 
-from .forks import count_forks, deadline, set_cores
+from .forks import count_forks, set_cores
 
 
 def setup_module():
@@ -275,41 +273,15 @@ def test_kzeta_level_truncated_matches_sieve_to_p_cutoff():
 
 
 # ---------------------------------------------------------------------------
-# the per-c sums of plus_zeta_batch split over worker processes
-
-
-SPLIT = kloosterman.SPLIT_MIN_CUTOFF
-
-
-def test_deal_balances_sum_of_c():
-    for workers in (1, 2, 3, 4):
-        for cutoff in (1, 7, 500, 2001):
-            shares = _deal(cutoff, workers)
-            assert sorted(c for share in shares for c in share) == list(range(1, cutoff + 1))
-            sums = [sum(share) for share in shares]
-            assert max(sums) - min(sums) <= 2 * cutoff, (workers, cutoff)
-
-
-def test_split_equals_serial(monkeypatch):
-    cutoff = SPLIT + 1
-    n_list = [-4, -3, 0, 5, 8]
-    forks = count_forks(monkeypatch)
-    for big_n in (1, 3, 5, 15):
-        set_cores(monkeypatch, 1)
-        serial = plus_zeta_batch(big_n, n_list, 2.5, cutoff)
-        set_cores(monkeypatch, 2)
-        with deadline(120):
-            split = plus_zeta_batch(big_n, n_list, 2.5, cutoff)
-        assert [kv.value for kv in split] == [kv.value for kv in serial], big_n
-        assert multiprocessing.active_children() == []
-    assert len(forks) == 2 * 4
+# the per-c sums of plus_zeta_batch, which parallel.fork_map may split
 
 
 @pytest.mark.parametrize(
     "cores, cutoff, other_thread",
-    [(1, SPLIT + 1, False), (2, SPLIT - 1, False), (2, SPLIT + 1, True)],
+    [(1, 501, False), (2, 501, True)],
 )
 def test_serial_pass_starts_no_process(monkeypatch, cores, cutoff, other_thread):
+    monkeypatch.setattr(parallel, "SERIAL_HEAD_S", 0)
     set_cores(monkeypatch, cores)
     forks = count_forks(monkeypatch)
     release = threading.Event()

@@ -1,34 +1,41 @@
 """The ordered fork map and the callers that split their work with it: the
-L(1) batch, the alpha map of the level-4p series and the special-function
-sweep.  A split gives the values of the serial pass, bit for bit."""
+L(1) batch, the alpha map of the level-4p series, the special-function
+sweep and the per-c Kloosterman sums.  A split gives the values of the
+serial pass, bit for bit."""
 
-import dataclasses
+import ast
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
-from mpmath import mp
 
 from quadtrace import cli, lvalues, parallel
+from quadtrace.kloosterman import plus_zeta_batch
 from quadtrace.lvalues import is_fundamental_discriminant, l_values_at_1
-from quadtrace.modular import eval_sesqui_4p
 from quadtrace.parallel import fork_map
-from quadtrace.specialfns import SPLIT_MIN_QUADRATURES
 
 from .forks import count_forks, deadline, set_cores
 
 ROOT = Path(__file__).resolve().parents[1]
+FORK_NAMES = ("multiprocessing", "concurrent", "fork", "usable_workers")
 
 
 class WorkerFault(Exception):
     pass
 
 
-def test_fork_map_keeps_input_order(monkeypatch):
+@pytest.fixture
+def no_head(monkeypatch):
+    """Every item of a map that may split goes to the workers."""
+    monkeypatch.setattr(parallel, "SERIAL_HEAD_S", 0)
+
+
+def test_fork_map_keeps_input_order(monkeypatch, no_head):
     set_cores(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     items = list(range(40))
@@ -40,8 +47,48 @@ def test_fork_map_keeps_input_order(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("condition", ["one-core", "other-thread", "not-split", "one-item"])
-def test_serial_pass_starts_no_process(monkeypatch, condition):
+def test_zero_head_deals_every_item_to_the_workers(monkeypatch, no_head):
+    set_cores(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    with deadline(60):
+        pids = fork_map(lambda x: os.getpid(), range(9))
+    assert os.getpid() not in pids
+    # one task per share: the items of a share run in one process
+    for share in parallel._shares(9, 2):
+        assert len({pids[i] for i in share}) == 1
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_head_that_finishes_every_item_starts_no_process(monkeypatch):
+    set_cores(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    out = fork_map(lambda x: (x, os.getpid()), range(40))
+    assert out == [(x, os.getpid()) for x in range(40)]
+    assert forks == []
+    assert multiprocessing.active_children() == []
+
+
+def test_head_runs_here_and_the_rest_in_workers(monkeypatch):
+    monkeypatch.setattr(parallel, "SERIAL_HEAD_S", 0.3)
+    set_cores(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+
+    def slow(x):
+        time.sleep(0.2)
+        return x, os.getpid()
+
+    with deadline(60):
+        out = fork_map(slow, range(6))
+    assert [x for x, _ in out] == list(range(6))
+    # the head ends at the first item that starts after 0.3 s: the third
+    assert [pid == os.getpid() for _, pid in out] == [True] * 2 + [False] * 4
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("condition", ["one-core", "other-thread", "one-item"])
+def test_serial_pass_starts_no_process(monkeypatch, no_head, condition):
     set_cores(monkeypatch, 1 if condition == "one-core" else 2)
     forks = count_forks(monkeypatch)
     release = threading.Event()
@@ -50,7 +97,7 @@ def test_serial_pass_starts_no_process(monkeypatch, condition):
         thread.start()
     items = [7] if condition == "one-item" else [1, 2, 3]
     try:
-        out = fork_map(lambda x: (x, os.getpid()), items, split=condition != "not-split")
+        out = fork_map(lambda x: (x, os.getpid()), items)
     finally:
         release.set()
     if condition == "other-thread":
@@ -61,7 +108,7 @@ def test_serial_pass_starts_no_process(monkeypatch, condition):
     assert multiprocessing.active_children() == []
 
 
-def test_map_inside_a_worker_starts_no_process(monkeypatch):
+def test_map_inside_a_worker_starts_no_process(monkeypatch, no_head):
     set_cores(monkeypatch, 2)
     forks = count_forks(monkeypatch)
 
@@ -77,7 +124,7 @@ def test_map_inside_a_worker_starts_no_process(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_worker_exception_reaches_caller(monkeypatch):
+def test_worker_exception_reaches_caller(monkeypatch, no_head):
     def faulty(x):
         if x == 3:
             raise WorkerFault(x)
@@ -92,6 +139,16 @@ def test_worker_exception_reaches_caller(monkeypatch):
     assert parallel._job is None
 
 
+def test_deal_balances_sum_of_c():
+    # the cost of the c-th Kloosterman modulus grows like c = index + 1
+    for workers in (1, 2, 3, 4):
+        for cutoff in (1, 7, 500, 2001):
+            shares = parallel._shares(cutoff, workers)
+            assert sorted(i for share in shares for i in share) == list(range(cutoff))
+            sums = [sum(i + 1 for i in share) for share in shares]
+            assert max(sums) - min(sums) <= 2 * cutoff, (workers, cutoff)
+
+
 def test_importing_the_cli_loads_no_multiprocessing():
     code = "import sys, quadtrace.cli; print('multiprocessing' in sys.modules)"
     proc = subprocess.run(
@@ -100,63 +157,73 @@ def test_importing_the_cli_loads_no_multiprocessing():
     assert proc.stdout.strip() == "False"
 
 
+def _fork_uses(tree: ast.AST):
+    """Imports of a process pool, os.fork calls and reads of usable_workers."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        yield from (n for n in names if n.split(".")[0] in FORK_NAMES)
+
+
+def test_only_parallel_starts_processes():
+    # one pool and one split rule: a caller that wants cores calls fork_map
+    sources = sorted((ROOT / "src" / "quadtrace").glob("*.py"))
+    assert ROOT / "src" / "quadtrace" / "parallel.py" in sources
+    found = [
+        f"{path.name}: {use}"
+        for path in sources
+        if path.name != "parallel.py"
+        for use in _fork_uses(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
 # ---------------------------------------------------------------------------
 # callers
 
 
-def _fundamentals(top):
-    return [t for t in range(2, top + 1) if is_fundamental_discriminant(t)]
+def _l1_batch(monkeypatch):
+    monkeypatch.setattr(lvalues, "_L1_TABLE", {})
+    return l_values_at_1([t for t in range(2, 251) if is_fundamental_discriminant(t)])
 
 
-def test_l1_batch_split_equals_one_core(monkeypatch):
-    ts = _fundamentals(250)
-    assert sum(ts) >= lvalues.L1_SPLIT_MIN_SUM
+def _special_sweep(monkeypatch):
+    reports = cli.sweep_special(())
+    assert len(reports) == 36
+    return reports
+
+
+def _plus_zeta(big_n):
+    def run(monkeypatch):
+        return [kv.value for kv in plus_zeta_batch(big_n, [-4, -3, 0, 5, 8], 2.5, 501)]
+
+    return run
+
+
+SPLIT_CALLERS = {
+    "l1-batch": _l1_batch,
+    "special-sweep": _special_sweep,
+    **{f"plus-zeta-{big_n}": _plus_zeta(big_n) for big_n in (1, 3, 5, 15)},
+}
+
+
+@pytest.mark.parametrize("caller", list(SPLIT_CALLERS))
+def test_split_equals_one_core(monkeypatch, no_head, caller):
+    run = SPLIT_CALLERS[caller]
     forks = count_forks(monkeypatch)
     set_cores(monkeypatch, 1)
-    monkeypatch.setattr(lvalues, "_L1_TABLE", {})
-    serial = l_values_at_1(ts)
+    serial = run(monkeypatch)
     set_cores(monkeypatch, 2)
-    monkeypatch.setattr(lvalues, "_L1_TABLE", {})
     with deadline(120):
-        split = l_values_at_1(ts)
+        split = run(monkeypatch)
     assert split == serial
-    assert len(forks) == 2
-    assert multiprocessing.active_children() == []
-
-
-def test_l1_batch_below_the_gate_starts_no_process(monkeypatch):
-    ts = _fundamentals(150)
-    assert sum(ts) < lvalues.L1_SPLIT_MIN_SUM
-    set_cores(monkeypatch, 2)
-    monkeypatch.setattr(lvalues, "_L1_TABLE", {})
-    forks = count_forks(monkeypatch)
-    l_values_at_1(ts)
-    # a second batch computes only the t it has not seen
-    l_values_at_1(ts + _fundamentals(300)[-3:])
-    assert forks == []
-    assert multiprocessing.active_children() == []
-
-
-def test_small_level_4p_series_starts_no_process(monkeypatch):
-    # cutoff 16: four alpha values, below SPLIT_MIN_QUADRATURES, and t <= 13
-    assert 4 < SPLIT_MIN_QUADRATURES
-    set_cores(monkeypatch, 2)
-    monkeypatch.setattr(lvalues, "_L1_TABLE", {})
-    forks = count_forks(monkeypatch)
-    eval_sesqui_4p(3, mp.mpc("0.21", "1.1"), 16)
-    assert forks == []
-    assert multiprocessing.active_children() == []
-
-
-def test_special_split_equals_serial(monkeypatch):
-    forks = count_forks(monkeypatch)
-    set_cores(monkeypatch, 1)
-    serial = cli.sweep_special(())
-    set_cores(monkeypatch, 2)
-    with deadline(120):
-        split = cli.sweep_special(())
-    assert len(split) == len(serial) == 36
-    for a, b in zip(split, serial):
-        assert dataclasses.asdict(a) == dataclasses.asdict(b)
     assert len(forks) == 2
     assert multiprocessing.active_children() == []

@@ -2,8 +2,11 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from quadtrace.arith import is_prime
 from quadtrace.traces import (
     pin_convention,
     real_trace_rhs,
@@ -34,6 +37,15 @@ def test_trace_denominators_divide_six():
             if n % 4 not in (0, 1):
                 continue
             assert 6 % trace_imaginary(p, n).denominator == 0
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.sampled_from([p for p in range(3, 60) if is_prime(p)]),
+    st.integers(min_value=-5000, max_value=-3).filter(lambda n: n % 4 in (0, 1)),
+)
+def test_imaginary_identity_property(p, n):
+    assert verify_imaginary_trace_identity(p, n).passed
 
 
 def test_imaginary_report_names_only_an_unpinned_convention():
