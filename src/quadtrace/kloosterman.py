@@ -204,8 +204,9 @@ def _local_factor_p_series(p: int, n: int, sigma) -> complex:
     return sum(local_sum_p_exp(p, j, n) / p ** (j * sigma) for j in range(1, jmax))
 
 
-# Largest modulus of an exponential sum the CLI lets a check form.  A sum of
-# modulus M peaks at about 50 bytes per unit of M (0.5 GB at the limit).
+# Largest modulus of an exponential sum the CLI lets a check form.  Under
+# tracemalloc at M = 10^6, one _inner_sums call peaks at 41 bytes per unit
+# of M and one local sum at up to 48 (0.5 GB at the limit).
 MAX_MODULUS = 10**7
 
 
@@ -269,38 +270,61 @@ def _jacobi_table(m: int, spf) -> np.ndarray:
 def _inner_sums(big_n: int, c: int, n_list, per4n: np.ndarray, spf):
     """S(4Nc; n) for each n, splitting (4Nc/r) = (4N/r)(2/r)^e (c_odd/r).
 
-    The Jacobi factor comes from _jacobi_table (Legendre tables of the primes
-    of c_odd, multiplied together) and is turned into (c_odd/r) by
-    reciprocity.  The roots of unity e(k / 4Nc) are tabulated once per
-    modulus and shared by all indices: each index gathers roots[n r mod 4Nc].
-    The exp argument is the float product of 2 pi i / 4Nc and the reduced
-    integer n r mod 4Nc, exactly as when e(n r / 4Nc) is evaluated for one
-    index alone, so the sums are bit-identical to that direct evaluation.
+    The sum runs over the M/2 odd r = 2i + 1 < M = 4Nc, and every factor of
+    (4Nc/r) eps_r is periodic in i: (4N/r) with period 2N, the Jacobi table
+    of c_odd (_jacobi_table, turned into (c_odd/r) by reciprocity) with
+    period c_odd, (2/r) with period 4, and the r = 3 mod 4 sign and eps_r
+    with period 2.  Each is one period tiled to length M/2, multiplied as
+    int8 and then by eps_r as complex.
+
+    The roots of unity e(k / M) are shared by all indices: each index
+    gathers roots[n r mod M].  For odd n that index is an odd multiple of
+    gcd(n, M), for even n a multiple of it, so exp is evaluated only at the
+    odd multiples of the gcd of M and the odd n and at the multiples of the
+    gcd of M and the even n (3/4 of M for the CLI's -4, -3, 5, 8).  The
+    other entries are left unwritten, and no index reaches them.  The exp
+    argument is the float product of 2 pi i / M and the reduced integer k,
+    exactly as when e(n r / M) is evaluated for one index alone, and numpy's
+    complex exp works element by element, so the sums are bit-identical to
+    that direct evaluation.
 
     One call depends on nothing but its arguments, which is what lets
     plus_zeta_batch run the calls for different c in different processes.
     """
     m_mod = 4 * big_n * c
-    r = np.arange(1, m_mod, 2, dtype=np.int64)
+    half = m_mod // 2
+    # the roots first, so that their exp temporaries are freed before the
+    # M/2-long character arrays exist
+    step = 2j * np.pi / m_mod
+    roots = np.empty(m_mod, dtype=complex)
+    odd = [n for n in n_list if n % 2]
+    if odd:
+        g = math.gcd(m_mod, *odd)
+        roots[g::2 * g] = np.exp(step * np.arange(g, m_mod, 2 * g))
+    even = [n for n in n_list if n % 2 == 0]
+    if even:
+        g = math.gcd(m_mod, *even)
+        roots[::g] = np.exp(step * np.arange(0, m_mod, g))
     e2, c_odd = 0, c
     while c_odd % 2 == 0:
         c_odd //= 2
         e2 += 1
-    chi = per4n[r % (4 * big_n)] * _jacobi_table(c_odd, spf)[r % c_odd]
+    jac = _jacobi_table(c_odd, spf)[np.arange(1, 2 * c_odd, 2) % c_odd]
+    chi = np.tile(per4n[1::2], c) * np.tile(jac, half // c_odd)
     if e2 % 2:
-        chi *= CHI8_TABLE[r % 8]
+        chi *= np.tile(CHI8_TABLE[1::2], half // 4)
     if c_odd % 4 == 3:
-        chi[r % 4 == 3] *= -1
-    base = chi * np.where(r % 4 == 1, 1.0 + 0.0j, 1.0j)
-    roots = (2j * np.pi / m_mod) * np.arange(m_mod, dtype=np.int64)
-    np.exp(roots, out=roots)
+        chi[1::2] *= -1
+    base = chi * np.tile(np.array([1.0 + 0.0j, 1.0j]), half // 2)
+    r = np.arange(1, m_mod, 2, dtype=np.int64)
     return [complex((base * roots[(n % m_mod) * r % m_mod]).sum()) for n in n_list]
 
 
 def plus_zeta_batch(big_n: int, n_list, s: float, cutoff: int):
     """Truncated K^+_{1/2,4N}(0, n; s) for several indices in one pass over c.
 
-    Each c costs one Jacobi table, one root table and one gather per index
+    Each c costs one period of each character factor, tiled, the roots of
+    unity at the multiples the indices can reach, and one gather per index
     (see _inner_sums).  Those per-c sums are computed across the usable
     cores (parallel.fork_map); the weighted sum over c stays here and runs
     in c order, because float addition in another order gives other bits and
@@ -436,8 +460,8 @@ def kzeta_coprime_closed(p: int, s):
 def kzeta_level_truncated(p: int, s: float, cutoff: int) -> KloostermanValue:
     """Truncated sum_{p | c} phi(c) c^{-2s} with a rigorous phi(c) <= c tail.
 
-    The tail bound is None at cutoff 0 (nothing summed); a negative cutoff
-    raises ValueError.
+    The tail bound is None at cutoff 0 (nothing summed) and infinite for
+    s <= 1, where the series diverges; a negative cutoff raises ValueError.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -447,9 +471,12 @@ def kzeta_level_truncated(p: int, s: float, cutoff: int) -> KloostermanValue:
         phi = _phi_from_spf(k, spf) * (p if k % p == 0 else p - 1)  # phi(pk)
         total += phi * float(p * k) ** (-2 * s)
     # tail: sum_{k > cutoff} (pk)^{1-2s} <= p^{1-2s} cutoff^{2-2s} / (2s-2)
-    tail = None
-    if cutoff:
+    if cutoff == 0:
+        tail = None
+    elif s > 1:
         tail = float(p) ** (1 - 2 * s) * cutoff ** (2 - 2 * s) / (2 * s - 2)
+    else:
+        tail = float("inf")
     return KloostermanValue(
         value=total, params={"p": p, "s": s}, cutoff=cutoff, tail_bound=tail
     )

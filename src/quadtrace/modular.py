@@ -15,19 +15,14 @@ from dataclasses import dataclass, field
 from mpmath import mp, mpc
 
 from .arith import eps_odd, kronecker
-from .classnumbers import (
-    generalized_hurwitz,
-    hurwitz_class_number_forms,
-    regulator_class_sum,
-)
+from .classnumbers import generalized_hurwitz, hurwitz_class_number_forms
 from .coefficients import (
-    sesqui4_square_coeff,
     sesqui4p_const_coeff,
     sesqui4p_neg_coeff,
     sesqui4p_nonsquare_coeff,
     sesqui4p_square_coeff,
 )
-from .lvalues import fundamental_decomposition, l_values_at_1, zeta_prime_over_zeta_2
+from .lvalues import fundamental_decomposition, l_values_at_1
 from .parallel import fork_map
 from .precision import hp, to_mpf
 from .specialfns import alpha, inc_gamma_half, inc_gamma_minus_half
@@ -121,68 +116,6 @@ def eval_cohen_eisenstein(ell: int, big_n: int, tau, cutoff: int) -> SeriesEvalu
         absq = abs(q)
         tail = 2 * (cutoff + 1) * absq ** (cutoff + 1) / (1 - absq)
         return SeriesEvaluation(value=+total, tau=tau, cutoff=cutoff, tail_bound=+tail)
-
-
-def sesqui4_constant_block(v):
-    """Constant (q^0) block of the level-4 series:
-    v^{1/2}/3 - log(v)/(4 pi) + (gamma - log 4 - Z)/pi.
-
-    The sign of Z = zeta'(2)/zeta(2) here is pinned by the exactly-checked
-    constant-term system; the opposite sign fails it (see README).
-    """
-    with hp():
-        v = mp.mpf(v)
-        z = zeta_prime_over_zeta_2()
-        return +(
-            mp.sqrt(v) / 3
-            - mp.log(v) / (4 * mp.pi)
-            + (mp.euler - mp.log(4) - z) / mp.pi
-        )
-
-
-def eval_sesqui_4(tau, cutoff: int) -> SeriesEvaluation:
-    """The level-4 sesquiharmonic series, truncated.
-
-    The negative-index sum is evaluated with Hurwitz-class-number weights
-    H(|d|)/sqrt(pi |d|), the reading forced by the shadow relation; since
-    the weights at negative square indices are not independently pinned,
-    the evaluation carries a flag (see README).
-    """
-    with hp():
-        tau = _check_tau(tau)
-        v = tau.imag
-        q = mp.e ** (2j * mp.pi * tau)
-        total = mp.mpc(sesqui4_constant_block(v))
-        sqmax = max(1, math.isqrt(cutoff))
-        for d in range(2, cutoff + 1):
-            if d % 4 in (2, 3) or math.isqrt(d) ** 2 == d:
-                continue
-            total += regulator_class_sum(d) / mp.sqrt(d) * q**d
-        for n in range(1, sqmax + 1):
-            total += sesqui4_square_coeff(n) * q ** (n * n)
-            total += 2 * mp.mpf(1) / (4 * mp.pi) * alpha(4 * n * n * v).value * q ** (
-                n * n
-            )
-        for d in range(1, cutoff + 1):
-            if (-d) % 4 not in (0, 1):
-                continue
-            h = hurwitz_class_number_forms(d)
-            if h:
-                total += (
-                    to_mpf(h)
-                    / mp.sqrt(mp.pi * d)
-                    * inc_gamma_half(4 * mp.pi * d * v)
-                    * q ** (-d)
-                )
-        absq = abs(q)
-        tail = 4 * (cutoff + 1) * absq ** (cutoff + 1) / (1 - absq)
-        return SeriesEvaluation(
-            value=+total,
-            tau=tau,
-            cutoff=cutoff,
-            tail_bound=+tail,
-            flags={"negative-index-weights": "hurwitz-interpretation"},
-        )
 
 
 def eval_sesqui_4p(p: int, tau, cutoff: int) -> SeriesEvaluation:

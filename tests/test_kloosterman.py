@@ -173,6 +173,9 @@ def test_plus_zeta_truncated_edges():
         plus_zeta_batch(3, [-4, 5], 2.5, -1)
     kv = kzeta_level_truncated(3, 1.25, 0)
     assert kv.value == 0 and kv.tail_bound is None and kv.cutoff == 0
+    # the series diverges for s <= 1: no finite bound, not a negative one
+    for s in (0.5, 1):
+        assert kzeta_level_truncated(3, s, 100).tail_bound == float("inf")
     with pytest.raises(ValueError):
         kzeta_level_truncated(3, 1.25, -1)
 
@@ -200,20 +203,46 @@ def test_inner_sums_match_plus_term():
                 assert abs(val - oracle) < 1e-9, (big_n, n, c)
 
 
-def test_inner_sums_bit_identical_to_direct_exp():
-    """The shared root table gives the same floats as exp per index."""
-    spf = _spf_table(100)
-    n_list = [-4, -3, 0, 5, 8]
-    for big_n in (1, 3, 5):
+def _hex(z: complex):
+    return float(z.real).hex(), float(z.imag).hex()
+
+
+def test_inner_sums_bit_identical_to_direct_exp(monkeypatch):
+    """The tiled characters and the partial root table give the same floats,
+    signed zeros included, as exp evaluated per index.
+
+    The indices reach every branch of the partial table: n = 0, odd n that
+    share a factor with 4N, even n with nu_2 in {2, 3, 5} and a large |n|.
+    Each index is summed in the batch and alone, whose tables differ.
+    np.empty hands out NaN-filled arrays here, so a sum that read an entry
+    the kernel never wrote would come out NaN.
+    """
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind in "fc":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+    spf = _spf_table(2001)
+    n_list = [0, -3, 5, 15, -4, 8, -32, 10**6 + 1]
+    cases = [(big_n, range(1, 121)) for big_n in (1, 3, 5, 15)]
+    cases += [(big_n, range(1990, 2001)) for big_n in (3, 5)]
+    for big_n, cs in cases:
         per4n = np.array([kronecker(4 * big_n, x) for x in range(4 * big_n)], dtype=np.int8)
-        for c in range(1, 61):
+        for c in cs:
             m_mod = 4 * big_n * c
             r = np.arange(1, m_mod, 2, dtype=np.int64)
             sym = np.array([kronecker(m_mod, x) for x in r.tolist()], dtype=np.int64)
             base = sym * np.where(r % 4 == 1, 1.0 + 0.0j, 1.0j)
-            for n, val in zip(n_list, _inner_sums(big_n, c, n_list, per4n, spf)):
+            together = _inner_sums(big_n, c, n_list, per4n, spf)
+            for n, val in zip(n_list, together):
                 phase = np.exp((2j * np.pi / m_mod) * ((n % m_mod) * r % m_mod))
-                assert val == complex((base * phase).sum()), (big_n, n, c)
+                direct = _hex(complex((base * phase).sum()))
+                alone = _inner_sums(big_n, c, [n], per4n, spf)[0]
+                assert _hex(val) == _hex(alone) == direct, (big_n, n, c)
 
 
 def test_plus_zeta_batch_equals_single_index():

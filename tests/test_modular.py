@@ -9,11 +9,9 @@ from quadtrace.modular import (
     apply_moebius,
     choose_cutoff,
     eval_cohen_eisenstein,
-    eval_sesqui_4,
     eval_theta,
     eval_zagier_eisenstein,
     modularity_residual,
-    sesqui4_constant_block,
     slash_half,
 )
 
@@ -125,21 +123,6 @@ def test_cohen_eisenstein_residuals():
             tol=mp.mpf("1e-7"),
         )
         assert r < mp.mpf("1e-5"), g
-
-
-def test_sesqui4_constant_block():
-    from quadtrace.lvalues import zeta_prime_over_zeta_2
-
-    v = mp.mpf("0.9")
-    z = zeta_prime_over_zeta_2()
-    expected = mp.sqrt(v) / 3 - mp.log(v) / (4 * mp.pi) + (mp.euler - mp.log(4) - z) / mp.pi
-    assert abs(sesqui4_constant_block(v) - expected) < mp.mpf("1e-30")
-
-
-def test_sesqui4_evaluation_flagged():
-    ev = eval_sesqui_4(mp.mpc("0.1", "1.4"), 60)
-    assert ev.flags.get("negative-index-weights") == "hurwitz-interpretation"
-    assert mp.isfinite(ev.value.real) and mp.isfinite(ev.value.imag)
 
 
 def test_sesqui4p_negative_coefficients_exact_rational_family():
