@@ -4,17 +4,15 @@ Factorization is deterministic: trial division over a 6k+-1 wheel, with a
 Brent-cycle rho fallback for cofactors beyond 10**12 so that accidental
 large inputs terminate.  Everything here is pure and exact; the
 factorization cache is safe under concurrent reads and duplicate inserts.
-Legendre symbols come one at a time (kronecker) or as a numpy table over a
-full period (legendre_table, and CHI8_TABLE for (2/x)), the building blocks
-of the character tables in lvalues and the Jacobi tables in kloosterman.
+Legendre symbols come one at a time (kronecker) or as a tuple over a full
+period (legendre_table, and CHI8_TABLE for (2/x)), the building blocks of
+the character tables in lvalues.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-import numpy as np
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_LIMIT = 10**6
@@ -216,19 +214,27 @@ def eps_odd(d: int) -> complex:
     return 1 if d % 4 == 1 else 1j
 
 
-def legendre_table(q: int) -> np.ndarray:
-    """(x/q) for 0 <= x < q, odd prime q: +1 exactly on the nonzero squares."""
-    table = np.full(q, -1, dtype=np.int8)
-    x = np.arange(q, dtype=np.int64)
-    table[x * x % q] = 1
+@lru_cache(maxsize=128)
+def legendre_table(q: int) -> tuple[int, ...]:
+    """(x/q) for 0 <= x < q, odd prime q: +1 exactly on the nonzero squares.
+
+    The squares of x = 1..(q-1)/2 are all the nonzero squares mod q, each
+    reached from the last by adding 2x - 1.
+    """
+    table = [-1] * q
+    square = 0
+    for step in range(1, q, 2):
+        square += step
+        if square >= q:
+            square -= q
+        table[square] = 1
     table[0] = 0
-    return table
+    return tuple(table)
 
 
 # chi_8(x) = (2/x) on x mod 8: the factor (2/r) of a Jacobi symbol with an
 # odd power of 2 on top, and the character of the prime discriminant 8
-CHI8_TABLE = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
-CHI8_TABLE.setflags(write=False)
+CHI8_TABLE = (0, 1, 0, -1, 0, -1, 0, 1)
 
 
 def smallest_prime_factors(n: int) -> list[int]:

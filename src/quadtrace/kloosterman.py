@@ -26,6 +26,12 @@ and square n are checked against them term by term.
 
 Truncated sums use float precision (tail bounds dwarf roundoff); the small
 building blocks are also available at working precision.
+
+The float kernels (local_sum_2_exp, local_sum_p_exp, _legendre_array,
+_jacobi_table, _inner_sums and plus_zeta_batch) import numpy where they
+start, not at module level: every CLI command imports this module, but only
+`verify kloosterman` reaches them, and importing numpy takes longer than
+all the other imports of the CLI together.
 """
 
 from __future__ import annotations
@@ -35,10 +41,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
 from mpmath import mp
 
-from .arith import CHI8_TABLE, eps_odd, euler_phi, kronecker, legendre_table, valuation
+from .arith import CHI8_TABLE, eps_odd, euler_phi, kronecker, valuation
 from .lvalues import (
     chi,
     dirichlet_l,
@@ -88,22 +93,41 @@ def plus_term(big_n: int, n: int, c: int, two_k: int = 1):
 
 def local_sum_2_exp(j: int, n: int) -> complex:
     """a(2^j, n) as a finite exponential sum (float precision)."""
+    import numpy as np
+
     m_mod = 1 << j
     r = np.arange(1, m_mod, 2, dtype=np.int64)
     if j % 2:
-        chi_m = CHI8_TABLE[r % 8]
+        chi_m = np.array(CHI8_TABLE, dtype=np.int8)[r % 8]
     else:
         chi_m = np.ones_like(r)
     eps_r = np.where(r % 4 == 1, 1.0 + 0.0j, 1.0j)
     return complex((chi_m * eps_r * np.exp((2j * np.pi / m_mod) * ((n % m_mod) * r % m_mod))).sum())
 
 
+def _legendre_array(q: int):
+    """(x/q) for 0 <= x < q, odd prime q, as an int8 numpy array.
+
+    The vectorised twin of arith.legendre_table for the float kernels, which
+    need one per prime up to the cutoff.
+    """
+    import numpy as np
+
+    table = np.full(q, -1, dtype=np.int8)
+    x = np.arange(q, dtype=np.int64)
+    table[x * x % q] = 1
+    table[0] = 0
+    return table
+
+
 def local_sum_p_exp(p: int, j: int, n: int) -> complex:
     """a(p^j, n) as a finite exponential sum (float precision), odd prime p."""
+    import numpy as np
+
     m_mod = p**j
     r = np.arange(m_mod, dtype=np.int64)
     if j % 2:
-        chi_m = legendre_table(p)[r % p]
+        chi_m = _legendre_array(p)[r % p]
     else:
         chi_m = np.where(r % p != 0, 1, 0)
     return complex(
@@ -249,12 +273,14 @@ def _spf_table(limit: int) -> tuple:
     return tuple(smallest_prime_factors(limit))
 
 
-def _jacobi_table(m: int, spf) -> np.ndarray:
-    """(x/m) for 0 <= x < m, odd m > 0, as a product of Legendre tables.
+def _jacobi_table(m: int, spf):
+    """(x/m) for 0 <= x < m, odd m > 0, as an int8 product of Legendre tables.
 
     A prime q dividing m to an odd power contributes (x/q); to an even power
     only the indicator of gcd(x, q) = 1.
     """
+    import numpy as np
+
     x = np.arange(m, dtype=np.int64)
     table = np.ones(m, dtype=np.int8)
     rest = m
@@ -263,11 +289,11 @@ def _jacobi_table(m: int, spf) -> np.ndarray:
         while rest % q == 0:
             rest //= q
             e += 1
-        table *= legendre_table(q)[x % q] if e % 2 else (x % q != 0)
+        table *= _legendre_array(q)[x % q] if e % 2 else (x % q != 0)
     return table
 
 
-def _inner_sums(big_n: int, c: int, n_list, per4n: np.ndarray, spf):
+def _inner_sums(big_n: int, c: int, n_list, per4n, spf):
     """S(4Nc; n) for each n, splitting (4Nc/r) = (4N/r)(2/r)^e (c_odd/r).
 
     The sum runs over the M/2 odd r = 2i + 1 < M = 4Nc, and every factor of
@@ -291,6 +317,8 @@ def _inner_sums(big_n: int, c: int, n_list, per4n: np.ndarray, spf):
     One call depends on nothing but its arguments, which is what lets
     plus_zeta_batch run the calls for different c in different processes.
     """
+    import numpy as np
+
     m_mod = 4 * big_n * c
     half = m_mod // 2
     # the roots first, so that their exp temporaries are freed before the
@@ -312,7 +340,7 @@ def _inner_sums(big_n: int, c: int, n_list, per4n: np.ndarray, spf):
     jac = _jacobi_table(c_odd, spf)[np.arange(1, 2 * c_odd, 2) % c_odd]
     chi = np.tile(per4n[1::2], c) * np.tile(jac, half // c_odd)
     if e2 % 2:
-        chi *= np.tile(CHI8_TABLE[1::2], half // 4)
+        chi *= np.tile(np.array(CHI8_TABLE[1::2], dtype=np.int8), half // 4)
     if c_odd % 4 == 3:
         chi[1::2] *= -1
     base = chi * np.tile(np.array([1.0 + 0.0j, 1.0j]), half // 2)
@@ -334,6 +362,8 @@ def plus_zeta_batch(big_n: int, n_list, s: float, cutoff: int):
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
+    import numpy as np
+
     per4n = np.array([kronecker(4 * big_n, x) for x in range(4 * big_n)], dtype=np.int8)
     spf = _spf_table(max(cutoff + 1, 100))
     totals = np.zeros(len(n_list), dtype=complex)

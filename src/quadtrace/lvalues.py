@@ -1,24 +1,28 @@
 """Kronecker characters, fundamental discriminants, and Dirichlet L-values.
 
 Exact values:
-    L(0, chi_t) = -(1/|t|) * sum_{a=1}^{|t|-1} chi_t(a) a          (t < 0 fundamental)
+    L(0, chi_t) = (1/(2 - chi_t(2))) * sum_{0 < a < |t|/2} chi_t(a)  (t < 0 fundamental)
     L_N(-1, id) = zeta(-1) * prod_{p|N} (1 - p) = (-1/12) prod (1 - p)
 
-The L(0) sum runs over a numpy table of chi_t on one period (character_table):
 chi_t is the product of the characters of the prime discriminants dividing
-t, i.e. a Legendre table (a/q) per odd prime q | t times chi_{-4}, chi_8 or
-chi_{-8} for the 2-part, so one table costs a few vector products instead of
-|t| Kronecker-symbol evaluations.  All entries and the weighted sum are
-integers, so the value stays exact.
+t: a Legendre table (a/q) per odd prime q | t times chi_{-4}, chi_8 or
+chi_{-8} for the 2-part, each a tuple over its own period
+(_character_split).  character_table repeats the longest period to length
+|t| and multiplies it by the product of the others, a list built by C-level
+map(operator.mul) instead of |t| Kronecker symbols.  The L(0) sum repeats the
+longest period only over the half period that it adds up and sums it in
+strides, one per residue class of the other factors.  Every entry and sum is
+an integer, so the value stays exact; it equals the defining sum
+-(1/|t|) sum_{a=1}^{|t|-1} chi_t(a) a, which the tests hold it to.
 
 High-precision values:
     L(1, chi_t) = -(1/sqrt(t)) sum_a chi_t(a) log sin(pi a / t)    (t > 0)
     L(1, chi_t) = pi * L(0, chi_t) / sqrt(|t|)                     (t < 0)
 
 L(1) values are kept in one table for the current working precision.  A
-batch (l_values_at_1) computes the missing t, split over forked workers
-when the sum of t is large enough; the sine sum runs on raw libmp numbers,
-bit-equal to the same sum of mpf objects.
+batch (l_values_at_1) computes the missing t in one parallel.fork_map,
+whose serial head alone decides whether any worker starts; the sine sum runs
+on raw libmp numbers, bit-equal to the same sum of mpf objects.
 
 The t < 0 evaluation at s = 1 is the functional-equation form of the finite
 character sum, so this module stays independent of any class-number code;
@@ -29,11 +33,12 @@ General real s away from {0, 1} go through Hurwitz zeta functions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import cycle, islice
 
-import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import (
     from_int,
@@ -115,48 +120,69 @@ def chi(t: int, k: int) -> int:
     return kronecker(t, k)
 
 
-# chi_{-4}, chi_8 and chi_{-8} on a mod 8, keyed by the 2-part of t
+# chi_{-4} on a mod 4 and chi_8, chi_{-8} on a mod 8, keyed by the 2-part of t
 _TWO_PART_TABLES = {
-    -4: np.array([0, 1, 0, -1, 0, 1, 0, -1], dtype=np.int8),
+    -4: (0, 1, 0, -1),
     8: CHI8_TABLE,
-    -8: np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8),
+    -8: (0, 1, 0, 1, 0, -1, 0, -1),
 }
 
 
-def character_table(t: int) -> np.ndarray:
-    """chi_t(a) = (t/a) for 0 <= a < |t|, t fundamental, as an int8 table.
+def _character_split(t: int) -> tuple[list[int], tuple[int, ...]]:
+    """chi_t for fundamental t as (small, big): chi_t(a) = small[a % m] * big[a % q].
 
     chi_t is the product of the characters of the prime discriminants of t:
     the Legendre table (a/q) for each odd prime q | t (the character of
     q* = +-q = 1 mod 4), times chi_{-4}, chi_8 or chi_{-8} for the 2-part
-    t / prod q*.  The primes come from the factorization that
+    t / prod q*.  big is the longest of those periods and small the product
+    of the others over its own period m = |t| / len(big), one
+    map(operator.mul) per factor (the periods are coprime); chi_1 is
+    ([1], (1,)).  The primes come from the factorization that
     is_fundamental_discriminant looked up (of t, or of t/4 when 4 | t).
     """
-    q = abs(t)
-    a = np.arange(q, dtype=np.int64)
-    table = np.ones(q, dtype=np.int8)
+    periods = []
     odd_disc = 1
     for prime, _ in factorize(t if t % 4 == 1 else t // 4):
         if prime == 2:
             continue
-        table *= legendre_table(prime)[a % prime]
+        periods.append(legendre_table(prime))
         odd_disc *= prime if prime % 4 == 1 else -prime
     two_part = t // odd_disc
     if two_part != 1:
-        table *= _TWO_PART_TABLES[two_part][a % 8]
-    return table
+        periods.append(_TWO_PART_TABLES[two_part])
+    periods.sort(key=len)
+    big = periods.pop() if periods else (1,)
+    small = cycle((1,))
+    for period in periods:
+        small = map(operator.mul, small, cycle(period))
+    return list(islice(small, abs(t) // len(big))), big
+
+
+def character_table(t: int) -> list[int]:
+    """chi_t(a) = (t/a) for 0 <= a < |t|, t fundamental: big repeated to
+    length |t| times small repeated."""
+    small, big = _character_split(t)
+    return list(map(operator.mul, cycle(small), big * (abs(t) // len(big))))
 
 
 @lru_cache(maxsize=None)
 def l_value_at_0(t: int) -> Fraction:
-    """L(0, chi_t) for t < 0 fundamental, as an exact rational."""
+    """L(0, chi_t) for t < 0 fundamental, as an exact rational.
+
+    The half-period sum (1/(2 - chi_t(2))) sum_{0 < a < |t|/2} chi_t(a), over
+    a < half = ceil(|t|/2) (chi_t(0) is 0).  Only big is repeated, to
+    that length, and it is summed in strides of m, one residue class of
+    small at a time, so no entry is multiplied.
+    """
     if t >= 0:
         raise ValueError("l_value_at_0 requires t < 0")
     if not is_fundamental_discriminant(t):
         raise ValueError(f"{t} is not a fundamental discriminant")
-    q = abs(t)
-    total = int(np.dot(character_table(t), np.arange(q, dtype=np.int64)))
-    return Fraction(-total, q)
+    small, big = _character_split(t)
+    half, m = (1 - t) // 2, len(small)
+    repeated = big * (half // len(big) + 1)
+    total = sum(c * sum(repeated[r:half:m]) for r, c in enumerate(small) if c)
+    return Fraction(total, 2 - chi(t, 2))
 
 
 # {working dps: {t: L(1, chi_t)}}, holding the one precision in use
@@ -211,7 +237,7 @@ def _log_sine_sum(t: int, prec: int) -> tuple:
     pi = mpf_pi(prec, rnd)
     big_t = from_int(t)
     total = fzero
-    for a, c in enumerate(character_table(t).tolist()):
+    for a, c in enumerate(character_table(t)):
         if c:
             x = mpf_div(mpf_mul_int(pi, a, prec, rnd), big_t, prec, rnd)
             term = mpf_log(mpf_sin(x, prec, rnd), prec, rnd)

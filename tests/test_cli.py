@@ -232,3 +232,41 @@ def test_stdout_matches_recorded_digest(argv):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == digests[argv]["sha256"]
+
+
+# small cases of the commands that run without numpy (verify special and
+# verify modularity take seconds even at their smallest, so they are left out)
+NUMPY_FREE_ARGV = (
+    "hurwitz --p 3 --n-max 50",
+    "coeffs --p 3 --m-max 4",
+    "verify imaginary --p 3 --n-max 40",
+    "verify real --p 3 --n-max 40",
+    "verify constants --p 3",
+    "verify coefficients --p 3 --m-max 4",
+)
+
+
+def test_only_verify_kloosterman_loads_numpy():
+    # numpy would be most of the CLI's import time, so only the float
+    # Kloosterman kernels import it; a fresh interpreter, since other tests
+    # of the suite import numpy
+    code = (
+        "import contextlib, io, sys\n"
+        "from quadtrace import cli\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = cli.main(argv.split())\n"
+        "    print(code, 'numpy' in sys.modules)\n"
+    )
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [*NUMPY_FREE_ARGV, "verify kloosterman --p 3 --cutoff 5"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 False"] * len(NUMPY_FREE_ARGV) + ["0 True"]

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from quadtrace import lvalues
@@ -42,7 +44,7 @@ def test_character_table_matches_kronecker():
         if t == 0 or not is_fundamental_discriminant(t):
             continue
         table = character_table(t)
-        assert table.tolist() == [kronecker(t, a) for a in range(abs(t))], t
+        assert table == [kronecker(t, a) for a in range(abs(t))], t
         count += 1
     assert count > 3000
 
@@ -51,6 +53,15 @@ def test_l_value_at_0_matches_kronecker_sum():
     for t in (-3, -4, -7, -8, -15, -20, -24, -84, -120, -4004):
         q = abs(t)
         assert l_value_at_0(t) == Fraction(-sum(kronecker(t, a) * a for a in range(q)), q)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(min_value=-20000, max_value=-3).filter(is_fundamental_discriminant))
+def test_half_period_l_value_at_0_equals_defining_sum(t):
+    # l_value_at_0 sums chi_t over half a period; the reference is the
+    # defining sum -(1/|t|) sum_a chi_t(a) a over a whole one
+    q = abs(t)
+    assert l_value_at_0(t) == Fraction(-sum(kronecker(t, a) * a for a in range(q)), q)
 
 
 def test_fundamental_decomposition():
