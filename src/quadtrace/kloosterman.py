@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -229,8 +230,9 @@ def _local_factor_p_series(p: int, n: int, sigma) -> complex:
 
 
 # Largest modulus of an exponential sum the CLI lets a check form.  Under
-# tracemalloc at M = 10^6, one _inner_sums call peaks at 41 bytes per unit
-# of M and one local sum at up to 48 (0.5 GB at the limit).
+# tracemalloc at M = 10^6, one process holds 41 bytes per unit of M for a
+# plus_zeta_batch (its work buffers; 41.06 at the peak of a call at that M)
+# and one local sum peaks at up to 48 (0.5 GB at the limit).
 MAX_MODULUS = 10**7
 
 
@@ -293,7 +295,43 @@ def _jacobi_table(m: int, spf):
     return table
 
 
-def _inner_sums(big_n: int, c: int, n_list, per4n, spf):
+class _Work(NamedTuple):
+    """The arrays _inner_sums works in, for every modulus M <= len(roots).
+
+    odd holds r = 1, 3, 5, ... and is read-only; the others are scratch, and
+    a call writes every entry it reads: roots (complex, M), chi and tile
+    (int8, M/2), base and terms (complex, M/2) and index (int64, M/2).
+    """
+
+    odd: object
+    roots: object
+    chi: object
+    tile: object
+    base: object
+    terms: object
+    index: object
+
+
+def _work_buffers(m_max: int) -> _Work:
+    """One set of _inner_sums work arrays for the moduli up to m_max, 41
+    bytes per unit of m_max."""
+    import numpy as np
+
+    half = m_max // 2
+    odd = np.arange(1, m_max, 2, dtype=np.int64)
+    odd.flags.writeable = False
+    return _Work(
+        odd,
+        np.empty(m_max, dtype=complex),
+        np.empty(half, dtype=np.int8),
+        np.empty(half, dtype=np.int8),
+        np.empty(half, dtype=complex),
+        np.empty(half, dtype=complex),
+        np.empty(half, dtype=np.int64),
+    )
+
+
+def _inner_sums(big_n: int, c: int, n_list, per4n, spf, work: _Work):
     """S(4Nc; n) for each n, splitting (4Nc/r) = (4N/r)(2/r)^e (c_odd/r).
 
     The sum runs over the M/2 odd r = 2i + 1 < M = 4Nc, and every factor of
@@ -308,57 +346,98 @@ def _inner_sums(big_n: int, c: int, n_list, per4n, spf):
     gcd(n, M), for even n a multiple of it, so exp is evaluated only at the
     odd multiples of the gcd of M and the odd n and at the multiples of the
     gcd of M and the even n (3/4 of M for the CLI's -4, -3, 5, 8).  The
-    other entries are left unwritten, and no index reaches them.  The exp
-    argument is the float product of 2 pi i / M and the reduced integer k,
-    exactly as when e(n r / M) is evaluated for one index alone, and numpy's
-    complex exp works element by element, so the sums are bit-identical to
-    that direct evaluation.
+    other entries are left as they were, and no index reaches them.  The
+    exp argument is the float product of 2 pi i / M and the reduced integer
+    k, exactly as when e(n r / M) is evaluated for one index alone, and
+    numpy's complex exp works element by element, so the sums are
+    bit-identical to that direct evaluation.  The gather index n r mod M is
+    periodic in i with period M / gcd(2n, M), so one period is computed and
+    tiled.
 
-    One call depends on nothing but its arguments, which is what lets
+    Every array of length M or M/2 is a prefix of `work` (_work_buffers),
+    written through out= and in-place operations, so a call allocates only
+    the Jacobi table and its O(c_odd) temporaries.  One call depends on
+    nothing but its arguments, the buffers included, which is what lets
     plus_zeta_batch run the calls for different c in different processes.
     """
     import numpy as np
 
     m_mod = 4 * big_n * c
     half = m_mod // 2
-    # the roots first, so that their exp temporaries are freed before the
-    # M/2-long character arrays exist
+    roots, index = work.roots, work.index
     step = 2j * np.pi / m_mod
-    roots = np.empty(m_mod, dtype=complex)
+
+    def write_roots(view, count):
+        # the integers k in index are cast to complex by the assignment; a
+        # multiply that cast them itself would allocate a ufunc buffer and
+        # form the same products
+        view[...] = index[:count]
+        np.multiply(step, view, out=view)
+        np.exp(view, out=view)
+
     odd = [n for n in n_list if n % 2]
     if odd:
         g = math.gcd(m_mod, *odd)
-        roots[g::2 * g] = np.exp(step * np.arange(g, m_mod, 2 * g))
+        count = m_mod // (2 * g)
+        np.multiply(work.odd[:count], g, out=index[:count])
+        write_roots(roots[g:m_mod : 2 * g], count)
     even = [n for n in n_list if n % 2 == 0]
     if even:
         g = math.gcd(m_mod, *even)
-        roots[::g] = np.exp(step * np.arange(0, m_mod, g))
+        count = m_mod // g
+        np.subtract(work.odd[:count], 1, out=index[:count])
+        np.multiply(index[:count], g // 2, out=index[:count])
+        write_roots(roots[:m_mod:g], count)
     e2, c_odd = 0, c
     while c_odd % 2 == 0:
         c_odd //= 2
         e2 += 1
-    jac = _jacobi_table(c_odd, spf)[np.arange(1, 2 * c_odd, 2) % c_odd]
-    chi = np.tile(per4n[1::2], c) * np.tile(jac, half // c_odd)
+    # each period is tiled by a broadcast assignment, which needs no buffer,
+    # and then multiplied in one pass: a broadcast multiply would allocate
+    # a ufunc buffer of 8192 entries
+    chi, tile = work.chi[:half], work.tile[:half]
+    chi.reshape(-1, 2 * big_n)[...] = per4n[1::2]
+    tile.reshape(-1, c_odd)[...] = _jacobi_table(c_odd, spf)[np.arange(1, 2 * c_odd, 2) % c_odd]
+    np.multiply(chi, tile, out=chi)
     if e2 % 2:
-        chi *= np.tile(np.array(CHI8_TABLE[1::2], dtype=np.int8), half // 4)
+        tile.reshape(-1, 4)[...] = CHI8_TABLE[1::2]
+        np.multiply(chi, tile, out=chi)
     if c_odd % 4 == 3:
         chi[1::2] *= -1
-    base = chi * np.tile(np.array([1.0 + 0.0j, 1.0j]), half // 2)
-    r = np.arange(1, m_mod, 2, dtype=np.int64)
-    return [complex((base * roots[(n % m_mod) * r % m_mod]).sum()) for n in n_list]
+    base, terms = work.base[:half], work.terms[:half]
+    base[...] = chi
+    terms.reshape(-1, 2)[...] = (1.0 + 0.0j, 1.0j)  # eps_r, until the gathers
+    np.multiply(base, terms, out=base)
+    gather = index[:half]
+    sums = []
+    for n in n_list:
+        period = m_mod // math.gcd(2 * n, m_mod)
+        np.multiply(work.odd[:period], n % m_mod, out=index[:period])
+        np.remainder(index[:period], m_mod, out=index[:period])
+        gather.reshape(-1, period)[1:] = index[:period]
+        # mode="clip" (a no-op here, every index is below M): under the
+        # default mode="raise" numpy gathers into a fresh copy of out
+        np.take(roots[:m_mod], gather, out=terms, mode="clip")
+        np.multiply(base, terms, out=terms)
+        sums.append(complex(terms.sum()))
+    return sums
 
 
 def plus_zeta_batch(big_n: int, n_list, s: float, cutoff: int):
     """Truncated K^+_{1/2,4N}(0, n; s) for several indices in one pass over c.
 
     Each c costs one period of each character factor, tiled, the roots of
-    unity at the multiples the indices can reach, and one gather per index
-    (see _inner_sums).  Those per-c sums are computed across the usable
-    cores (parallel.fork_map); the weighted sum over c stays here and runs
-    in c order, because float addition in another order gives other bits and
-    the reports print the totals to 30 digits.  The tail bound is the
-    rigorous trivial one, left infinite when s <= 2 (no decay) and None at
-    cutoff 0 (nothing summed).
+    unity at the multiples the indices can reach, and one period of the
+    gather index plus one gather per index (see _inner_sums), all in one
+    set of work buffers sized for the largest modulus 4N * cutoff.  Those
+    per-c sums are computed across the usable cores (parallel.fork_map),
+    whose workers inherit the buffers through the fork, so each process
+    reuses one allocation for all of its moduli; the buffers live as long
+    as this call.  The weighted sum over c stays here and runs in c order,
+    because float addition in another order gives other bits and the
+    reports print the totals to 30 digits.  The tail bound is the rigorous
+    trivial one, left infinite when s <= 2 (no decay) and None at cutoff 0
+    (nothing summed).
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -366,11 +445,12 @@ def plus_zeta_batch(big_n: int, n_list, s: float, cutoff: int):
 
     per4n = np.array([kronecker(4 * big_n, x) for x in range(4 * big_n)], dtype=np.int8)
     spf = _spf_table(max(cutoff + 1, 100))
+    work = _work_buffers(4 * big_n * cutoff)
     totals = np.zeros(len(n_list), dtype=complex)
     # c ascending: the serial head of fork_map runs the small moduli here,
-    # which keeps this process's peak memory at that of the smallest tables
+    # which touches only the first pages of the buffers before the fork
     sums_by_c = fork_map(
-        lambda c: _inner_sums(big_n, c, n_list, per4n, spf), range(1, cutoff + 1)
+        lambda c: _inner_sums(big_n, c, n_list, per4n, spf, work), range(1, cutoff + 1)
     )
     for c, sums in enumerate(sums_by_c, start=1):
         w = 1 + kronecker(4, c)

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from quadtrace.kloosterman import (
     _inner_sums,
     _jacobi_table,
     _spf_table,
+    _work_buffers,
     assembled_product,
     kzeta_coprime_closed,
     kzeta_level_closed,
@@ -187,6 +189,10 @@ def test_jacobi_table_matches_kronecker():
         assert table.tolist() == [kronecker(x, m) for x in range(m)], m
 
 
+def _per4n(big_n):
+    return np.array([kronecker(4 * big_n, x) for x in range(4 * big_n)], dtype=np.int8)
+
+
 def test_inner_sums_match_plus_term():
     """The numpy inner sums equal the mpmath oracle divided by its weight.
 
@@ -195,10 +201,11 @@ def test_inner_sums_match_plus_term():
     spf = _spf_table(100)
     n_list = [-4, -3, 0, 5, 8]
     for big_n in (1, 3, 5, 15):
-        per4n = np.array([kronecker(4 * big_n, x) for x in range(4 * big_n)], dtype=np.int8)
+        per4n = _per4n(big_n)
+        work = _work_buffers(4 * big_n * 40)
         for c in range(1, 41):
             weight = 1 + kronecker(4, c)
-            for n, val in zip(n_list, _inner_sums(big_n, c, n_list, per4n, spf)):
+            for n, val in zip(n_list, _inner_sums(big_n, c, n_list, per4n, spf, work)):
                 oracle = complex(plus_term(big_n, n, c)) / weight
                 assert abs(val - oracle) < 1e-9, (big_n, n, c)
 
@@ -207,42 +214,75 @@ def _hex(z: complex):
     return float(z.real).hex(), float(z.imag).hex()
 
 
-def test_inner_sums_bit_identical_to_direct_exp(monkeypatch):
-    """The tiled characters and the partial root table give the same floats,
-    signed zeros included, as exp evaluated per index.
+def _poison(work):
+    """NaN in every complex scratch array of work, -1 in the integer ones."""
+    for array in work:
+        if array.flags.writeable:
+            array.fill(np.nan if array.dtype.kind == "c" else -1)
+
+
+def test_inner_sums_bit_identical_to_direct_exp():
+    """The tiled characters, the partial root table and the tiled gather
+    index give the same floats, signed zeros included, as exp evaluated per
+    index.
 
     The indices reach every branch of the partial table: n = 0, odd n that
     share a factor with 4N, even n with nu_2 in {2, 3, 5} and a large |n|.
-    Each index is summed in the batch and alone, whose tables differ.
-    np.empty hands out NaN-filled arrays here, so a sum that read an entry
-    the kernel never wrote would come out NaN.
+    Each index is summed in the batch and alone, whose tables differ.  All
+    calls of one N share one set of work buffers, NaN-filled before each
+    call, so a sum that read a root the call never wrote would come out
+    NaN; the moduli run in descending and then in ascending order, so an
+    entry left by a larger or a smaller M would show.
     """
-    empty = np.empty
-
-    def poisoned(*args, **kwargs):
-        out = empty(*args, **kwargs)
-        if out.dtype.kind in "fc":
-            out.fill(np.nan)
-        return out
-
-    monkeypatch.setattr(np, "empty", poisoned)
     spf = _spf_table(2001)
     n_list = [0, -3, 5, 15, -4, 8, -32, 10**6 + 1]
     cases = [(big_n, range(1, 121)) for big_n in (1, 3, 5, 15)]
     cases += [(big_n, range(1990, 2001)) for big_n in (3, 5)]
     for big_n, cs in cases:
-        per4n = np.array([kronecker(4 * big_n, x) for x in range(4 * big_n)], dtype=np.int8)
+        per4n = _per4n(big_n)
+        work = _work_buffers(4 * big_n * cs[-1])
+        direct = {}
         for c in cs:
             m_mod = 4 * big_n * c
             r = np.arange(1, m_mod, 2, dtype=np.int64)
             sym = np.array([kronecker(m_mod, x) for x in r.tolist()], dtype=np.int64)
             base = sym * np.where(r % 4 == 1, 1.0 + 0.0j, 1.0j)
-            together = _inner_sums(big_n, c, n_list, per4n, spf)
-            for n, val in zip(n_list, together):
-                phase = np.exp((2j * np.pi / m_mod) * ((n % m_mod) * r % m_mod))
-                direct = _hex(complex((base * phase).sum()))
-                alone = _inner_sums(big_n, c, [n], per4n, spf)[0]
-                assert _hex(val) == _hex(alone) == direct, (big_n, n, c)
+            direct[c] = [
+                _hex(complex((base * np.exp((2j * np.pi / m_mod) * ((n % m_mod) * r % m_mod))).sum()))
+                for n in n_list
+            ]
+        for c in [*reversed(cs), *cs]:
+            _poison(work)
+            together = _inner_sums(big_n, c, n_list, per4n, spf, work)
+            for n, val, expected in zip(n_list, together, direct[c]):
+                _poison(work)
+                alone = _inner_sums(big_n, c, [n], per4n, spf, work)[0]
+                assert _hex(val) == _hex(alone) == expected, (big_n, n, c)
+
+
+def test_inner_sums_allocate_no_modulus_sized_array():
+    """With warm work buffers, one call allocates O(c_odd) bytes, not O(M).
+
+    c = 2000 is the CLI's largest modulus at N = 5 (c_odd = 125); c = 1536
+    (nu_2 odd, c_odd = 3 = 3 mod 4) also takes the (2/r) and the sign
+    branches.  Any array of length M/2 or of one gather period that the
+    kernel allocated instead of writing into the buffers would hold at
+    least M/2 bytes here.
+    """
+    big_n, n_list = 5, [-4, -3, 5, 8]
+    per4n, spf = _per4n(big_n), _spf_table(2001)
+    work = _work_buffers(4 * big_n * 2000)
+    for c in (2000, 1536):
+        _inner_sums(big_n, c, n_list, per4n, spf, work)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _inner_sums(big_n, c, n_list, per4n, spf, work)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        m_mod = 4 * big_n * c
+        assert peak < m_mod // 4, (c, peak, m_mod)
 
 
 def test_plus_zeta_batch_equals_single_index():

@@ -151,8 +151,14 @@ def test_deal_balances_sum_of_c():
 
 def test_importing_the_cli_loads_no_multiprocessing():
     code = "import sys, quadtrace.cli; print('multiprocessing' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT, check=True
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.stdout.strip() == "False"
 
