@@ -3,7 +3,8 @@
 Factorization is deterministic: trial division over a 6k+-1 wheel, with a
 Brent-cycle rho fallback for cofactors beyond 10**12 so that accidental
 large inputs terminate.  Everything here is pure and exact; the
-factorization cache is safe under concurrent reads and duplicate inserts.
+factorization cache keeps the 4096 most recently used n and is safe under
+concurrent reads and duplicate inserts.
 Legendre symbols come one at a time (kronecker) or as a tuple over a full
 period (legendre_table, and CHI8_TABLE for (2/x)), the building blocks of
 the character tables in lvalues.  Nothing here imports numpy.
@@ -72,7 +73,7 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Canonical factorization of |n| as ((prime, exponent), ...), primes increasing.
 

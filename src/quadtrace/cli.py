@@ -19,11 +19,7 @@ from typing import Callable, NamedTuple
 from mpmath import mp
 
 from .arith import is_prime
-from .classnumbers import (
-    generalized_hurwitz,
-    hurwitz_class_number_forms,
-    linear_relation_report,
-)
+from .classnumbers import hurwitz_forms_table, hurwitz_level_table, linear_relation_report
 from .coefficients import (
     coeff_oracle_4,
     coeff_oracle_4p,
@@ -63,8 +59,9 @@ from .report import (
 )
 from .specialfns import alpha, alpha_companion
 from .traces import (
+    imaginary_trace_report,
     pin_convention,
-    verify_imaginary_trace_identity,
+    real_index,
     verify_real_trace_identity,
 )
 
@@ -109,11 +106,11 @@ def cmd_hurwitz(args) -> int:
     n_max = 100 if args.n_max is None else args.n_max
     failures = 0
     rows = []
+    forms = hurwitz_forms_table(n_max)
+    levels = hurwitz_level_table(n_max, _prime_levels(args.p))
     for p in args.p:
         for n in range(0, n_max + 1):
-            h = hurwitz_class_number_forms(n)
-            h1p = generalized_hurwitz(1, p, n)
-            hpp = generalized_hurwitz(p, p, n)
+            h, h1p, hpp = forms[n], levels[1, p][n], levels[p, p][n]
             ok = True
             if n > 0:
                 ok = linear_relation_report(p, n, h, h1p, hpp).passed
@@ -148,6 +145,11 @@ def _coefficient_rows(p, m_max):
         yield m, sesqui4p_square_coeff(p, m), coeff_oracle_4p(p, m)
 
 
+def _prime_levels(primes):
+    """The levels (1, p) and (p, p) of H_{1,p} and H_{p,p} for each p."""
+    return [level for p in primes for level in ((1, p), (p, p))]
+
+
 # ---------------------------------------------------------------------------
 # sweeps: each takes the prime list and named parameters and returns its
 # reports in output order
@@ -156,8 +158,9 @@ def _coefficient_rows(p, m_max):
 def sweep_imaginary(primes, n_max, convention):
     if convention == "auto":
         convention = pin_convention()
+    levels = hurwitz_level_table(n_max, _prime_levels(primes))
     return [
-        verify_imaginary_trace_identity(p, n, convention)
+        imaginary_trace_report(p, n, convention, levels[1, p][-n], levels[p, p][-n])
         for p in primes
         for n in range(-n_max, 0)
         if n % 4 in (0, 1)
@@ -168,7 +171,12 @@ def sweep_real(primes, n_max):
     ns = [n for n in range(5, n_max + 1) if n % 4 in (0, 1) and math.isqrt(n) ** 2 != n]
     # the L(1, chi_t) of every t in range, in one batch that may split
     l_values_at_1([fundamental_decomposition(n).t for n in ns])
-    return [verify_real_trace_identity(p, n) for p in primes for n in ns]
+    # n-major, so that each n's p-independent work is done once
+    by_n = []
+    for n in ns:
+        index = real_index(n)
+        by_n.append([verify_real_trace_identity(p, n, index) for p in primes])
+    return [reports[i] for i in range(len(primes)) for reports in by_n]
 
 
 def sweep_coefficient_oracles(primes, m_max):

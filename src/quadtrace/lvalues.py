@@ -165,14 +165,17 @@ def character_table(t: int) -> list[int]:
     return list(map(operator.mul, cycle(small), big * (abs(t) // len(big))))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def l_value_at_0(t: int) -> Fraction:
     """L(0, chi_t) for t < 0 fundamental, as an exact rational.
 
     The half-period sum (1/(2 - chi_t(2))) sum_{0 < a < |t|/2} chi_t(a), over
     a < half = ceil(|t|/2) (chi_t(0) is 0).  Only big is repeated, to
     that length, and it is summed in strides of m, one residue class of
-    small at a time, so no entry is multiplied.
+    small at a time, so no entry is multiplied.  The 1024 most recently used
+    values are kept for the single-n callers that repeat t (the coefficient
+    sweeps, the level-4p series, L(1) at t < 0); the class-number tables
+    keep their own, one per t.
     """
     if t >= 0:
         raise ValueError("l_value_at_0 requires t < 0")
@@ -298,7 +301,8 @@ def zeta_prime_over_zeta_2() -> mpf:
 
 def sigma_constrained(ell: int, big_n: int, s, r: int):
     """sigma_{ell,N,s}(r) = sum over d | r with gcd(d, ell) = 1 and
-    gcd(r/d, N/ell) = 1 of d**s.  Exact Fraction for integer s, else mpf.
+    gcd(r/d, N/ell) = 1 of d**s.  Exact for integer s (an int when s >= 0,
+    else a Fraction), else mpf.
     """
     if big_n % ell != 0:
         raise ValueError("ell must divide N")
@@ -311,7 +315,9 @@ def sigma_constrained(ell: int, big_n: int, s, r: int):
         if math.gcd(d, ell) == 1 and math.gcd(r // d, co) == 1
     ]
     if isinstance(s, int):
-        return sum((Fraction(d) ** s for d in ds), Fraction(0))
+        if s >= 0:
+            return sum(d**s for d in ds)
+        return sum((Fraction(1, d**-s) for d in ds), Fraction(0))
     with hp():
         return +mp.fsum(mp.power(d, s) for d in ds)
 

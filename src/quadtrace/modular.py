@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from mpmath import mp, mpc
 
 from .arith import eps_odd, kronecker
-from .classnumbers import generalized_hurwitz, hurwitz_class_number_forms
+from .classnumbers import hurwitz_forms_table, hurwitz_level_table
 from .coefficients import (
     sesqui4p_const_coeff,
     sesqui4p_neg_coeff,
@@ -80,8 +80,9 @@ def eval_zagier_eisenstein(tau, cutoff: int) -> SeriesEvaluation:
         v = tau.imag
         q = mp.e ** (2j * mp.pi * tau)
         total = mp.mpc(mp.mpf(-1) / 12)
+        hs = hurwitz_forms_table(cutoff)
         for n in range(1, cutoff + 1):
-            h = hurwitz_class_number_forms(n)
+            h = hs[n]
             if h:
                 total += to_mpf(h) * q**n
         total += 1 / (8 * mp.pi * mp.sqrt(v))
@@ -108,9 +109,10 @@ def eval_cohen_eisenstein(ell: int, big_n: int, tau, cutoff: int) -> SeriesEvalu
     with hp():
         tau = _check_tau(tau)
         q = mp.e ** (2j * mp.pi * tau)
-        total = mp.mpc(to_mpf(generalized_hurwitz(ell, big_n, 0)))
+        hs = hurwitz_level_table(cutoff, [(ell, big_n)])[ell, big_n]
+        total = mp.mpc(to_mpf(hs[0]))
         for n in range(1, cutoff + 1):
-            h = generalized_hurwitz(ell, big_n, n)
+            h = hs[n]
             if h:
                 total += to_mpf(h) * q**n
         absq = abs(q)

@@ -20,6 +20,16 @@ admissible points: the 2, 4 or 6 definite automorphs for n < 0, the group
 the same relation for two arbitrary forms through SL2(Z)-reduction and stays
 as the independent oracle.
 
+The imaginary trace needs only the weights sum 1/|stabilizer|, and those
+follow from orbit-stabilizer without building an orbit: an Aut(r)-orbit of k
+points has projective stabilizer order |Aut(r)| / (2k), so the orbits of r
+weigh 2 #{admissible points} / |Aut(r)| together, and the admissible points
+are the zeros of r on P^1(F_p), p + 1 of them when p divides the content of
+r and 1 + (n/p) otherwise (weighted_orbit_count).
+
+Class numbers and units are cached per discriminant, the 1024 most recently
+used of each.
+
 Conventions pinned by the seed-identity runs (see README):
   * for n < 0 the set of forms with p | a carries both definiteness signs;
   * stabilizer orders are taken in the projective group, so weights are
@@ -38,6 +48,7 @@ from functools import lru_cache
 
 from mpmath import mp
 
+from .arith import kronecker
 from .precision import hp
 
 Mat = tuple[int, int, int, int]  # (alpha, beta, gamma, delta), row-major
@@ -272,14 +283,14 @@ def class_reps(d: int, include_imprimitive: bool = False) -> list[QuadForm]:
     _check_disc(d)
     if d < 0:
         return _reduced_definite_forms(d, include_imprimitive)
-    forms = set(_reduced_indefinite_forms(d, include_imprimitive))
-    reps = []
-    while forms:
-        start = min(forms)
-        cyc, _ = _cycle_with_transforms(start)
-        reps.append(min(cyc))
-        forms -= set(cyc)
-    return sorted(reps)
+    # the least form not on a cycle seen so far is the least of its own cycle
+    reps: list[QuadForm] = []
+    seen: set[QuadForm] = set()
+    for start in _reduced_indefinite_forms(d, include_imprimitive):
+        if start not in seen:
+            reps.append(start)
+            seen.update(_cycle_with_transforms(start)[0])
+    return reps
 
 
 def _check_disc(d: int) -> None:
@@ -289,7 +300,7 @@ def _check_disc(d: int) -> None:
         raise ValueError("square discriminants are not supported here")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def class_number(d: int) -> int:
     """Number of primitive classes; wide class number for d > 0."""
     _check_disc(d)
@@ -305,7 +316,7 @@ def principal_form(d: int) -> QuadForm:
     return QuadForm(1, b0, (b0 * b0 - d) // 4)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def automorph_unit(d: int) -> PellUnit:
     """Minimal (t, u), t, u > 0, with t^2 - D u^2 = 4, from the principal cycle."""
     _check_disc(d)
@@ -323,7 +334,7 @@ def automorph_unit(d: int) -> PellUnit:
     return PellUnit(t=t, u=u, disc=d, norm=1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def order_unit_pm(d: int) -> PellUnit:
     """Minimal unit (x + y sqrt(d))/2 > 1 with x^2 - d y^2 = +-4 (order level).
 
@@ -359,16 +370,21 @@ def _automorph_matrix(q: QuadForm, t: int, u: int) -> Mat:
     return ((t - b * u) // 2, -c * u, a * u, (t + b * u) // 2)
 
 
-def automorphs_definite(q: QuadForm) -> list[Mat]:
-    """All SL2(Z)-automorphs of a definite form (2, 4, or 6 of them)."""
-    q0 = q.primitive_part()
-    d0 = q0.disc
+def _definite_units(d0: int) -> list[tuple[int, int]]:
+    """The (t, u) with t^2 - d0 u^2 = 4 for a discriminant d0 < 0: 6 at -3,
+    4 at -4, else 2."""
     sols = [(2, 0), (-2, 0)]
     if d0 == -4:
         sols += [(0, 1), (0, -1)]
     if d0 == -3:
         sols += [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    return [_automorph_matrix(q0, t, u) for t, u in sols]
+    return sols
+
+
+def automorphs_definite(q: QuadForm) -> list[Mat]:
+    """All SL2(Z)-automorphs of a definite form (2, 4, or 6 of them)."""
+    q0 = q.primitive_part()
+    return [_automorph_matrix(q0, t, u) for t, u in _definite_units(q0.disc)]
 
 
 def automorph_generator(q: QuadForm) -> Mat:
@@ -481,7 +497,7 @@ def _p1_act(m: Mat, pt: tuple[int, int], p: int) -> tuple[int, int]:
 
 
 def gamma0_orbits(
-    p: int, n: int, convention: str = "both-signs"
+    p: int, n: int, convention: str = "both-signs", reps: list[QuadForm] | None = None
 ) -> list[OrbitClass]:
     """Orbit decomposition of the forms of discriminant n with p | a.
 
@@ -498,13 +514,17 @@ def gamma0_orbits(
 
     convention applies to n < 0 only: "both-signs" (default, pinned by the
     seed identities) also counts negative-definite orbits, "pos-def" does not.
+    reps, when given, must be class_reps(n, include_imprimitive=True), which a
+    caller sweeping several p computes once.
     """
     _check_disc(n)
     if convention not in ("both-signs", "pos-def"):
         raise ValueError(f"unknown convention {convention!r}")
     cosets = _coset_reps(p)
     out: list[OrbitClass] = []
-    for r in class_reps(n, include_imprimitive=True):
+    if reps is None:
+        reps = class_reps(n, include_imprimitive=True)
+    for r in reps:
         auts = automorphs_definite(r) if n < 0 else [automorph_generator(r)]
         images: dict[tuple[int, int], QuadForm] = {}
         for g in cosets:
@@ -554,11 +574,31 @@ def gamma0_orbits(
 
 
 def weighted_orbit_count(p: int, n: int, convention: str = "both-signs") -> Fraction:
-    """sum over orbits of 1/|stabilizer| (projective orders)."""
-    total = Fraction(0)
-    for oc in gamma0_orbits(p, n, convention):
-        total += Fraction(1, oc.stabilizer_order)
-    return total
+    """sum over the Gamma_0(p)-orbits of discriminant n < 0 of 1/|stabilizer|
+    (projective orders), without building the orbits.
+
+    The orbits of one class representative r are the Aut(r)-orbits on its
+    admissible points, and by orbit-stabilizer an orbit of k points has
+    projective stabilizer order |Aut(r)| / (2k), so together they weigh
+    2 #{admissible points} / |Aut(r)|.  The admissible points are the zeros of
+    r on P^1(F_p): all p + 1 when p divides the content of r, else 1 + (n/p),
+    since a nonzero binary quadratic form over F_p (p odd) of discriminant n
+    has that many projective zeros.  "both-signs" doubles the sum, as the
+    negative-definite orbits mirror the positive ones; gamma0_orbits, which
+    builds the orbits, is the test oracle.
+    """
+    if n >= 0:
+        raise ValueError("weighted_orbit_count needs n < 0")
+    _check_disc(n)
+    if convention not in ("both-signs", "pos-def"):
+        raise ValueError(f"unknown convention {convention!r}")
+    zeros_if_coprime = 1 + kronecker(n, p)
+    sixths = 0  # six times the positive-definite count; 12 / |Aut(r)| is 6, 3 or 2
+    for r in class_reps(n, include_imprimitive=True):
+        f = r.content()
+        zeros = p + 1 if f % p == 0 else zeros_if_coprime
+        sixths += zeros * (12 // len(_definite_units(n // (f * f))))
+    return Fraction(2 * sixths if convention == "both-signs" else sixths, 6)
 
 
 def gamma0_stabilizer_index(p: int, q: QuadForm) -> int:

@@ -21,21 +21,29 @@ This normalization was pinned against the orbit/geodesic machinery; variant
 normalizations with sqrt(n)-weighted terms fail the sweep (see README).
 The verifier computes the t-atom through L(1, chi_t) by finite character
 sums, so the two sides share no L-value code.
+
+The class representatives, unit logarithms and h*(n) do not depend on p, so
+a sweep over several p builds them once per n (real_index) and passes them
+to each p's check; on the imaginary side a sweep passes H_{1,p}, H_{p,p}
+read from a class-number table (imaginary_trace_report).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
+from mpmath import mp, mpf
 
 from .classnumbers import generalized_hurwitz, regulator_class_sum
 from .kloosterman import local_factor_2_exact, local_factor_p_exact
 from .lvalues import chi, fundamental_decomposition, l_value_at_1, t_divisor_sum
 from .precision import hp, to_mpf
 from .quadforms import (
+    QuadForm,
     automorph_unit,
     class_number,
+    class_reps,
     gamma0_orbits,
     gamma0_stabilizer_index,
     weighted_orbit_count,
@@ -46,20 +54,10 @@ PINNED_CONVENTION = "both-signs"
 _SEED_CASES = ((3, -3), (3, -4), (5, -4))
 
 
-def _imaginary_rhs(p: int, n: int) -> Fraction:
-    a = -n
-    return Fraction(4 * (p + 1), p) * generalized_hurwitz(1, p, a) - Fraction(
-        2 * (p + 1), p - 1
-    ) * generalized_hurwitz(p, p, a)
-
-
 def pin_convention() -> str:
     """Re-run the seed cases and return the definiteness convention they pin."""
     for conv in ("both-signs", "pos-def"):
-        if all(
-            weighted_orbit_count(p, n, conv) == _imaginary_rhs(p, n)
-            for p, n in _SEED_CASES
-        ):
+        if all(verify_imaginary_trace_identity(p, n, conv).passed for p, n in _SEED_CASES):
             return conv
     raise AssertionError("no convention satisfies the seed identities")
 
@@ -71,31 +69,56 @@ def trace_imaginary(p: int, n: int, convention: str = PINNED_CONVENTION) -> Frac
     return weighted_orbit_count(p, n, convention)
 
 
-def trace_real_nonsquare(p: int, n: int):
+@dataclass(frozen=True)
+class RealIndex:
+    """What the real trace identity needs of n alone, for every p: the class
+    representatives of discriminant n (all contents), log eps_{n/f^2} per
+    content f and h*(n), at the working precision of its construction."""
+
+    reps: list[QuadForm]
+    unit_logs: dict[int, mpf]
+    regulator_sum: mpf
+
+
+def real_index(n: int) -> RealIndex:
+    """The p-independent part of the real trace identity at n > 0 nonsquare."""
+    reps = class_reps(n, include_imprimitive=True)
+    contents = {r.content() for r in reps}
+    return RealIndex(
+        reps=reps,
+        unit_logs={f: automorph_unit(n // (f * f)).log_value() for f in contents},
+        regulator_sum=regulator_class_sum(n),
+    )
+
+
+def trace_real_nonsquare(p: int, n: int, index: RealIndex | None = None):
     """Half the geodesic-length sum over Gamma_0(p)-classes, n > 0 nonsquare.
 
     Per orbit: kappa * log(automorph unit of the primitive discriminant).
+    index, when given, is real_index(n), which a sweep over p builds once.
     """
+    index = index or real_index(n)
     with hp():
         total = mp.mpf(0)
-        for oc in gamma0_orbits(p, n):
-            d0 = n // (oc.content**2)
+        for oc in gamma0_orbits(p, n, reps=index.reps):
             kappa = gamma0_stabilizer_index(p, oc.rep)
-            total += kappa * automorph_unit(d0).log_value()
+            total += kappa * index.unit_logs[oc.content]
         return +total
 
 
-def real_trace_rhs(p: int, n: int, via_l_value: bool = True):
+def real_trace_rhs(p: int, n: int, via_l_value: bool = True, index: RealIndex | None = None):
     """Closed form for the real-trace half-sum (see module docstring).
 
     via_l_value evaluates the fundamental atom as (sqrt(t)/2) L(1, chi_t)
     by finite character sums (the default, keeping the check two-sided);
     otherwise the unit logarithm and class number are used directly.
+    index, when given, supplies h*(n) (real_index(n)).
     """
     split = fundamental_decomposition(n)
     t, m = split.t, split.m
+    regulator_sum = index.regulator_sum if index else regulator_class_sum(n)
     with hp():
-        term1 = 2 * mp.pi * (p + 1) / p * regulator_class_sum(n)
+        term1 = 2 * mp.pi * (p + 1) / p * regulator_sum
         rational = (
             4
             * p
@@ -119,18 +142,32 @@ def verify_imaginary_trace_identity(
     p: int, n: int, convention: str = PINNED_CONVENTION
 ) -> VerificationReport:
     """Exact rational comparison of the weighted orbit count with the
-    H_{1,p}/H_{p,p} combination.  The report names the convention only when
-    it is not the pinned one."""
+    H_{1,p}/H_{p,p} combination."""
+    return imaginary_trace_report(
+        p, n, convention, generalized_hurwitz(1, p, -n), generalized_hurwitz(p, p, -n)
+    )
+
+
+def imaginary_trace_report(
+    p: int, n: int, convention: str, h1p: Fraction, hpp: Fraction
+) -> VerificationReport:
+    """The check of verify_imaginary_trace_identity on given values
+    h1p = H_{1,p}(-n), hpp = H_{p,p}(-n).  The report names the convention
+    only when it is not the pinned one."""
     lhs = trace_imaginary(p, n, convention)
-    rhs = _imaginary_rhs(p, n)
+    rhs = Fraction(4 * (p + 1), p) * h1p - Fraction(2 * (p + 1), p - 1) * hpp
     params = {"p": p, "n": n}
     if convention != PINNED_CONVENTION:
         params["convention"] = convention
     return exact_report("imaginary-trace", params, lhs, rhs)
 
 
-def verify_real_trace_identity(p: int, n: int) -> VerificationReport:
-    """Geodesic-length sum against the closed form, relative 1e-9."""
-    lhs = trace_real_nonsquare(p, n)
-    rhs = real_trace_rhs(p, n)
+def verify_real_trace_identity(
+    p: int, n: int, index: RealIndex | None = None
+) -> VerificationReport:
+    """Geodesic-length sum against the closed form, relative 1e-9; index as
+    in trace_real_nonsquare."""
+    index = index or real_index(n)
+    lhs = trace_real_nonsquare(p, n, index)
+    rhs = real_trace_rhs(p, n, index=index)
     return numeric_report("real-trace", {"p": p, "n": n}, lhs, rhs, "1e-9")

@@ -39,18 +39,12 @@ def _worst(reports, field="rel_err"):
 
 
 def test_criterion_01_dual_algorithm_class_numbers():
-    from quadtrace.classnumbers import (
-        hurwitz_class_number_forms,
-        hurwitz_class_number_lseries,
-    )
+    from quadtrace.classnumbers import hurwitz_forms_table, hurwitz_level_table
 
     t0 = time.time()
-    bad = [
-        n
-        for n in range(0, 2001)
-        if n % 4 in (0, 3)
-        and hurwitz_class_number_forms(n) != hurwitz_class_number_lseries(n)
-    ]
+    forms = hurwitz_forms_table(2000)
+    lseries = hurwitz_level_table(2000, [(1, 1)])[1, 1]
+    bad = [n for n in range(0, 2001) if n % 4 in (0, 3) and forms[n] != lseries[n]]
     elapsed = time.time() - t0
     _report(
         1,

@@ -11,6 +11,8 @@ from quadtrace.classnumbers import (
     generalized_hurwitz,
     hurwitz_class_number_forms,
     hurwitz_class_number_lseries,
+    hurwitz_forms_table,
+    hurwitz_level_table,
     linear_relation_report,
     regulator_class_sum,
     verify_linear_relation,
@@ -44,6 +46,29 @@ def test_twelve_h_integral():
     for n in range(0, 2001):
         v = 12 * hurwitz_class_number_forms(n)
         assert v.denominator == 1
+
+
+def test_tables_match_single_n_functions():
+    n_max, primes = 2000, (3, 5, 7, 11, 13)
+    forms = hurwitz_forms_table(n_max)
+    levels = [(1, 1)] + [level for p in primes for level in ((1, p), (p, p))]
+    rows = hurwitz_level_table(n_max, levels)
+    assert len(forms) == n_max + 1 and all(len(row) == n_max + 1 for row in rows.values())
+    for n in range(n_max + 1):
+        assert forms[n] == hurwitz_class_number_forms(n), n
+        assert rows[1, 1][n] == hurwitz_class_number_lseries(n), n
+        for p in primes:
+            assert rows[1, p][n] == generalized_hurwitz(1, p, n), (p, n)
+            assert rows[p, p][n] == generalized_hurwitz(p, p, n), (p, n)
+
+
+def test_tables_at_zero_and_on_bad_input():
+    assert hurwitz_forms_table(0) == [Fraction(-1, 12)]
+    assert hurwitz_level_table(0, [(3, 3)]) == {(3, 3): [Fraction(1, 6)]}
+    with pytest.raises(ValueError):
+        hurwitz_forms_table(-1)
+    with pytest.raises(ValueError):
+        hurwitz_level_table(10, [(2, 6)])
 
 
 def test_generalized_values():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -26,6 +27,7 @@ from quadtrace.quadforms import (
     mat_mul,
     order_unit_pm,
     reduce_definite,
+    weighted_orbit_count,
 )
 
 T_MAT = (1, 1, 0, 1)
@@ -235,13 +237,27 @@ def test_orbit_partition_complete_and_disjoint():
 
 
 def test_orbits_definiteness_convention():
-    from fractions import Fraction
-
-    from quadtrace.quadforms import weighted_orbit_count
-
     assert weighted_orbit_count(3, -3, "both-signs") == Fraction(2, 3)
     assert weighted_orbit_count(3, -3, "pos-def") == Fraction(1, 3)
     assert weighted_orbit_count(3, -4) == 0  # empty: -4 is a nonresidue mod 3
+    with pytest.raises(ValueError):
+        weighted_orbit_count(3, 5)
+
+
+def test_weighted_count_matches_built_orbits():
+    """The orbit-stabilizer count against sum 1/|stabilizer| over the orbits
+    gamma0_orbits builds, both conventions."""
+    cases = 0
+    for p in (3, 5, 7, 11, 13):
+        for n in range(-1000, 0):
+            if n % 4 not in (0, 1):
+                continue
+            for convention in ("both-signs", "pos-def"):
+                orbits = gamma0_orbits(p, n, convention)
+                expected = sum((Fraction(1, oc.stabilizer_order) for oc in orbits), Fraction(0))
+                assert weighted_orbit_count(p, n, convention) == expected, (p, n, convention)
+                cases += 1
+    assert cases == 5000
 
 
 def pairwise_orbits(p, n):

@@ -41,8 +41,8 @@ def test_trace_denominators_divide_six():
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(
-    st.sampled_from([p for p in range(3, 60) if is_prime(p)]),
-    st.integers(min_value=-5000, max_value=-3).filter(lambda n: n % 4 in (0, 1)),
+    st.sampled_from([p for p in range(3, 200) if is_prime(p)]),
+    st.integers(min_value=-50000, max_value=-3).filter(lambda n: n % 4 in (0, 1)),
 )
 def test_imaginary_identity_property(p, n):
     assert verify_imaginary_trace_identity(p, n).passed
@@ -60,15 +60,21 @@ def test_imaginary_report_names_only_an_unpinned_convention():
 def test_imaginary_invariant_under_rep_permutation(monkeypatch):
     import quadtrace.quadforms as qf
 
-    base = {(p, n): trace_imaginary(p, n) for p, n in ((3, -20), (5, -24), (7, -47))}
+    # -27 and -100 have classes of different weights (content p, extra automorphs)
+    cases = ((3, -20), (5, -24), (7, -47), (3, -27), (5, -100))
+    base = {(p, n): trace_imaginary(p, n) for p, n in cases}
     orig = qf.class_reps
+    calls = []
 
     def reversed_reps(d, include_imprimitive=False):
+        calls.append(d)
         return list(reversed(orig(d, include_imprimitive)))
 
     monkeypatch.setattr(qf, "class_reps", reversed_reps)
     for (p, n), expected in base.items():
         assert trace_imaginary(p, n) == expected
+    # the trace went through the permuted representatives
+    assert calls == [n for _, n in base]
 
 
 def test_real_trace_empty_sets():
