@@ -35,7 +35,6 @@ from .kloosterman import (
 from .lvalues import (
     chi,
     fundamental_decomposition,
-    l_incomplete,
     l_value_at_0,
     l_value_at_1,
 )
@@ -47,7 +46,6 @@ from .quadforms import (
     class_reps,
     fundamental_unit,
     gamma0_equivalent,
-    gamma0_orbits,
     geodesic_integral,
     reduce_definite,
 )

@@ -40,7 +40,6 @@ from .lvalues import (
     DiscSplit,
     chi,
     fundamental_decomposition,
-    l_incomplete,
     l_value_at_0,
     sigma_constrained,
 )
@@ -109,8 +108,12 @@ def _check_level(ell: int, big_n: int) -> None:
 
 
 def _level_at_0(ell: int, big_n: int) -> Fraction:
-    """H_{ell,N}(0): L_N(-1, id) for ell = N, else 0."""
-    return l_incomplete(big_n, -1, 1).exact if ell == big_n else Fraction(0)
+    """H_{ell,N}(0): L_N(-1, id) = zeta(-1) prod_{q | N} (1 - q) for ell = N,
+    else 0."""
+    out = Fraction(-1, 12) if ell == big_n else Fraction(0)
+    for q, _ in factorize(big_n):
+        out *= 1 - q
+    return out
 
 
 def _local_factor(ell: int, big_n: int, chis: tuple[int, ...]) -> Fraction:
@@ -227,6 +230,13 @@ def linear_relation_report(
 ) -> VerificationReport:
     """The linear relation of verify_linear_relation on given values
     h = H(n), h1p = H_{1,p}(n), hpp = H_{p,p}(n)."""
-    lhs = hpp / (1 - p)
-    rhs = h - Fraction(p + 1, p) * h1p
+    lhs, rhs = _linear_relation_sides(p, h, h1p, hpp)
     return exact_report("hurwitz-linear-relation", {"p": p, "n": n}, lhs, rhs)
+
+
+def _linear_relation_sides(
+    p: int, h: Fraction, h1p: Fraction, hpp: Fraction
+) -> tuple[Fraction, Fraction]:
+    """The two sides H_{p,p}(n)/(1-p) and H(n) - (p+1)/p * H_{1,p}(n) of the
+    linear relation, from h = H(n), h1p = H_{1,p}(n), hpp = H_{p,p}(n)."""
+    return hpp / (1 - p), h - Fraction(p + 1, p) * h1p

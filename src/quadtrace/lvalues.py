@@ -2,7 +2,6 @@
 
 Exact values:
     L(0, chi_t) = (1/(2 - chi_t(2))) * sum_{0 < a < |t|/2} chi_t(a)  (t < 0 fundamental)
-    L_N(-1, id) = zeta(-1) * prod_{p|N} (1 - p) = (-1/12) prod (1 - p)
 
 chi_t is the product of the characters of the prime discriminants dividing
 t: a Legendre table (a/q) per odd prime q | t times chi_{-4}, chi_8 or
@@ -74,14 +73,6 @@ class DiscSplit:
     t: int
     m: int
     n: int
-
-
-@dataclass
-class LValue:
-    exact: Fraction | None
-    numeric: mpf
-    s: object
-    modulus: int  # |t| of the character, 1 for the principal character
 
 
 def is_fundamental_discriminant(t: int) -> bool:
@@ -347,60 +338,6 @@ def t_divisor_sum(big_n: int, s, t: int, n: int):
         for mu, d in terms:
             total += mu * mp.power(d, s - 1) * sigma_constrained(big_n, big_n, 2 * s - 1, n // d)
         return +total
-
-
-def l_incomplete(big_n: int, s, t: int) -> LValue:
-    """L_N(s, chi_t) = L(s, chi_t) * prod_{p | N} (1 - chi_t(p) p^{-s}).
-
-    Exact paths: (t = 1, s in {-1, 0}) and (t < 0 fundamental, s = 0).
-    Everything else is evaluated numerically (s = 1 via the finite character
-    sums, other real s via Hurwitz zeta); s must avoid the pole at
-    (t = 1, s = 1).
-    """
-    if big_n < 1:
-        raise ValueError("N must be positive")
-    ps = [p for p, _ in factorize(big_n)] if big_n > 1 else []
-    if t == 1:
-        if s == -1:
-            exact = Fraction(-1, 12)
-            for p in ps:
-                exact *= 1 - Fraction(p)
-            with hp():
-                num = +to_mpf(exact)
-            return LValue(exact=exact, numeric=num, s=s, modulus=1)
-        if s == 0:
-            exact = Fraction(-1, 2)
-            for p in ps:
-                exact *= 0  # 1 - p^0
-            with hp():
-                num = +to_mpf(exact)
-            return LValue(exact=exact, numeric=num, s=s, modulus=1)
-        with hp():
-            sv = mp.mpf(s)
-            if sv == 1:
-                raise ValueError("pole: L_N(1, id)")
-            val = mp.zeta(sv)
-            for p in ps:
-                val *= 1 - mp.power(p, -sv)
-            return LValue(exact=None, numeric=+val, s=s, modulus=1)
-    if not is_fundamental_discriminant(t):
-        raise ValueError(f"{t} is not a fundamental discriminant")
-    if s == 0:
-        if t > 0:
-            # even character: L(0, chi_t) = 0, exact
-            return LValue(exact=Fraction(0), numeric=mpf(0), s=s, modulus=abs(t))
-        exact = l_value_at_0(t)
-        for p in ps:
-            exact *= 1 - Fraction(chi(t, p))
-        with hp():
-            num = +to_mpf(exact)
-        return LValue(exact=exact, numeric=num, s=s, modulus=abs(t))
-    with hp():
-        base = l_value_at_1(t) if s == 1 else dirichlet_l(s, t)
-        sv = mp.mpf(s)
-        for p in ps:
-            base *= 1 - chi(t, p) * mp.power(p, -sv)
-        return LValue(exact=None, numeric=+base, s=s, modulus=abs(t))
 
 
 def moebius_char_squared_sum(big_n: int, a: int) -> int:

@@ -5,27 +5,30 @@ SL2(Z)-action (Q.g)(x, y) = Q(alpha x + beta y, gamma x + delta y).  The
 module provides Gauss reduction (definite and indefinite, with transform
 tracking), class representatives and class numbers for arbitrary
 discriminants, fundamental/automorph units from reduction cycles rather
-than brute-force Pell searches, Gamma_0(p)-orbit enumeration with projective
-stabilizer orders, and the numerical closed-geodesic integral.
+than brute-force Pell searches, Gamma_0(p)-orbit counts, and the numerical
+closed-geodesic integral.
 
-Gamma_0(p)-orbits come from a group action rather than pairwise tests.  The
-cosets g Gamma_0(p) of SL2(Z) are the points of P^1(F_p), through the first
-column of g, and SL2(Z) acts on them from the left.  For a class
-representative r, the form r.g has p | a iff r vanishes mod p at the point of
-g, and r.g1, r.g2 are Gamma_0(p)-equivalent iff some automorph of r carries
-the point of g2 to the point of g1 (gamma = g1^-1 A g2 lies in Gamma_0(p)
-exactly then).  So the orbits of one class are the orbits of Aut(r) on its
-admissible points: the 2, 4 or 6 definite automorphs for n < 0, the group
-+-<automorph_generator(r)> reduced mod p for n > 0.  gamma0_equivalent decides
-the same relation for two arbitrary forms through SL2(Z)-reduction and stays
-as the independent oracle.
+Gamma_0(p)-orbits are counted, never built.  The cosets g Gamma_0(p) of
+SL2(Z) are the points of P^1(F_p), through the first column of g, and SL2(Z)
+acts on them from the left.  For a class representative r, the form r.g has
+p | a iff r vanishes mod p at the point of g, and r.g1, r.g2 are
+Gamma_0(p)-equivalent iff some automorph of r carries the point of g2 to the
+point of g1 (gamma = g1^-1 A g2 lies in Gamma_0(p) exactly then).  So the
+orbits of one class are the Aut(r)-orbits on the zeros of r on P^1(F_p),
+p + 1 of them when p divides the content of r and 1 + (n/p) otherwise
+(p1_zero_count), and both traces need only that number:
 
-The imaginary trace needs only the weights sum 1/|stabilizer|, and those
-follow from orbit-stabilizer without building an orbit: an Aut(r)-orbit of k
-points has projective stabilizer order |Aut(r)| / (2k), so the orbits of r
-weigh 2 #{admissible points} / |Aut(r)| together, and the admissible points
-are the zeros of r on P^1(F_p), p + 1 of them when p divides the content of
-r and 1 + (n/p) otherwise (weighted_orbit_count).
+  * n < 0: Aut(r) has 2, 4 or 6 elements, and an orbit of k zeros has
+    projective stabilizer order |Aut(r)| / (2k), so the orbits of r weigh
+    2 #{zeros} / |Aut(r)| together (weighted_orbit_count);
+  * n > 0: Aut(r) is +-<M>, M = automorph_generator(r), and the
+    stabilizer index kappa of an orbit is the least k with M^k fixing one of
+    its zeros, which is the orbit's length, so the kappas of r sum to
+    #{zeros}.
+
+gamma0_equivalent decides the same relation for two arbitrary forms through
+SL2(Z)-reduction and stays as the independent oracle: the tests group forms
+with it to build the orbits this module only counts.
 
 Class numbers and units are cached per discriminant, the 1024 most recently
 used of each.
@@ -42,7 +45,7 @@ Conventions pinned by the seed-identity runs (see README):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -124,16 +127,6 @@ class PellUnit:
     def value(self):
         with hp():
             return +((self.t + self.u * mp.sqrt(self.disc)) / 2)
-
-
-@dataclass
-class OrbitClass:
-    rep: QuadForm
-    stabilizer_order: int
-    infinite_stabilizer: bool
-    orbit_id: int
-    content: int = 1
-    members: list[QuadForm] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +389,7 @@ def automorph_generator(q: QuadForm) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# Gamma_0(p) equivalence and orbits
+# Gamma_0(p) equivalence and orbit counts
 
 
 def _sl2_transform(q1: QuadForm, q2: QuadForm) -> Mat | None:
@@ -474,149 +467,32 @@ def gamma0_equivalent(p: int, q1: QuadForm, q2: QuadForm) -> bool:
     return False
 
 
-def _coset_reps(p: int) -> list[Mat]:
-    """Representatives of SL2(Z)/Gamma_0(p): lower-triangular L^k and S."""
-    reps: list[Mat] = [(1, 0, k, 1) for k in range(p)]
-    reps.append(S_MAT)
-    return reps
-
-
-def _p1_point(x: int, y: int, p: int) -> tuple[int, int]:
-    """The point [x : y] of P^1(F_p) as (1, y/x) or (0, 1)."""
-    x, y = x % p, y % p
-    if x:
-        return (1, y * pow(x, -1, p) % p)
-    return (0, 1)
-
-
-def _p1_act(m: Mat, pt: tuple[int, int], p: int) -> tuple[int, int]:
-    """Left action of m on a point of P^1(F_p) through column vectors."""
-    al, be, ga, de = m
-    x, y = pt
-    return _p1_point(al * x + be * y, ga * x + de * y, p)
-
-
-def gamma0_orbits(
-    p: int, n: int, convention: str = "both-signs", reps: list[QuadForm] | None = None
-) -> list[OrbitClass]:
-    """Orbit decomposition of the forms of discriminant n with p | a.
-
-    Every such form is r.g for a class representative r and a coset
-    g Gamma_0(p), i.e. a point [alpha : gamma] of P^1(F_p), admissible when
-    r(alpha, gamma) = 0 mod p.  r.g1 and r.g2 are Gamma_0(p)-equivalent iff
-    A g2 Gamma_0(p) = g1 Gamma_0(p) for some automorph A of r, so the orbits
-    of one class are the Aut(r)-orbits on its admissible points; forms of
-    different classes are never equivalent.  Classes are visited in class_reps
-    order and points in _coset_reps order, so orbit_id numbers the orbits by
-    their first member, as a pairwise gamma0_equivalent grouping of the same
-    candidates would.  For n < 0 the stabilizer order is |Aut(r)| / (2 |orbit|)
-    by orbit-stabilizer (projective, the -1 of Aut(r) fixes every point).
-
-    convention applies to n < 0 only: "both-signs" (default, pinned by the
-    seed identities) also counts negative-definite orbits, "pos-def" does not.
-    reps, when given, must be class_reps(n, include_imprimitive=True), which a
-    caller sweeping several p computes once.
-    """
-    _check_disc(n)
-    if convention not in ("both-signs", "pos-def"):
-        raise ValueError(f"unknown convention {convention!r}")
-    cosets = _coset_reps(p)
-    out: list[OrbitClass] = []
-    if reps is None:
-        reps = class_reps(n, include_imprimitive=True)
-    for r in reps:
-        auts = automorphs_definite(r) if n < 0 else [automorph_generator(r)]
-        images: dict[tuple[int, int], QuadForm] = {}
-        for g in cosets:
-            img = r.apply(g)
-            if img.a % p == 0:
-                images[_p1_point(g[0], g[2], p)] = img
-        seen: set[tuple[int, int]] = set()
-        for start in images:
-            if start in seen:
-                continue
-            orbit = [start]
-            seen.add(start)
-            for pt in orbit:  # grows while iterating: closure under auts
-                for a in auts:
-                    img_pt = _p1_act(a, pt, p)
-                    if img_pt not in seen:
-                        seen.add(img_pt)
-                        orbit.append(img_pt)
-            members = sorted({images[pt] for pt in orbit})
-            rep = members[0]
-            out.append(
-                OrbitClass(
-                    rep=rep,
-                    stabilizer_order=len(auts) // (2 * len(orbit)) if n < 0 else 1,
-                    infinite_stabilizer=n > 0,
-                    orbit_id=len(out),
-                    content=rep.content(),
-                    members=members,
-                )
-            )
-    if n < 0 and convention == "both-signs":
-        mirrored = []
-        base = len(out)
-        for oc in out:
-            mirrored.append(
-                OrbitClass(
-                    rep=oc.rep.neg(),
-                    stabilizer_order=oc.stabilizer_order,
-                    infinite_stabilizer=False,
-                    orbit_id=base + oc.orbit_id,
-                    content=oc.content,
-                    members=[q.neg() for q in oc.members],
-                )
-            )
-        out.extend(mirrored)
-    return out
+def p1_zero_count(p: int, r: QuadForm) -> int:
+    """Number of zeros of r on P^1(F_p), p an odd prime: all p + 1 points
+    when p divides the content of r, else 1 + (D/p), D = r.disc, as a nonzero
+    binary quadratic form over F_p of discriminant D has that many."""
+    return p + 1 if r.content() % p == 0 else 1 + kronecker(r.disc, p)
 
 
 def weighted_orbit_count(p: int, n: int, convention: str = "both-signs") -> Fraction:
     """sum over the Gamma_0(p)-orbits of discriminant n < 0 of 1/|stabilizer|
     (projective orders), without building the orbits.
 
-    The orbits of one class representative r are the Aut(r)-orbits on its
-    admissible points, and by orbit-stabilizer an orbit of k points has
-    projective stabilizer order |Aut(r)| / (2k), so together they weigh
-    2 #{admissible points} / |Aut(r)|.  The admissible points are the zeros of
-    r on P^1(F_p): all p + 1 when p divides the content of r, else 1 + (n/p),
-    since a nonzero binary quadratic form over F_p (p odd) of discriminant n
-    has that many projective zeros.  "both-signs" doubles the sum, as the
-    negative-definite orbits mirror the positive ones; gamma0_orbits, which
-    builds the orbits, is the test oracle.
+    By orbit-stabilizer an orbit of k zeros of the class representative r has
+    projective stabilizer order |Aut(r)| / (2k), so the orbits of r weigh
+    2 p1_zero_count(p, r) / |Aut(r)| together.  "both-signs" doubles the sum,
+    as the negative-definite orbits mirror the positive ones.
     """
     if n >= 0:
         raise ValueError("weighted_orbit_count needs n < 0")
     _check_disc(n)
     if convention not in ("both-signs", "pos-def"):
         raise ValueError(f"unknown convention {convention!r}")
-    zeros_if_coprime = 1 + kronecker(n, p)
     sixths = 0  # six times the positive-definite count; 12 / |Aut(r)| is 6, 3 or 2
     for r in class_reps(n, include_imprimitive=True):
         f = r.content()
-        zeros = p + 1 if f % p == 0 else zeros_if_coprime
-        sixths += zeros * (12 // len(_definite_units(n // (f * f))))
+        sixths += p1_zero_count(p, r) * (12 // len(_definite_units(n // (f * f))))
     return Fraction(2 * sixths if convention == "both-signs" else sixths, 6)
-
-
-def gamma0_stabilizer_index(p: int, q: QuadForm) -> int:
-    """Index of the Gamma_0(p)-stabilizer inside the full automorph group.
-
-    For an indefinite form q with p | a the index is the least k >= 1 such
-    that M^k has lower-left entry divisible by p, M the automorph generator.
-    It is 1 whenever p divides the leading coefficient of the primitive part
-    (in particular whenever p does not divide the content), and can reach
-    p + 1 for forms whose content absorbs the divisibility by p.
-    """
-    m = automorph_generator(q)
-    x = m
-    for k in range(1, 4 * p * (p + 1)):
-        if x[2] % p == 0:
-            return k
-        x = mat_mul(x, m)
-    raise AssertionError("stabilizer index exceeded the group-order bound")
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ Real side (n > 0 nonsquare): each Gamma_0(p)-orbit contributes
 kappa * 2 log(eps) to the geodesic-length sum, where eps is the automorph
 unit of the primitive discriminant n/f^2 (f the content of the orbit) and
 kappa is the index of the Gamma_0(p)-stabilizer in the full automorph
-group (kappa = 1 unless p divides the content).  Writing n = t m^2 the
-half-sum evaluates in closed form as
+group.  The kappas of the orbits of one class representative r sum to the
+number of zeros of r on P^1(F_p) (quadforms.p1_zero_count), so the trace is
+a sum over class representatives and no orbit is built.  Writing n = t m^2
+the half-sum evaluates in closed form as
 
     2 pi (p+1)/p * h*(n)
       + 4 p m (1 - chi_t(2)/2)(1 - chi_t(p)/p) T^{chi_t}_{4p,0}(m)
@@ -42,10 +44,8 @@ from .precision import hp, to_mpf
 from .quadforms import (
     QuadForm,
     automorph_unit,
-    class_number,
     class_reps,
-    gamma0_orbits,
-    gamma0_stabilizer_index,
+    p1_zero_count,
     weighted_orbit_count,
 )
 from .report import VerificationReport, exact_report, numeric_report
@@ -94,25 +94,25 @@ def real_index(n: int) -> RealIndex:
 def trace_real_nonsquare(p: int, n: int, index: RealIndex | None = None):
     """Half the geodesic-length sum over Gamma_0(p)-classes, n > 0 nonsquare.
 
-    Per orbit: kappa * log(automorph unit of the primitive discriminant).
-    index, when given, is real_index(n), which a sweep over p builds once.
+    Per class representative r: p1_zero_count(p, r), the sum of the kappas
+    of its Gamma_0(p)-orbits, times log(automorph unit of the primitive
+    discriminant).  index, when given, is real_index(n), which a sweep over
+    p builds once.
     """
     index = index or real_index(n)
     with hp():
         total = mp.mpf(0)
-        for oc in gamma0_orbits(p, n, reps=index.reps):
-            kappa = gamma0_stabilizer_index(p, oc.rep)
-            total += kappa * index.unit_logs[oc.content]
+        for r in index.reps:
+            total += p1_zero_count(p, r) * index.unit_logs[r.content()]
         return +total
 
 
-def real_trace_rhs(p: int, n: int, via_l_value: bool = True, index: RealIndex | None = None):
+def real_trace_rhs(p: int, n: int, index: RealIndex | None = None):
     """Closed form for the real-trace half-sum (see module docstring).
 
-    via_l_value evaluates the fundamental atom as (sqrt(t)/2) L(1, chi_t)
-    by finite character sums (the default, keeping the check two-sided);
-    otherwise the unit logarithm and class number are used directly.
-    index, when given, supplies h*(n) (real_index(n)).
+    The fundamental atom log(eps_t) h(t) is evaluated as
+    (sqrt(t)/2) L(1, chi_t) by finite character sums, which keeps the check
+    two-sided.  index, when given, supplies h*(n) (real_index(n)).
     """
     split = fundamental_decomposition(n)
     t, m = split.t, split.m
@@ -129,12 +129,7 @@ def real_trace_rhs(p: int, n: int, via_l_value: bool = True, index: RealIndex | 
             * local_factor_2_exact(n)
             * local_factor_p_exact(p, n)
         )
-        if via_l_value:
-            atom = mp.sqrt(t) / 2 * l_value_at_1(t)
-        else:
-            from .quadforms import fundamental_unit
-
-            atom = fundamental_unit(t).log_value() * class_number(t)
+        atom = mp.sqrt(t) / 2 * l_value_at_1(t)
         return +(term1 + to_mpf(rational) * atom)
 
 

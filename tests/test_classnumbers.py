@@ -73,6 +73,8 @@ def test_tables_at_zero_and_on_bad_input():
 
 def test_generalized_values():
     assert generalized_hurwitz(3, 3, 0) == Fraction(1, 6)
+    assert generalized_hurwitz(15, 15, 0) == Fraction(-2, 3)  # -(1 - 3)(1 - 5)/12
+    assert generalized_hurwitz(3, 15, 0) == 0
     assert generalized_hurwitz(1, 3, 3) == Fraction(3, 8)
     assert generalized_hurwitz(3, 3, 3) == Fraction(1, 3)
     assert generalized_hurwitz(1, 3, 0) == 0

@@ -213,7 +213,9 @@ DRIFT_ARGV = (
     "verify special",
     "verify kloosterman --p 3 5 --cutoff 2000",
     "verify modularity",
+    "verify imaginary --p 3 5 7 --n-max 1000",
     "verify real --p 3 5 7 --n-max 600",
+    "verify real --p 7 11 13 --n-max 600",
 )
 
 

@@ -17,7 +17,6 @@ from quadtrace.lvalues import (
     dirichlet_l,
     fundamental_decomposition,
     is_fundamental_discriminant,
-    l_incomplete,
     l_value_at_0,
     l_value_at_1,
     moebius_char_squared_sum,
@@ -182,19 +181,6 @@ def test_dirichlet_l_series_oracle():
     for t in (-4, 5, -3):
         direct = mp.fsum(chi(t, k) / mp.mpf(k) ** 2 for k in range(1, 4000))
         assert abs(dirichlet_l(2, t) - direct) < mp.mpf("1e-6")
-
-
-def test_l_incomplete_values():
-    v = l_incomplete(3, -1, 1)
-    assert v.exact == Fraction(1, 6)
-    v = l_incomplete(12, 2, 1)
-    mp.dps = 25
-    expected = zeta(2) * (1 - mp.mpf(1) / 4) * (1 - mp.mpf(1) / 9)
-    assert abs(v.numeric - expected) < mp.mpf("1e-20")
-    v = l_incomplete(1, 0, -4)
-    assert v.exact == l_value_at_0(-4)
-    with pytest.raises(ValueError):
-        l_incomplete(3, 1, 1)
 
 
 def test_zeta_tools():

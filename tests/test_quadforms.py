@@ -1,4 +1,4 @@
-"""Quadratic forms: reduction, classes, units, orbits, geodesics."""
+"""Quadratic forms: reduction, classes, units, orbit counts, geodesics."""
 
 import math
 import random
@@ -11,7 +11,6 @@ from quadtrace.quadforms import (
     IDENTITY,
     QuadForm,
     S_MAT,
-    _coset_reps,
     _sl2_transform,
     automorph_generator,
     automorph_unit,
@@ -20,12 +19,11 @@ from quadtrace.quadforms import (
     class_reps,
     fundamental_unit,
     gamma0_equivalent,
-    gamma0_orbits,
-    gamma0_stabilizer_index,
     geodesic_integral,
     mat_inv,
     mat_mul,
     order_unit_pm,
+    p1_zero_count,
     reduce_definite,
     weighted_orbit_count,
 )
@@ -179,12 +177,6 @@ def test_gamma0_equivalent_split_pair():
     assert not gamma0_equivalent(3, q1, q2)
 
 
-def test_infinite_stabilizer_flagged():
-    orbs = gamma0_orbits(5, 5)
-    assert orbs and all(oc.infinite_stabilizer for oc in orbs)
-    assert all(oc.stabilizer_order == 1 for oc in orbs)
-
-
 def test_gamma0_equivalence_relation_properties():
     p = 3
     forms = []
@@ -211,18 +203,17 @@ def test_gamma0_equivalence_relation_properties():
 def test_gamma0_equivalent_witnessed():
     # every positive answer is certified by an explicit group element
     for p, n in ((3, -20), (3, 40), (5, -4), (5, 24)):
-        orbits = gamma0_orbits(p, n)
-        for oc in orbits:
-            for member in oc.members:
-                w = gamma0_witness(p, oc.rep, member)
+        for rep, members in signed_orbits(p, n):
+            for member in members:
+                w = gamma0_witness(p, rep, member)
                 assert w is not None
-                assert w[2] % p == 0 and oc.rep.apply(w) == member
+                assert w[2] % p == 0 and rep.apply(w) == member
 
 
 def test_orbit_partition_complete_and_disjoint():
     """Brute-enumerated forms land in exactly one orbit, via witnesses."""
     for p, n in ((3, -3), (3, -12), (5, -4), (3, 24), (3, 13), (5, 24), (7, -20)):
-        reps = [oc.rep for oc in gamma0_orbits(p, n)]
+        reps = [rep for rep, _ in signed_orbits(p, n)]
         bound = 40
         for a in range(-bound, bound + 1):
             if a == 0 or a % p:
@@ -244,39 +235,26 @@ def test_orbits_definiteness_convention():
         weighted_orbit_count(3, 5)
 
 
-def test_weighted_count_matches_built_orbits():
-    """The orbit-stabilizer count against sum 1/|stabilizer| over the orbits
-    gamma0_orbits builds, both conventions."""
-    cases = 0
-    for p in (3, 5, 7, 11, 13):
-        for n in range(-1000, 0):
-            if n % 4 not in (0, 1):
-                continue
-            for convention in ("both-signs", "pos-def"):
-                orbits = gamma0_orbits(p, n, convention)
-                expected = sum((Fraction(1, oc.stabilizer_order) for oc in orbits), Fraction(0))
-                assert weighted_orbit_count(p, n, convention) == expected, (p, n, convention)
-                cases += 1
-    assert cases == 5000
-
-
 def pairwise_orbits(p, n):
     """(rep, stabilizer order, members) per orbit, grouping the coset images
-    of every class by pairwise gamma0_equivalent tests, first member first."""
-    candidates = []
-    for r in class_reps(n, include_imprimitive=True):
-        for g in _coset_reps(p):
-            img = r.apply(g)
-            if img.a % p == 0:
-                candidates.append(img)
+    of each class by pairwise gamma0_equivalent tests, first member first;
+    positive-definite forms only for n < 0.  Images of different classes are
+    never compared: Gamma_0(p) lies in SL2(Z)."""
+    cosets = [(1, 0, k, 1) for k in range(p)] + [S_MAT]  # SL2(Z)/Gamma_0(p)
     orbits = []
-    for q in candidates:
-        for orbit in orbits:
-            if gamma0_equivalent(p, orbit[0], q):
-                orbit.append(q)
-                break
-        else:
-            orbits.append([q])
+    for r in class_reps(n, include_imprimitive=True):
+        class_orbits = []
+        for g in cosets:
+            q = r.apply(g)
+            if q.a % p:
+                continue
+            for orbit in class_orbits:
+                if gamma0_equivalent(p, orbit[0], q):
+                    orbit.append(q)
+                    break
+            else:
+                class_orbits.append([q])
+        orbits += class_orbits
     out = []
     for orbit in orbits:
         rep = min(orbit)
@@ -287,60 +265,95 @@ def pairwise_orbits(p, n):
     return out
 
 
-def test_gamma0_orbits_match_pairwise_grouping():
+def signed_orbits(p, n):
+    """(rep, members) per orbit of pairwise_orbits and, for n < 0, of its
+    negative-definite mirror (the both-signs convention)."""
+    orbits = [(rep, members) for rep, _, members in pairwise_orbits(p, n)]
+    if n < 0:
+        orbits += [(rep.neg(), [q.neg() for q in members]) for rep, members in orbits]
+    return orbits
+
+
+def stabilizer_index(p, q):
+    """kappa of an indefinite form q with p | a: the least k >= 1 such that
+    M^k, M the automorph generator of q, has lower-left entry divisible by p,
+    i.e. the index of the Gamma_0(p)-stabilizer of q in its automorph group."""
+    m = automorph_generator(q)
+    x = m
+    for k in range(1, 4 * p * (p + 1)):
+        if x[2] % p == 0:
+            return k
+        x = mat_mul(x, m)
+    raise AssertionError("stabilizer index exceeded the group-order bound")
+
+
+def test_weighted_count_matches_built_orbits():
+    """The orbit-stabilizer count against sum 1/|stabilizer| over the orbits
+    that pairwise_orbits builds, both conventions: the negative-definite
+    orbits mirror the positive ones."""
+    cases = 0
+    for p in (3, 5, 7, 11, 13):
+        for n in range(-1000, 0):
+            if n % 4 not in (0, 1):
+                continue
+            pos_def = sum((Fraction(1, stab) for _, stab, _ in pairwise_orbits(p, n)), Fraction(0))
+            assert weighted_orbit_count(p, n, "pos-def") == pos_def, (p, n)
+            assert weighted_orbit_count(p, n, "both-signs") == 2 * pos_def, (p, n)
+            cases += 1
+    assert cases == 2500
+
+
+def test_kappa_sums_match_zero_count():
+    """Per content f, the kappas of the built orbits of discriminant n > 0
+    sum to the zero counts of the class representatives of content f, which
+    is what the real trace weights log eps_{n/f^2} by."""
+    discs = [n for n in range(1, 501) if n % 4 in (0, 1) and math.isqrt(n) ** 2 != n]
+    # the sweep reaches imprimitive classes whose content carries p
+    assert {45, 72, 125, 200, 245} <= set(discs)
+    level_content = 0
+    for p in (3, 5, 7, 11, 13):
+        for n in discs:
+            kappas, zeros = {}, {}
+            for rep, _, _ in pairwise_orbits(p, n):
+                f = rep.content()
+                kappas[f] = kappas.get(f, 0) + stabilizer_index(p, rep)
+            for r in class_reps(n, include_imprimitive=True):
+                f = r.content()
+                zeros[f] = zeros.get(f, 0) + p1_zero_count(p, r)
+                level_content += f % p == 0
+            assert kappas == {f: z for f, z in zeros.items() if z}, (p, n)
+    assert level_content > 0
+
+
+def test_zero_count_brute_force():
+    """p1_zero_count against the points [x : y] of P^1(F_p) where the form
+    vanishes mod p, every class representative of every |n| <= 300."""
     discs = [
         n
-        for m in range(1, 201)
+        for m in range(1, 301)
         for n in (-m, m)
         if n % 4 in (0, 1) and not (n > 0 and math.isqrt(n) ** 2 == n)
     ]
-    # the sweep reaches the extra automorphs and the imprimitive classes
-    assert {-3 * 9, -4 * 9, -3 * 49, -4 * 36, 45, 200} <= set(discs)
-    imprimitive = 0
     for p in (3, 5, 7, 11, 13):
+        points = [(1, y) for y in range(p)] + [(0, 1)]
         for n in discs:
-            orbits = gamma0_orbits(p, n, "pos-def")
-            got = [(oc.rep, oc.stabilizer_order, oc.members) for oc in orbits]
-            assert got == pairwise_orbits(p, n), (p, n)
-            assert [oc.orbit_id for oc in orbits] == list(range(len(orbits)))
-            imprimitive += sum(oc.content > 1 for oc in orbits)
-            both = gamma0_orbits(p, n)
-            if n < 0:
-                assert both[: len(orbits)] == orbits
-                assert [oc.rep for oc in both[len(orbits) :]] == [oc.rep.neg() for oc in orbits]
-            else:
-                assert both == orbits
-    assert imprimitive > 0
-
-
-def test_orbit_order_independence(monkeypatch):
-    import quadtrace.quadforms as qf
-
-    def orbits_key(p, n):
-        return sorted(tuple(oc.rep) for oc in qf.gamma0_orbits(p, n))
-
-    base = {(p, n): orbits_key(p, n) for p, n in ((3, -20), (5, 24), (3, 45))}
-    orig = qf._coset_reps
-    monkeypatch.setattr(qf, "_coset_reps", lambda p: list(reversed(orig(p))))
-    for (p, n), expected in base.items():
-        assert orbits_key(p, n) == expected
+            for r in class_reps(n, include_imprimitive=True):
+                zeros = sum(1 for x, y in points if r.value(x, y) % p == 0)
+                assert p1_zero_count(p, r) == zeros, (p, r)
 
 
 def test_stabilizer_orders_projective():
     # discriminant -3 orbit at p = 3 carries weight 1/3, disc -4 at p = 5 weight 1/2
-    orbs = gamma0_orbits(3, -3, "pos-def")
-    assert [oc.stabilizer_order for oc in orbs] == [3]
-    orbs = gamma0_orbits(5, -4, "pos-def")
-    assert sorted(oc.stabilizer_order for oc in orbs) == [2, 2]
+    assert [stab for _, stab, _ in pairwise_orbits(3, -3)] == [3]
+    assert sorted(stab for _, stab, _ in pairwise_orbits(5, -4)) == [2, 2]
 
 
 def test_stabilizer_index_sums_to_p_plus_one():
     # for classes whose content carries the level, sum of indices = p + 1
     for p, n in ((3, 45), (3, 72), (5, 125)):
         by_content = {}
-        for oc in gamma0_orbits(p, n):
-            k = gamma0_stabilizer_index(p, oc.rep)
-            by_content.setdefault(oc.content, []).append(k)
+        for rep, _, _ in pairwise_orbits(p, n):
+            by_content.setdefault(rep.content(), []).append(stabilizer_index(p, rep))
         for f, ks in by_content.items():
             if f % p == 0:
                 d0 = n // (f * f)

@@ -15,6 +15,8 @@ from quadtrace.traces import (
     verify_imaginary_trace_identity,
 )
 
+from .test_quadforms import pairwise_orbits, stabilizer_index
+
 
 def setup_module():
     mp.dps = 30
@@ -59,10 +61,14 @@ def test_imaginary_report_names_only_an_unpinned_convention():
 
 def test_imaginary_invariant_under_rep_permutation(monkeypatch):
     import quadtrace.quadforms as qf
+    import quadtrace.traces as tr
 
-    # -27 and -100 have classes of different weights (content p, extra automorphs)
-    cases = ((3, -20), (5, -24), (7, -47), (3, -27), (5, -100))
-    base = {(p, n): trace_imaginary(p, n) for p, n in cases}
+    # -27 and -100 have classes of different weights (content p, extra
+    # automorphs); 45 and 200 have real classes whose content carries p
+    imaginary = ((3, -20), (5, -24), (7, -47), (3, -27), (5, -100))
+    real = ((3, 40), (5, 24), (3, 45), (5, 200))
+    base_imaginary = {(p, n): trace_imaginary(p, n) for p, n in imaginary}
+    base_real = {(p, n): trace_real_nonsquare(p, n) for p, n in real}
     orig = qf.class_reps
     calls = []
 
@@ -71,10 +77,13 @@ def test_imaginary_invariant_under_rep_permutation(monkeypatch):
         return list(reversed(orig(d, include_imprimitive)))
 
     monkeypatch.setattr(qf, "class_reps", reversed_reps)
-    for (p, n), expected in base.items():
+    monkeypatch.setattr(tr, "class_reps", reversed_reps)
+    for (p, n), expected in base_imaginary.items():
         assert trace_imaginary(p, n) == expected
-    # the trace went through the permuted representatives
-    assert calls == [n for _, n in base]
+    for (p, n), expected in base_real.items():
+        assert abs(trace_real_nonsquare(p, n) - expected) < mp.mpf("1e-25")
+    # both traces went through the permuted representatives
+    assert calls == [n for _, n in imaginary + real]
 
 
 def test_real_trace_empty_sets():
@@ -92,23 +101,13 @@ def test_real_trace_seed_values():
 
 
 def test_real_trace_translate_invariance():
-    from quadtrace.quadforms import (
-        automorph_unit,
-        gamma0_orbits,
-        gamma0_stabilizer_index,
-    )
+    from quadtrace.quadforms import automorph_unit
 
-    p, n = 3, 40
-    total = mp.mpf(0)
-    for oc in gamma0_orbits(p, n):
-        translate = oc.rep.apply((1, 0, p, 1))  # a Gamma_0(p) element
-        d0 = n // (translate.content() ** 2)
-        total += gamma0_stabilizer_index(p, translate) * automorph_unit(d0).log_value()
-    assert abs(total - trace_real_nonsquare(p, n)) < mp.mpf("1e-25")
-
-
-def test_real_identity_unit_route_matches_l_value_route():
-    for p, n in ((3, 13), (3, 45), (5, 24)):
-        a = real_trace_rhs(p, n, via_l_value=True)
-        b = real_trace_rhs(p, n, via_l_value=False)
-        assert abs(a - b) < mp.mpf("1e-25")
+    # at n = 45 the orbits of content 3 have kappa > 1
+    for p, n in ((3, 40), (3, 45)):
+        total = mp.mpf(0)
+        for rep, _, _ in pairwise_orbits(p, n):
+            translate = rep.apply((1, 0, p, 1))  # a Gamma_0(p) element
+            d0 = n // (translate.content() ** 2)
+            total += stabilizer_index(p, translate) * automorph_unit(d0).log_value()
+        assert abs(total - trace_real_nonsquare(p, n)) < mp.mpf("1e-25")
