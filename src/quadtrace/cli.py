@@ -2,7 +2,9 @@
 
 Output is deterministic for a fixed configuration: json-lines (one report
 per line) or CSV for tables.  Exit codes: 0 all checks pass, 1 at least
-one verification failed, 2 configuration error.
+one verification failed, 2 configuration error, 141 (128 + SIGPIPE) when
+the reader of stdout closed it early, as `| head` does; that ends the
+command without a traceback.
 
 Each verify target is one entry of CHECKS: a sweep over the primes and the
 defaults of its parameters.  The acceptance suite runs the same sweeps.
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -444,7 +447,22 @@ def cmd_coeffs(args) -> int:
     return 0 if failures == 0 else 1
 
 
+# exit code when stdout's reader went away, as a shell reports death by SIGPIPE
+BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # nobody reads the rest: send it, and the flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
+
+
+def _run(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="quadtrace",
         description="class-number, trace, and Kloosterman-zeta tables and verifiers",

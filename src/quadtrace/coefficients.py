@@ -21,7 +21,7 @@ from mpmath import mp
 from .arith import divisors, moebius, valuation
 from .classnumbers import generalized_hurwitz
 from .kloosterman import local_series_2, local_series_p, plus_zeta_special_value
-from .lvalues import t_divisor_sum, zeta_prime_over_zeta_2
+from .lvalues import real_zeta, t_divisor_sum, zeta_prime_over_zeta_2
 from .precision import hp, to_mpf
 from .report import VerificationReport, exact_report, fmt_hp, numeric_report
 
@@ -162,8 +162,8 @@ def _l_ratio_const(p: int, s, shift_num):
     """L_{4p}(shift_num(s), id) / L_{4p}(4s-1, id) at real s near 3/4."""
     num_arg = shift_num(s)
     den_arg = 4 * s - 1
-    num = mp.zeta(num_arg) * (1 - mp.power(2, -num_arg)) * (1 - mp.power(p, -num_arg))
-    den = mp.zeta(den_arg) * (1 - mp.power(2, -den_arg)) * (1 - mp.power(p, -den_arg))
+    num = real_zeta(num_arg) * (1 - mp.power(2, -num_arg)) * (1 - mp.power(p, -num_arg))
+    den = real_zeta(den_arg) * (1 - mp.power(2, -den_arg)) * (1 - mp.power(p, -den_arg))
     return num / den
 
 
@@ -221,8 +221,8 @@ def coeff_oracle_4(m: int):
             return (
                 (s - s0)
                 * pref
-                * mp.zeta(2 * s - mp.mpf(1) / 2)
-                / mp.zeta(4 * s - 1)
+                * real_zeta(2 * s - mp.mpf(1) / 2)
+                / real_zeta(4 * s - 1)
                 * t_divisor_sum(1, mp.mpf(3) / 2 - 2 * s, 1, m)
             )
 
@@ -241,7 +241,7 @@ def deformation_b_infty(p: int, s):
             (p * p - 1)
             / (mp.power(p, 2 * s) - 1)
             * mp.power(mp.pi, s + 1)
-            / (6 * mp.gamma(s) * mp.zeta(2 * s))
+            / (6 * mp.gamma(s) * real_zeta(2 * s))
         )
 
 
@@ -253,7 +253,7 @@ def deformation_b_zero(p: int, s):
             (p + 1)
             * (mp.power(p, 2 * s) - p)
             * mp.power(mp.pi, s + 1)
-            / (6 * (mp.power(p, 2 * s) - 1) * mp.gamma(s) * mp.zeta(2 * s))
+            / (6 * (mp.power(p, 2 * s) - 1) * mp.gamma(s) * real_zeta(2 * s))
         )
 
 

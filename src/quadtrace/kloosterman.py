@@ -50,6 +50,7 @@ from .lvalues import (
     dirichlet_l,
     fundamental_decomposition,
     l_value_at_1,
+    real_zeta,
     t_divisor_sum,
 )
 from .parallel import fork_map
@@ -249,12 +250,12 @@ def assembled_product(p: int, n: int, s: float) -> complex:
     t, m = split.t, split.m
     if t == 1:
         with hp():
-            l_num = complex(mp.zeta(mp.mpf(s) - mp.mpf(1) / 2))
+            l_num = complex(real_zeta(mp.mpf(s) - mp.mpf(1) / 2))
     else:
         l_num = complex(dirichlet_l(s - 0.5, t))
     l_num *= (1 - chi(t, 2) * 2.0 ** -(s - 0.5)) * (1 - chi(t, p) * float(p) ** -(s - 0.5))
     with hp():
-        l_den = float(mp.zeta(2 * s - 1))
+        l_den = float(real_zeta(2 * s - 1))
     l_den *= (1 - 2.0 ** -(2 * s - 1)) * (1 - float(p) ** -(2 * s - 1))
     return (
         (l_num / l_den)
@@ -536,7 +537,7 @@ def plus_zeta_special_value(p: int, n: int):
     with hp():
         l_num = l_value_at_1(t)
         l_num *= (1 - chi(t, 2) * mp.mpf(1) / 2) * (1 - chi(t, p) * mp.mpf(1) / p)
-        l_den = mp.zeta(2) * (1 - mp.mpf(1) / 4) * (1 - mp.mpf(1) / (p * p))
+        l_den = real_zeta(2) * (1 - mp.mpf(1) / 4) * (1 - mp.mpf(1) / (p * p))
         rational = (
             t_divisor_sum(4 * p, 0, t, m)
             * local_factor_2_exact(n)
@@ -554,7 +555,7 @@ def kzeta_level_closed(p: int, s):
         if s <= 1:
             raise ValueError("requires Re(s) > 1")
         x = mp.power(p, 2 * s)
-        return +(mp.zeta(2 * s - 1) / mp.zeta(2 * s) * (p - 1) / (x - 1))
+        return +(real_zeta(2 * s - 1) / real_zeta(2 * s) * (p - 1) / (x - 1))
 
 
 def kzeta_coprime_closed(p: int, s):
@@ -564,7 +565,7 @@ def kzeta_coprime_closed(p: int, s):
         if s <= 1:
             raise ValueError("requires Re(s) > 1")
         x = mp.power(p, 2 * s)
-        return +(mp.zeta(2 * s - 1) / mp.zeta(2 * s) * (x - p) / (x - 1))
+        return +(real_zeta(2 * s - 1) / real_zeta(2 * s) * (x - p) / (x - 1))
 
 
 def kzeta_level_truncated(p: int, s: float, cutoff: int) -> KloostermanValue:

@@ -26,7 +26,9 @@ on raw libmp numbers, bit-equal to the same sum of mpf objects.
 The t < 0 evaluation at s = 1 is the functional-equation form of the finite
 character sum, so this module stays independent of any class-number code;
 cross-checks against class numbers are therefore genuinely two-sided.
-General real s away from {0, 1} go through Hurwitz zeta functions.
+General real s away from {0, 1} go through Hurwitz zeta functions.  The
+Riemann zeta at real s goes through real_zeta, which evaluates each
+(s, precision) once at the caller's precision, bit-equal to mp.zeta.
 """
 
 from __future__ import annotations
@@ -261,13 +263,31 @@ def dirichlet_l(s, t: int) -> mpf:
         return +(total * mp.power(q, -s))
 
 
+@lru_cache(maxsize=128)
+def _zeta_at(s: tuple, prec: int) -> mpf:
+    """mp.zeta at the raw mpf s, evaluated at the caller's precision prec."""
+    return mp.zeta(mp.make_mpf(s))
+
+
+def real_zeta(s) -> mpf:
+    """Riemann zeta at real s and the current precision, bit-equal to mp.zeta(s).
+
+    s is taken as mp.zeta takes it, without rounding to the current
+    precision, and each (s, precision) is evaluated once: the 128 most
+    recently used values are kept, keyed on both, so no value computed at one
+    precision is returned at another.  The derivative oracles ask for the
+    same shifted arguments for every m.
+    """
+    return _zeta_at(mp.convert(s)._mpf_, mp.prec)
+
+
 def zeta(s) -> mpf:
     """Riemann zeta at working precision; rejects the pole at s = 1."""
     with hp():
         s = mp.mpf(s)
         if s == 1:
             raise ValueError("zeta has a pole at s = 1")
-        return +mp.zeta(s)
+        return +real_zeta(s)
 
 
 def zeta_star(s) -> mpf:
@@ -276,7 +296,7 @@ def zeta_star(s) -> mpf:
         s = mp.mpf(s)
         if s in (0, 1):
             raise ValueError("zeta_star has poles at s = 0 and s = 1")
-        return +(mp.gamma(s / 2) * mp.zeta(s) / mp.power(mp.pi, s / 2))
+        return +(mp.gamma(s / 2) * real_zeta(s) / mp.power(mp.pi, s / 2))
 
 
 @lru_cache(maxsize=None)

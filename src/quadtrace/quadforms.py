@@ -30,8 +30,11 @@ gamma0_equivalent decides the same relation for two arbitrary forms through
 SL2(Z)-reduction and stays as the independent oracle: the tests group forms
 with it to build the orbits this module only counts.
 
-Class numbers and units are cached per discriminant, the 1024 most recently
-used of each.
+Class numbers, units and the cycle representatives of the primitive reduced
+forms of a positive discriminant are cached per discriminant, the 1024 most
+recently used of each.  The class representatives of content f of
+discriminant d are f times the primitive ones of d/f^2, so class_reps with
+every content and class_number read the same enumeration.
 
 Conventions pinned by the seed-identity runs (see README):
   * for n < 0 the set of forms with p | a carries both definiteness signs;
@@ -240,7 +243,8 @@ def _reduced_definite_forms(d: int, include_imprimitive: bool) -> list[QuadForm]
     return sorted(out)
 
 
-def _reduced_indefinite_forms(d: int, include_imprimitive: bool) -> list[QuadForm]:
+def _reduced_indefinite_forms(d: int) -> list[QuadForm]:
+    """The primitive reduced forms of discriminant d > 0, ascending."""
     out = []
     root = math.isqrt(d)
     for b in range(1, root + 1):
@@ -250,9 +254,7 @@ def _reduced_indefinite_forms(d: int, include_imprimitive: bool) -> list[QuadFor
         for a in _divisor_range(num, b, d):
             c = num // (4 * a)
             q = QuadForm(a, b, c)
-            if _is_reduced_indefinite(q, d) and (
-                include_imprimitive or q.content() == 1
-            ):
+            if _is_reduced_indefinite(q, d) and q.content() == 1:
                 out.append(q)
     return sorted(out)
 
@@ -268,22 +270,39 @@ def _divisor_range(num: int, b: int, d: int):
 
 
 def class_reps(d: int, include_imprimitive: bool = False) -> list[QuadForm]:
-    """One form per PSL2(Z)-class of discriminant d.
+    """One form per PSL2(Z)-class of discriminant d, ascending.
 
     d < 0: reduced positive-definite forms.  d > 0 nonsquare: one form per
-    cycle of reduced indefinite forms (deterministically the smallest).
+    cycle of reduced indefinite forms (deterministically the smallest).  The
+    forms of content f are f times the primitive ones of discriminant d/f^2,
+    and reduction and the rho-cycles commute with that scaling.
     """
     _check_disc(d)
     if d < 0:
         return _reduced_definite_forms(d, include_imprimitive)
+    if not include_imprimitive:
+        return list(_primitive_cycle_reps(d))
+    return sorted(
+        QuadForm(f * q.a, f * q.b, f * q.c)
+        for f in range(1, math.isqrt(d) + 1)
+        if d % (f * f) == 0 and d // (f * f) % 4 in (0, 1)
+        for q in _primitive_cycle_reps(d // (f * f))
+    )
+
+
+@lru_cache(maxsize=1024)
+def _primitive_cycle_reps(d: int) -> tuple[QuadForm, ...]:
+    """The least form of each cycle of primitive reduced forms of discriminant
+    d > 0, ascending; class_reps (all contents) and class_number both read it,
+    so a sweep over n enumerates the reduced forms of each n/f^2 once."""
     # the least form not on a cycle seen so far is the least of its own cycle
     reps: list[QuadForm] = []
     seen: set[QuadForm] = set()
-    for start in _reduced_indefinite_forms(d, include_imprimitive):
+    for start in _reduced_indefinite_forms(d):
         if start not in seen:
             reps.append(start)
             seen.update(_cycle_with_transforms(start)[0])
-    return reps
+    return tuple(reps)
 
 
 def _check_disc(d: int) -> None:
@@ -299,7 +318,7 @@ def class_number(d: int) -> int:
     _check_disc(d)
     if d < 0:
         return len(_reduced_definite_forms(d, include_imprimitive=False))
-    narrow = len(class_reps(d, include_imprimitive=False))
+    narrow = len(_primitive_cycle_reps(d))
     unit = order_unit_pm(d)
     return narrow if unit.norm == -1 else narrow // 2
 

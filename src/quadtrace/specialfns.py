@@ -14,8 +14,14 @@ quadratures.
 
 The alpha integrand's endpoint singularity t^{-1/2} is removed by t = u^2
 on [0, 1]; the tail is truncated where exp(-pi y T) bounds the remainder.
-The head factor 2 log(1 + u^2) does not depend on y, so it is computed once
-per (node, precision) and reused for every y.
+The head factor 2 log(1 + u^2) and the tail factor log(1 + t)/sqrt(t) do
+not depend on y, so each is computed once per (node, precision), the 2048
+most recently used kept, and reused for every y: every alpha shares the
+head's nodes, and tails [1, T] with the same T share theirs.  Both
+integrands run on raw libmp numbers, with c = (-pi) y formed once per
+precision: the same libmp calls, at the same precision and rounding and in
+the same order, as the mpf expressions 2 log(1 + u^2) exp(-pi y u u) and
+log(1 + t)/sqrt(t) exp(-pi y t), so each value is bit-equal to theirs.
 
 The companion's integrand exp(w^2) erfc(w) is mp.exp(w^2) * mp.erfc(w) below
 w = 7.  From there on it comes from the Laplace continued fraction
@@ -37,7 +43,23 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, pi_fixed, round_nearest, sqrt_fixed, to_fixed
+from mpmath.libmp import (
+    fone,
+    from_man_exp,
+    mpf_add,
+    mpf_div,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pi,
+    mpf_sqrt,
+    pi_fixed,
+    round_nearest,
+    sqrt_fixed,
+    to_fixed,
+)
 
 from .precision import hp
 
@@ -114,10 +136,45 @@ def _scaled_erfc(w) -> mpf:
 
 
 @lru_cache(maxsize=2048)
-def _head_log(u, prec: int) -> mpf:
-    """2 log(1 + u^2), alpha's y-free head factor, at precision prec."""
-    with mp.workprec(prec):
-        return 2 * mp.log(1 + u * u)
+def _head_log(u: tuple, prec: int) -> tuple:
+    """2 log(1 + u^2), alpha's y-free head factor, for a raw mpf u at prec bits."""
+    rnd = round_nearest
+    square = mpf_add(mpf_mul(u, u, prec, rnd), fone, prec, rnd)
+    return mpf_mul_int(mpf_log(square, prec, rnd), 2, prec, rnd)
+
+
+@lru_cache(maxsize=2048)
+def _tail_factor(t: tuple, prec: int) -> tuple:
+    """log(1 + t) / sqrt(t), alpha's y-free tail factor, for a raw mpf t at prec bits."""
+    rnd = round_nearest
+    log = mpf_log(mpf_add(t, fone, prec, rnd), prec, rnd)
+    return mpf_div(log, mpf_sqrt(t, prec, rnd), prec, rnd)
+
+
+def _alpha_integrand(factor, y, power: int):
+    """x -> factor(x) * exp(-pi y x^power) on raw libmp at the quadrature's precision.
+
+    The same libmp calls, at the same precision and rounding and in the same
+    order, that the mpf expression factor(x) * mp.exp(-mp.pi * y * x [* x])
+    makes, so every value is bit-equal to it; c = (-pi) y is formed once per
+    precision.
+    """
+    rnd = round_nearest
+    y = y._mpf_
+    consts = {}
+
+    def f(x):
+        prec = mp.prec
+        c = consts.get(prec)
+        if c is None:
+            c = consts[prec] = mpf_mul(mpf_neg(mpf_pi(prec, rnd), prec, rnd), y, prec, rnd)
+        x = x._mpf_
+        arg = mpf_mul(c, x, prec, rnd)
+        if power == 2:
+            arg = mpf_mul(arg, x, prec, rnd)
+        return mp.make_mpf(mpf_mul(factor(x, prec), mpf_exp(arg, prec, rnd), prec, rnd))
+
+    return f
 
 
 def quad_certified(f, points, target=mpf("1e-12"), extra_dps=10) -> QuadratureResult:
@@ -153,21 +210,13 @@ def alpha(y) -> QuadratureResult:
             raise ValueError("requires y > 0")
         target = mp.mpf("1e-14")
         # head: t = u^2 on [0, 1] removes the 1/sqrt(t) endpoint singularity
-        head = quad_certified(
-            lambda u: _head_log(u, mp.prec) * mp.exp(-mp.pi * y * u * u),
-            [0, 1],
-            target=target,
-        )
+        head = quad_certified(_alpha_integrand(_head_log, y, 2), [0, 1], target=target)
         # tail: log(1+t)/sqrt(t) <= sqrt(t) <= e^{(pi y /2) t} decay control;
         # truncate at T with remainder <= exp(-pi y T) / (pi y)
         t_cut = mp.mpf(1)
         while mp.exp(-mp.pi * y * t_cut) / (mp.pi * y) > target and t_cut < 500:
             t_cut += 1
-        tail = quad_certified(
-            lambda t: mp.log(1 + t) / mp.sqrt(t) * mp.exp(-mp.pi * y * t),
-            [1, t_cut],
-            target=target,
-        )
+        tail = quad_certified(_alpha_integrand(_tail_factor, y, 1), [1, t_cut], target=target)
         trunc = mp.exp(-mp.pi * y * t_cut) / (mp.pi * y)
         val = mp.sqrt(y) * (head.value + tail.value)
         err = mp.sqrt(y) * (head.error_estimate + tail.error_estimate + trunc)

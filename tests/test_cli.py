@@ -272,3 +272,26 @@ def test_only_verify_kloosterman_loads_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["0 False"] * len(NUMPY_FREE_ARGV) + ["0 True"]
+
+
+@pytest.mark.parametrize(
+    "argv", ["hurwitz --p 3 --n-max 2000", "verify imaginary --p 3 5 7 --n-max 1000"]
+)
+def test_closed_stdout_ends_quietly(argv):
+    # the reader takes one line and closes the pipe, as `| head -1` does; the
+    # output (over 128 KB) is more than the pipe holds, so the command hits it
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadtrace.cli", *argv.split()],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+        cwd=ROOT,
+    )
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == cli.BROKEN_PIPE
+    assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -10,6 +10,7 @@ from mpmath import mp
 
 from quadtrace import lvalues
 from quadtrace.arith import kronecker
+from quadtrace.coefficients import coeff_oracle_4p
 from quadtrace.lvalues import (
     _l_value_at_1,
     character_table,
@@ -20,6 +21,7 @@ from quadtrace.lvalues import (
     l_value_at_0,
     l_value_at_1,
     moebius_char_squared_sum,
+    real_zeta,
     sigma_constrained,
     t_divisor_sum,
     zeta,
@@ -199,6 +201,48 @@ def test_zeta_tools():
     assert abs(zeta_star(mp.mpf("0.3")) - zeta_star(mp.mpf("0.7"))) < mp.mpf("1e-30")
     with pytest.raises(ValueError):
         zeta(1)
+
+
+ZETA_ARGS = (2, 1.5, "0.7", mp.mpf(3) / 2 + mp.mpf("1e-5"), -3)
+
+
+@pytest.mark.parametrize("prec", [113, 300])
+def test_real_zeta_bit_equal_to_mpmath(prec):
+    lvalues._zeta_at.cache_clear()
+    with mp.workprec(prec):
+        for s in ZETA_ARGS:
+            for _ in range(2):  # the second call is served from the cache
+                assert real_zeta(s)._mpf_ == mp.zeta(s)._mpf_, s
+
+
+def test_real_zeta_keeps_precisions_apart():
+    assert lvalues._zeta_at.cache_info().maxsize is not None
+    s = mp.mpf(3) / 2
+    with mp.workprec(200):
+        high = real_zeta(s)
+    with mp.workprec(100):
+        low = real_zeta(s)
+        assert low._mpf_ == mp.zeta(s)._mpf_
+    assert low._mpf_ != high._mpf_
+    with mp.workprec(200):
+        assert real_zeta(s)._mpf_ == high._mpf_
+
+
+def test_oracle_evaluates_each_zeta_once(monkeypatch):
+    seen = []
+    evaluate = mp.zeta
+
+    def counted(s, *args, **kwargs):
+        seen.append((s._mpf_, mp.prec))
+        return evaluate(s, *args, **kwargs)
+
+    lvalues._zeta_at.cache_clear()
+    monkeypatch.setattr(mp, "zeta", counted)
+    for m in range(13):
+        coeff_oracle_4p(3, m)
+    # four shifted points, each with one numerator and one denominator
+    # argument, for m = 0 and for m >= 1; the denominators are shared
+    assert len(seen) == len(set(seen)) == 12
 
 
 def test_shifted_pole_limit():

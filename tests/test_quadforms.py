@@ -11,6 +11,7 @@ from quadtrace.quadforms import (
     IDENTITY,
     QuadForm,
     S_MAT,
+    _cycle_with_transforms,
     _sl2_transform,
     automorph_generator,
     automorph_unit,
@@ -105,6 +106,31 @@ def test_class_reps_definite_against_oracle():
     assert [tuple(q) for q in class_reps(-3)] == [(1, 1, 1)]
     assert [tuple(q) for q in class_reps(-4)] == [(1, 0, 1)]
     assert len(class_reps(-23)) == 3
+
+
+def test_class_reps_indefinite_all_contents_against_direct_cycles():
+    # every reduced form of every content by exhaustive search, one cycle at
+    # a time; class_reps builds content f from the primitive forms of d/f^2
+    for d in range(5, 601):
+        root = math.isqrt(d)
+        if d % 4 not in (0, 1) or root * root == d:
+            continue
+        forms = set()
+        for b in range(1, root + 1):
+            for a in range(-root - 1, root + 2):
+                num = b * b - d
+                if a == 0 or num % (4 * a):
+                    continue
+                # |sqrt(d) - 2|a|| < b, in integers
+                if (2 * abs(a) + b) ** 2 > d and (2 * abs(a) <= b or (2 * abs(a) - b) ** 2 < d):
+                    forms.add(QuadForm(a, b, num // (4 * a)))
+        reps = []
+        while forms:
+            least = min(forms)
+            reps.append(least)
+            forms -= set(_cycle_with_transforms(least)[0])
+        assert class_reps(d, include_imprimitive=True) == reps, d
+        assert len(class_reps(d)) == sum(q.content() == 1 for q in reps), d
 
 
 def test_class_numbers():

@@ -4,11 +4,14 @@ import pytest
 from mpmath import mp
 
 from quadtrace import specialfns
-from quadtrace.precision import set_working_dps, working_dps
+from quadtrace.cli import SPECIAL_GRID
+from quadtrace.modular import apply_moebius
+from quadtrace.precision import hp, set_working_dps, working_dps
 from quadtrace.specialfns import (
     _CF_CROSSOVER,
     _head_log,
     _scaled_erfc,
+    _tail_factor,
     alpha,
     alpha_companion,
     erfc,
@@ -143,14 +146,74 @@ def test_scaled_erfc_both_sides_of_crossover(monkeypatch):
 
 
 def test_head_cache_keeps_precisions_apart():
+    # the tail factor's cache too: y = 0.7 cuts the tail at T > 1
     assert _head_log.cache_info().maxsize is not None
+    assert _tail_factor.cache_info().maxsize is not None
     y = mp.mpf("0.7")
     _at_working_dps(40, lambda: alpha(y))
     after_40 = _at_working_dps(200, lambda: alpha(y))
     _head_log.cache_clear()
+    _tail_factor.cache_clear()
     fresh = _at_working_dps(200, lambda: alpha(y))
     assert after_40.value._mpf_ == fresh.value._mpf_
     assert after_40.error_estimate._mpf_ == fresh.error_estimate._mpf_
+
+
+def _mpf_integrand(factor, y, power):
+    """alpha's integrands as mpf expressions, the oracle of the libmp ones."""
+    if power == 2:
+        return lambda u: 2 * mp.log(1 + u * u) * mp.exp(-mp.pi * y * u * u)
+    return lambda t: mp.log(1 + t) / mp.sqrt(t) * mp.exp(-mp.pi * y * t)
+
+
+def _alpha_ys():
+    """The y of verify special (4 N m^2 v) and of the level-4p series at the
+    image point of verify modularity (4 m^2 Im(gamma tau), m <= 26)."""
+    special = [4 * big_n * m * m * mp.mpf(v) for big_n, v, m in SPECIAL_GRID]
+    with hp():
+        v = apply_moebius((1, 0, 12, 1), mp.mpc("0.21", "1.1")).imag
+        return special + [4 * m * m * v for m in range(1, 27)]
+
+
+@pytest.mark.parametrize("dps", [64, 30])
+def test_alpha_libmp_integrands_bit_identical(dps, monkeypatch):
+    # every node the quadratures evaluate, and then alpha's value, error
+    # estimate, evaluation count and convergence flag; the value alone would
+    # not show a changed last bit of the integrand, which the quadrature's 20
+    # guard bits round away
+    libmp_integrand = specialfns._alpha_integrand
+    mismatched = []
+
+    def checked(factor, y, power):
+        new, old = libmp_integrand(factor, y, power), _mpf_integrand(factor, y, power)
+
+        def f(x):
+            value = new(x)
+            if value._mpf_ != old(x)._mpf_:
+                mismatched.append((y, power, x))
+            return value
+
+        return f
+
+    def sides():
+        ys = _alpha_ys()
+        _head_log.cache_clear()
+        _tail_factor.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(specialfns, "_alpha_integrand", checked)
+            new = [alpha(y) for y in ys]
+        with monkeypatch.context() as m:
+            m.setattr(specialfns, "_alpha_integrand", _mpf_integrand)
+            old = [alpha(y) for y in ys]
+        return new, old
+
+    new, old = _at_working_dps(dps, sides)
+    assert not mismatched
+    assert len(new) == 36 + 26
+    for a, b in zip(new, old):
+        assert a.value._mpf_ == b.value._mpf_
+        assert a.error_estimate._mpf_ == b.error_estimate._mpf_
+        assert (a.evaluations, a.converged) == (b.evaluations, b.converged)
 
 
 def test_unmet_target_is_not_converged():
