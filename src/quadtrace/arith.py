@@ -43,6 +43,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime, the level p of the level-4p
+    functions (the paper's level 4N has N odd)."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime (got {p})")
+
+
 def _brent_rho(n: int) -> int:
     """One nontrivial factor of composite odd n, deterministic seed sweep."""
     if n % 2 == 0:

@@ -23,8 +23,15 @@ hurwitz_class_number_lseries, generalized_hurwitz) and as a table of every
 A table row and the single-n function of its route share one formula (the
 form weight, or _level_value); the tests still hold them equal.  A table
 lives as long as the sweep that builds it, and nothing here is cached per n.
-The two routes must agree exactly.  Everything in this module except
-regulator_class_sum is exact rational arithmetic.
+The two routes must agree exactly.
+
+class_regulator(d) = h(d) log eps_d, the wide class number times the log of
+the unit of norm +-1 of the order of discriminant d > 0, is the one place
+that product is formed.  regulator_class_sum adds it over the orders of n,
+and class_number_l_at_1 turns it into L(1, chi_t) for fundamental t > 0 by
+Dirichlet's class number formula, which is how the level-4p coefficients
+take their L(1) values.  Those three are at working precision; everything
+else in this module is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ from .lvalues import (
     DiscSplit,
     chi,
     fundamental_decomposition,
+    is_fundamental_discriminant,
     l_value_at_0,
+    l_value_at_1,
     sigma_constrained,
 )
 from .precision import hp
@@ -192,9 +201,34 @@ def hurwitz_level_table(n_max: int, levels) -> dict[tuple[int, int], list[Fracti
     return rows
 
 
+def class_regulator(d: int):
+    """h(d) log eps_d for a positive nonsquare discriminant d, at working
+    precision: the wide class number times the log of the least unit
+    (x + y sqrt(d))/2 > 1 with x^2 - d y^2 = +-4 (quadforms.order_unit_pm)."""
+    with hp():
+        return +(order_unit_pm(d).log_value() * class_number(d))
+
+
+def class_number_l_at_1(t: int):
+    """L(1, chi_t) for fundamental t != 1 by Dirichlet's class number formula.
+
+    For t > 0 it is 2 h(t) log eps_t / sqrt(t) (class_regulator), which
+    needs no character sum; the finite sine sum of lvalues.l_value_at_1
+    stays the independent route that verify real and the tests hold it to.
+    For t < 0 it is lvalues.l_value_at_1, pi L(0, chi_t) / sqrt(|t|).
+    """
+    if t < 0:
+        return l_value_at_1(t)
+    if t == 1 or not is_fundamental_discriminant(t):
+        raise ValueError(f"{t} is not a fundamental discriminant > 1")
+    with hp():
+        return +(2 * class_regulator(t) / mp.sqrt(t))
+
+
 def regulator_class_sum(n: int):
     """h*(n) = (1/2 pi) sum over r^2 | n with n/r^2 = 0,1 (mod 4) of
-    2 log(eps_{n/r^2}) h(n/r^2), with order-level units and wide class numbers.
+    2 h(n/r^2) log(eps_{n/r^2}) (class_regulator), with order-level units and
+    wide class numbers.
     """
     if n <= 0 or n % 4 in (2, 3):
         raise ValueError("requires a positive discriminant")
@@ -209,8 +243,7 @@ def regulator_class_sum(n: int):
             d = n // (r * r)
             if d % 4 in (2, 3):
                 continue
-            unit = order_unit_pm(d)
-            total += 2 * unit.log_value() * class_number(d)
+            total += 2 * class_regulator(d)
         return +(total / (2 * mp.pi))
 
 

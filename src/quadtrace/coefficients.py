@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .arith import divisors, moebius, valuation
+from .arith import divisors, moebius, require_odd_prime, valuation
 from .classnumbers import generalized_hurwitz
 from .kloosterman import local_series_2, local_series_p, plus_zeta_special_value
 from .lvalues import real_zeta, t_divisor_sum, zeta_prime_over_zeta_2
@@ -71,8 +71,10 @@ def sesqui4_square_coeff(m: int):
 def sesqui4p_const_coeff(p: int):
     """The constant coefficient c(0) of the level-4p series, as a complex value.
 
-    (2/3)(1-i) pi c(0) = (2/(pi(p+1)))(gamma - log 2 - Z - p^2 log p/(p^2-1)).
+    (2/3)(1-i) pi c(0) = (2/(pi(p+1)))(gamma - log 2 - Z - p^2 log p/(p^2-1)),
+    p an odd prime.
     """
+    require_odd_prime(p)
     with hp():
         z = zeta_prime_over_zeta_2()
         disp = (
@@ -85,7 +87,9 @@ def sesqui4p_const_coeff(p: int):
 
 
 def sesqui4p_square_coeff(p: int, m: int):
-    """c(m^2) closed form (the bracketed value divided by (2/3)(1-i)pi)."""
+    """c(m^2) closed form (the bracketed value divided by (2/3)(1-i)pi), p an
+    odd prime."""
+    require_odd_prime(p)
     with hp():
         z = zeta_prime_over_zeta_2()
         v2, vp = valuation(m, 2), valuation(m, p)
@@ -130,7 +134,8 @@ def sesqui4p_neg_coeff(p: int, n: int):
 
 
 def sesqui4p_nonsquare_coeff(p: int, n: int):
-    """c(n) for positive nonsquare n: the Kloosterman-zeta special value."""
+    """c(n) for positive nonsquare n: the Kloosterman-zeta special value
+    (which rejects a p that is not an odd prime)."""
     return plus_zeta_special_value(p, n)
 
 

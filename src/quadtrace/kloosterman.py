@@ -44,12 +44,12 @@ from typing import NamedTuple
 
 from mpmath import mp
 
-from .arith import CHI8_TABLE, eps_odd, euler_phi, kronecker, valuation
+from .arith import CHI8_TABLE, eps_odd, euler_phi, kronecker, require_odd_prime, valuation
+from .classnumbers import class_number_l_at_1
 from .lvalues import (
     chi,
     dirichlet_l,
     fundamental_decomposition,
-    l_value_at_1,
     real_zeta,
     t_divisor_sum,
 )
@@ -508,6 +508,7 @@ def local_factor_2_exact(n: int) -> Fraction:
 
 def local_factor_p_exact(p: int, n: int) -> Fraction:
     """The rational local factor at odd p, equal to F_p(n, 3/2)."""
+    require_odd_prime(p)
     if n == 0:
         raise ValueError("index 0 has no rational local factor")
     v = valuation(n, p)
@@ -524,7 +525,11 @@ def plus_zeta_special_value(p: int, n: int):
 
     L_{4p}(1, chi_t)/L_{4p}(2, id) times the T-sum and the two local factors;
     the 2-adic factor enters as 3(1+i)/8 times its rational table value.
+    L(1, chi_t) is classnumbers.class_number_l_at_1: 2 h(t) log eps_t /
+    sqrt(t) for t > 0 by Dirichlet's class number formula, so no sine sum is
+    formed, and pi L(0, chi_t) / sqrt(|t|) for t < 0.  p is an odd prime.
     """
+    require_odd_prime(p)
     if n == 0:
         raise ValueError("square (and zero) indices are poles handled elsewhere")
     r = math.isqrt(abs(n))
@@ -535,7 +540,7 @@ def plus_zeta_special_value(p: int, n: int):
     split = fundamental_decomposition(n)
     t, m = split.t, split.m
     with hp():
-        l_num = l_value_at_1(t)
+        l_num = class_number_l_at_1(t)
         l_num *= (1 - chi(t, 2) * mp.mpf(1) / 2) * (1 - chi(t, p) * mp.mpf(1) / p)
         l_den = real_zeta(2) * (1 - mp.mpf(1) / 4) * (1 - mp.mpf(1) / (p * p))
         rational = (

@@ -21,7 +21,11 @@ High-precision values:
 L(1) values are kept in one table for the current working precision.  A
 batch (l_values_at_1) computes the missing t in one parallel.fork_map,
 whose serial head alone decides whether any worker starts; the sine sum runs
-on raw libmp numbers, bit-equal to the same sum of mpf objects.
+on raw libmp numbers, bit-equal to the same sum of mpf objects.  The table
+and the batch serve `verify real`, whose closed side takes its atom
+h(t) log eps_t as (sqrt(t)/2) L(1, chi_t) from here.  The level-4p series
+takes L(1, chi_t), t > 0, from class numbers and units instead
+(classnumbers.class_number_l_at_1), and the tests hold the two to each other.
 
 The t < 0 evaluation at s = 1 is the functional-equation form of the finite
 character sum, so this module stays independent of any class-number code;

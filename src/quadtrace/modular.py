@@ -22,7 +22,6 @@ from .coefficients import (
     sesqui4p_nonsquare_coeff,
     sesqui4p_square_coeff,
 )
-from .lvalues import fundamental_decomposition, l_values_at_1
 from .parallel import fork_map
 from .precision import hp, to_mpf
 from .specialfns import alpha, inc_gamma_half, inc_gamma_minus_half
@@ -44,13 +43,23 @@ def _check_tau(tau):
     return tau
 
 
+MAX_CUTOFF = 200000
+
+
 def choose_cutoff(v, tol, coeff_scale=2.0, growth=1.0) -> int:
-    """Smallest N with coeff_scale * N^growth * e^{-2 pi v N} / (2 pi v) < tol."""
+    """The first N of 16, 21, 28, ... (N -> floor(1.3 N) + 1) with tail
+    estimate coeff_scale * N^growth * e^{-2 pi v N} / (2 pi v) <= tol.
+
+    Raises ValueError, naming v and tol, when the estimate still exceeds tol
+    once N has reached MAX_CUTOFF.
+    """
     v, tol = float(v), float(tol)
     n = 16
-    while coeff_scale * n**growth * math.exp(-2 * math.pi * v * n) / (
-        2 * math.pi * v
-    ) > tol and n < 200000:
+    while coeff_scale * n**growth * math.exp(-2 * math.pi * v * n) / (2 * math.pi * v) > tol:
+        if n >= MAX_CUTOFF:
+            raise ValueError(
+                f"no cutoff up to {MAX_CUTOFF} meets tol = {tol:g} at height v = {v:g}"
+            )
         n = int(n * 1.3) + 1
     return n
 
@@ -127,6 +136,11 @@ def eval_sesqui_4p(p: int, tau, cutoff: int) -> SeriesEvaluation:
       + (1/(pi(p+1))) sum_{m>=1} (gamma + log(pi m^2) + alpha(4 m^2 v)) q^{m^2}
       + (2/3)(1-i) pi sum_{n >= 0, disc} c(n) q^n
       + (2/3)(1-i) sqrt(pi) sum_{n < 0, disc} c(n) Gamma(1/2, 4 pi |n| v) q^n.
+
+    The alpha quadratures of the square-indexed terms are the one batch run
+    over the usable cores.  The nonsquare c(n) take L(1, chi_t) from
+    h(t) log eps_t (kloosterman.plus_zeta_special_value), so the series
+    forms no L(1) sine sum.
     """
     with hp():
         tau = _check_tau(tau)
@@ -137,8 +151,6 @@ def eval_sesqui_4p(p: int, tau, cutoff: int) -> SeriesEvaluation:
         total += pref * mp.pi * sesqui4p_const_coeff(p)
         sqmax = max(1, math.isqrt(cutoff))
         nonsquare = [n for n in range(1, cutoff + 1) if n % 4 in (0, 1) and math.isqrt(n) ** 2 != n]
-        # the independent high-precision units first, each batch over the usable cores
-        l_values_at_1([fundamental_decomposition(n).t for n in nonsquare])
         ys = [4 * m * m * v for m in range(1, sqmax + 1)]
         alphas = fork_map(alpha, ys)
         for m in range(1, sqmax + 1):

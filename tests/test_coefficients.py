@@ -22,6 +22,7 @@ from quadtrace.coefficients import (
     t_log_sum,
     theta_multiple_const,
 )
+from quadtrace.kloosterman import local_factor_p_exact, plus_zeta_special_value
 from quadtrace.lvalues import t_divisor_sum
 
 
@@ -125,3 +126,21 @@ def test_nonsquare_coeff_rejects_squares():
         sesqui4p_nonsquare_coeff(3, 4)
     with pytest.raises(ValueError):
         sesqui4p_nonsquare_coeff(3, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: plus_zeta_special_value(p, 5),
+        lambda p: sesqui4p_nonsquare_coeff(p, 5),
+        lambda p: local_factor_p_exact(p, 5),
+        lambda p: sesqui4p_const_coeff(p),
+        lambda p: sesqui4p_square_coeff(p, 1),
+    ],
+    ids=["plus-zeta", "nonsquare", "local-factor-p", "const", "square"],
+)
+def test_level_4p_functions_reject_p_2(call):
+    """The level-4p series lives at level 4p with p an odd prime."""
+    with pytest.raises(ValueError, match="odd prime"):
+        call(2)
+    call(3)  # the same call at an odd prime returns a value

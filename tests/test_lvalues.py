@@ -125,14 +125,19 @@ def test_l_at_1_leibniz_partial_sums():
 
 
 def test_l_at_1_even_character_class_number_formula():
-    from quadtrace.quadforms import class_number, fundamental_unit
+    """2 h(t) log eps_t / sqrt(t), which the level-4p series uses, against the
+    sine sum at working precision, for every fundamental t the series of
+    verify modularity reaches (t <= 703) and a little beyond."""
+    from quadtrace.classnumbers import class_number_l_at_1
 
-    with mp.workdps(80):
-        for t in range(2, 201):
+    count = 0
+    with hp():
+        for t in range(2, 711):
             if is_fundamental_discriminant(t):
-                unit = fundamental_unit(t)
-                rhs = 2 * class_number(t) * unit.log_value() / mp.sqrt(t)
-                assert abs(l_value_at_1(t) - rhs) < mp.mpf("1e-60"), t
+                sine_sum = l_value_at_1(t)
+                assert abs(class_number_l_at_1(t) / sine_sum - 1) < mp.mpf("1e-70"), t
+                count += 1
+    assert count == 214
 
 
 def reference_l_at_1(t):

@@ -5,10 +5,13 @@ import random
 import pytest
 from mpmath import mp
 
+from quadtrace import lvalues
 from quadtrace.modular import (
+    MAX_CUTOFF,
     apply_moebius,
     choose_cutoff,
     eval_cohen_eisenstein,
+    eval_sesqui_4p,
     eval_theta,
     eval_zagier_eisenstein,
     modularity_residual,
@@ -168,3 +171,42 @@ def test_rejects_lower_half_plane():
 
 def test_choose_cutoff_monotone():
     assert choose_cutoff(0.05, 1e-8) > choose_cutoff(0.9, 1e-8)
+
+
+@pytest.mark.parametrize(
+    "tau, gamma, tol, cutoffs",
+    [
+        (("0.13", "0.9"), (1, 0, 4, 1), "1e-8", (16, 84)),  # theta and Zagier
+        (("0.21", "0.63"), (1, 0, 12, 1), "1e-7", (16, 540)),  # Cohen
+        (("0.21", "0.63"), (5, 2, 12, 5), "1e-7", (16, 914)),
+        (("0.21", "1.1"), (1, 0, 12, 1), "2e-5", (16, 703)),  # level-4p series
+    ],
+)
+def test_choose_cutoff_keeps_recorded_cutoffs(tau, gamma, tol, cutoffs):
+    """The cutoffs verify modularity sums at tau and at its image."""
+    tau = mp.mpc(*tau)
+    heights = (tau.imag, apply_moebius(gamma, tau).imag)
+    assert tuple(choose_cutoff(v, mp.mpf(tol)) for v in heights) == cutoffs
+
+
+def test_choose_cutoff_rejects_unreachable_tolerance():
+    # the old loop returned 226,276 here, where its tail estimate is 4.8e3
+    with pytest.raises(ValueError, match=r"tol = 1e-08 at height v = 1e-05"):
+        choose_cutoff(1e-5, 1e-8)
+    # the first step past the cap still counts when it meets the tolerance
+    assert choose_cutoff(3e-5, 1e-8) == 226276 > MAX_CUTOFF
+
+
+def test_sesqui_4p_series_forms_no_sine_sum(monkeypatch):
+    """The level-4p series takes every L(1, chi_t) from class numbers."""
+
+    def refuse(t, prec):
+        raise AssertionError(f"sine sum formed for t = {t}")
+
+    monkeypatch.setattr(lvalues, "_log_sine_sum", refuse)
+    # an empty table, so that no L(1) computed by an earlier test is reused
+    monkeypatch.setattr(lvalues, "_L1_TABLE", {})
+    tau = mp.mpc("0.21", "1.1")
+    image = apply_moebius((1, 0, 12, 1), tau)
+    series = eval_sesqui_4p(3, image, 703)
+    assert mp.isfinite(series.value)
