@@ -8,7 +8,6 @@ from .arith import eps_odd, factorize, kronecker, moebius, valuation
 from .classnumbers import (
     generalized_hurwitz,
     hurwitz_class_number_forms,
-    hurwitz_class_number_lseries,
     regulator_class_sum,
     verify_linear_relation,
 )
@@ -25,12 +24,9 @@ from .coefficients import (
     theta_multiple_const,
 )
 from .kloosterman import (
-    kzeta_coprime_closed,
     kzeta_level_closed,
     kzeta_level_truncated,
-    plus_term,
     plus_zeta_special_value,
-    plus_zeta_truncated,
 )
 from .lvalues import (
     chi,
@@ -44,12 +40,9 @@ from .quadforms import (
     automorph_unit,
     class_number,
     class_reps,
-    fundamental_unit,
-    gamma0_equivalent,
     geodesic_integral,
-    reduce_definite,
 )
-from .specialfns import alpha, alpha_companion, erfc, inc_gamma_half
+from .specialfns import alpha, alpha_companion, inc_gamma_half
 from .traces import (
     trace_imaginary,
     trace_real_nonsquare,

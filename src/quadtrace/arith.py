@@ -142,15 +142,6 @@ def moebius(n: int) -> int:
     return mu
 
 
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("euler_phi requires n >= 1")
-    out = 1
-    for p, e in factorize(n):
-        out *= (p - 1) * p ** (e - 1)
-    return out
-
-
 def divisors(n: int) -> list[int]:
     """All positive divisors of |n|, sorted increasingly."""
     if n == 0:

@@ -9,10 +9,10 @@ Two independent routes to the classical H(n) are kept side by side:
     with t fundamental; H(n) is the level-1 case of the generalized numbers
     H_{ell,N}(n).
 
-Each route comes one n at a time (hurwitz_class_number_forms,
-hurwitz_class_number_lseries, generalized_hurwitz) and as a table of every
-0 <= n <= n_max (Cohen, A Course in Computational Algebraic Number Theory,
-5.3), which the sweeps read:
+Each route comes one n at a time (hurwitz_class_number_forms and
+generalized_hurwitz(1, 1, n)) and as a table of every 0 <= n <= n_max
+(Cohen, A Course in Computational Algebraic Number Theory, 5.3), which the
+sweeps read:
 
   * hurwitz_forms_table makes one pass over the reduced (a, b, c) with
     4ac - b^2 <= n_max, so each form is visited once for the whole table;
@@ -23,7 +23,9 @@ hurwitz_class_number_lseries, generalized_hurwitz) and as a table of every
 A table row and the single-n function of its route share one formula (the
 form weight, or _level_value); the tests still hold them equal.  A table
 lives as long as the sweep that builds it, and nothing here is cached per n.
-The two routes must agree exactly.
+The two routes must agree exactly: `verify classnumbers` holds the two
+tables equal, and checks the linear relation (verify_linear_relation) on
+the single-n routes.
 
 class_regulator(d) = h(d) log eps_d, the wide class number times the log of
 the unit of norm +-1 of the order of discriminant d > 0, is the one place
@@ -99,14 +101,6 @@ def hurwitz_forms_table(n_max: int) -> list[Fraction]:
                 n += 4 * a
         a += 1
     return [Fraction(-1, 12)] + [Fraction(s, 6) for s in sixths[1:]]
-
-
-def hurwitz_class_number_lseries(n: int) -> Fraction:
-    """H(n) = L(0, chi_t) T^{chi_t}_{1,1}(m) = L(0, chi_t) sum_{a | m} mu(a) chi_t(a)
-    sigma_1(m/a), -n = t m^2: generalized_hurwitz at ell = N = 1."""
-    if n < 0:
-        raise ValueError("requires n >= 0")
-    return generalized_hurwitz(1, 1, n)
 
 
 def _check_level(ell: int, big_n: int) -> None:

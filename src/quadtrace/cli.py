@@ -13,6 +13,7 @@ defaults of its parameters.  The acceptance suite runs the same sweeps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -21,8 +22,13 @@ from typing import Callable, NamedTuple
 
 from mpmath import mp
 
-from .arith import is_prime
-from .classnumbers import _linear_relation_sides, hurwitz_forms_table, hurwitz_level_table
+from .arith import is_prime, is_squarefree
+from .classnumbers import (
+    _linear_relation_sides,
+    hurwitz_forms_table,
+    hurwitz_level_table,
+    verify_linear_relation,
+)
 from .coefficients import (
     coeff_oracle_4,
     coeff_oracle_4p,
@@ -43,7 +49,7 @@ from .kloosterman import (
     plus_zeta_batch,
     plus_zeta_special_value,
 )
-from .lvalues import fundamental_decomposition, l_values_at_1
+from .lvalues import fundamental_decomposition, l_values_at_1, moebius_char_squared_sum
 from .modular import (
     eval_cohen_eisenstein,
     eval_sesqui_4p,
@@ -52,9 +58,11 @@ from .modular import (
     modularity_residual,
 )
 from .parallel import fork_map
-from .precision import set_working_dps
+from .precision import hp, set_working_dps
+from .quadforms import IDENTITY, S_MAT, QuadForm, automorph_unit, geodesic_integral, mat_mul
 from .report import (
     VerificationReport,
+    exact_report,
     fmt_exact,
     fmt_hp,
     numeric_report,
@@ -157,6 +165,34 @@ def _prime_levels(primes):
 # ---------------------------------------------------------------------------
 # sweeps: each takes the prime list and named parameters and returns its
 # reports in output order
+
+
+# the Moebius identity runs over these ranges, whatever --p and --n-max say
+MOEBIUS_N_MAX, MOEBIUS_A_MAX = 105, 210
+
+
+def sweep_classnumbers(primes, n_max):
+    """H(n) by forms against the L-series route for n = 0, 3 (mod 4), the
+    linear relation of H, H_{1,p} and H_{p,p} on the single-n routes for
+    1 <= n <= n_max, and sum_{ell | N} mu(ell) chi_ell(a)^2 = [N | a] for
+    squarefree N <= 105: each N's report counts the a <= 210 where it holds."""
+    forms = hurwitz_forms_table(n_max)
+    lseries = hurwitz_level_table(n_max, [(1, 1)])[1, 1]
+    reports = [
+        exact_report("hurwitz-dual-route", {"n": n}, forms[n], lseries[n])
+        for n in range(n_max + 1)
+        if n % 4 in (0, 3)
+    ]
+    reports += [verify_linear_relation(p, n) for p in primes for n in range(1, n_max + 1)]
+    for big_n in range(1, MOEBIUS_N_MAX + 1):
+        if is_squarefree(big_n):
+            holds = sum(
+                moebius_char_squared_sum(big_n, a) == (a % big_n == 0)
+                for a in range(1, MOEBIUS_A_MAX + 1)
+            )
+            params = {"N": big_n, "a_max": MOEBIUS_A_MAX}
+            reports.append(exact_report("moebius-char-square", params, holds, MOEBIUS_A_MAX))
+    return reports
 
 
 def sweep_imaginary(primes, n_max, convention):
@@ -273,6 +309,36 @@ def sweep_kloosterman(primes, cutoff):
     return reports
 
 
+# a form of discriminant d for each d, and words in S, T and t = T^-1 that
+# move it around its class
+GEODESIC_SEEDS = {5: QuadForm(1, 1, -1), 8: QuadForm(1, 2, -1), 13: QuadForm(1, 3, -1)}
+GEODESIC_WORDS = ("", "T", "S", "TS", "St", "TTS")
+_LETTERS = {"S": S_MAT, "T": (1, 1, 0, 1), "t": (1, -1, 0, 1)}
+
+
+def sweep_geodesic(primes):
+    """The cycle integral of each form q = seed.word against 2 log of the
+    automorph unit of d, to 1e-8: the geodesic-length atom of the real trace."""
+    reports = []
+    for d, seed in GEODESIC_SEEDS.items():
+        with hp():
+            expected = 2 * automorph_unit(d).log_value()
+        for word in GEODESIC_WORDS:
+            q = seed.apply(functools.reduce(mat_mul, (_LETTERS[c] for c in word), IDENTITY))
+            value, error = geodesic_integral(q)
+            reports.append(
+                numeric_report(
+                    "geodesic-cycle-integral",
+                    {"d": d, "form": str(q)},
+                    value,
+                    expected,
+                    "1e-8",
+                    detail=f"error_estimate={fmt_hp(error, 4)}",
+                )
+            )
+    return reports
+
+
 SPECIAL_GRID = [
     (big_n, v, m) for big_n in (1, 3, 5) for v in ("0.3", "0.5", "1", "2") for m in (1, 2, 3)
 ]
@@ -373,6 +439,7 @@ class Check(NamedTuple):
 
 
 CHECKS = {
+    "classnumbers": Check(sweep_classnumbers, {"n_max": 2000}),
     "imaginary": Check(sweep_imaginary, {"n_max": 400, "convention": "auto"}),
     "real": Check(sweep_real, {"n_max": 300}),
     "coefficients": Check(
@@ -382,6 +449,7 @@ CHECKS = {
     "kloosterman": Check(sweep_kloosterman, {"cutoff": 2000}),
     "special": Check(sweep_special, {}, reads_p=False),
     "modularity": Check(sweep_modularity, {}, reads_p=False),
+    "geodesic": Check(sweep_geodesic, {}, reads_p=False),
 }
 SWEEP_FLAGS = ("p", "n_max", "m_max", "cutoff", "convention", "seed_cases")
 

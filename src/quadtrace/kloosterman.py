@@ -24,8 +24,8 @@ convention is not re-derived); the factorization is verified wholesale at
 the absolutely convergent point s = 2.5, and the closed forms for n = 0
 and square n are checked against them term by term.
 
-Truncated sums use float precision (tail bounds dwarf roundoff); the small
-building blocks are also available at working precision.
+Truncated sums use float precision (tail bounds dwarf roundoff); the tests
+hold the inner sums to a working-precision evaluation (tests/oracles.py).
 
 The float kernels (local_sum_2_exp, local_sum_p_exp, _legendre_array,
 _jacobi_table, _inner_sums and plus_zeta_batch) import numpy where they
@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from mpmath import mp
 
-from .arith import CHI8_TABLE, eps_odd, euler_phi, kronecker, require_odd_prime, valuation
+from .arith import CHI8_TABLE, eps_odd, kronecker, require_odd_prime, valuation
 from .classnumbers import class_number_l_at_1
 from .lvalues import (
     chi,
@@ -67,30 +67,6 @@ class KloostermanValue:
 
 # ---------------------------------------------------------------------------
 # finite inner sums
-
-
-def plus_term(big_n: int, n: int, c: int, two_k: int = 1):
-    """(1 + (4/c)) * sum_{r mod 4Nc} (4Nc/r) eps_r^{2k} e(n r / 4Nc).
-
-    two_k = 2k is the numerator of the half-integral weight (1 for k = 1/2).
-    Exact-precision evaluation for small moduli.
-    """
-    w = 1 + kronecker(4, c)
-    if w == 0:
-        return mp.mpc(0)
-    m_mod = 4 * big_n * c
-    with hp():
-        total = mp.mpc(0)
-        for r in range(1, m_mod, 2):
-            if math.gcd(r, m_mod) != 1:
-                continue
-            kr = kronecker(m_mod, r)
-            if kr == 0:
-                continue
-            total += kr * mp.mpc(eps_odd(r)) ** two_k * mp.e ** (
-                2j * mp.pi * n * r / m_mod
-            )
-        return +(w * total)
 
 
 def local_sum_2_exp(j: int, n: int) -> complex:
@@ -135,32 +111,6 @@ def local_sum_p_exp(p: int, j: int, n: int) -> complex:
     return complex(
         (chi_m * np.exp((2j * np.pi / m_mod) * ((n % m_mod) * r % m_mod))).sum() / eps_odd(m_mod)
     )
-
-
-def local_sum_2(j: int, n: int = 0) -> complex:
-    """Closed-form a(2^j, 0): 1 at j = 1, (1+i) 2^{j-2} at even j, 0 at odd j >= 3.
-
-    Only the n = 0 case has a per-j closed form; other indices are served by
-    local_sum_2_exp.
-    """
-    if n != 0:
-        raise ValueError("closed form only available at index 0")
-    if j < 1:
-        raise ValueError("j >= 1 required")
-    if j == 1:
-        return 1
-    if j % 2 == 0:
-        return (1 + 1j) * 2 ** (j - 2)
-    return 0
-
-
-def local_sum_p(p: int, j: int, n: int = 0) -> complex:
-    """Closed-form a(p^j, 0): phi(p^j) at even j >= 2, 0 at odd j."""
-    if n != 0:
-        raise ValueError("closed form only available at index 0")
-    if j < 1:
-        raise ValueError("j >= 1 required")
-    return 0 if j % 2 else euler_phi(p**j)
 
 
 def local_series_2(n, sigma):
@@ -478,11 +428,6 @@ def plus_zeta_batch(big_n: int, n_list, s: float, cutoff: int):
     return out
 
 
-def plus_zeta_truncated(big_n: int, n: int, s: float, cutoff: int) -> KloostermanValue:
-    """Truncated K^+_{1/2,4N}(0, n; s): plus_zeta_batch at the single index n."""
-    return plus_zeta_batch(big_n, [n], s, cutoff)[0]
-
-
 # ---------------------------------------------------------------------------
 # special value at s = 3/2 and the weight-0 closed forms
 
@@ -561,16 +506,6 @@ def kzeta_level_closed(p: int, s):
             raise ValueError("requires Re(s) > 1")
         x = mp.power(p, 2 * s)
         return +(real_zeta(2 * s - 1) / real_zeta(2 * s) * (p - 1) / (x - 1))
-
-
-def kzeta_coprime_closed(p: int, s):
-    """Modified zeta over moduli coprime to p: zeta(2s-1)/zeta(2s) * (p^{2s}-p)/(p^{2s}-1)."""
-    with hp():
-        s = mp.mpf(s)
-        if s <= 1:
-            raise ValueError("requires Re(s) > 1")
-        x = mp.power(p, 2 * s)
-        return +(real_zeta(2 * s - 1) / real_zeta(2 * s) * (x - p) / (x - 1))
 
 
 def kzeta_level_truncated(p: int, s: float, cutoff: int) -> KloostermanValue:

@@ -251,7 +251,7 @@ def dirichlet_l(s, t: int) -> mpf:
     L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q).
     """
     if t == 1:
-        raise ValueError("use zeta() for the principal character of modulus 1")
+        raise ValueError("use real_zeta for the principal character of modulus 1")
     if not is_fundamental_discriminant(t):
         raise ValueError(f"{t} is not a fundamental discriminant")
     q = abs(t)
@@ -283,24 +283,6 @@ def real_zeta(s) -> mpf:
     same shifted arguments for every m.
     """
     return _zeta_at(mp.convert(s)._mpf_, mp.prec)
-
-
-def zeta(s) -> mpf:
-    """Riemann zeta at working precision; rejects the pole at s = 1."""
-    with hp():
-        s = mp.mpf(s)
-        if s == 1:
-            raise ValueError("zeta has a pole at s = 1")
-        return +real_zeta(s)
-
-
-def zeta_star(s) -> mpf:
-    """Completed zeta Gamma(s/2) zeta(s) / pi^{s/2}; poles at s = 0, 1 rejected."""
-    with hp():
-        s = mp.mpf(s)
-        if s in (0, 1):
-            raise ValueError("zeta_star has poles at s = 0 and s = 1")
-        return +(mp.gamma(s / 2) * real_zeta(s) / mp.power(mp.pi, s / 2))
 
 
 @lru_cache(maxsize=None)

@@ -46,16 +46,17 @@ def _check_tau(tau):
 MAX_CUTOFF = 200000
 
 
-def choose_cutoff(v, tol, coeff_scale=2.0, growth=1.0) -> int:
+def choose_cutoff(v, tol) -> int:
     """The first N of 16, 21, 28, ... (N -> floor(1.3 N) + 1) with tail
-    estimate coeff_scale * N^growth * e^{-2 pi v N} / (2 pi v) <= tol.
+    estimate 2 N e^{-2 pi v N} / (2 pi v) <= tol, for coefficients that grow
+    at most linearly.
 
     Raises ValueError, naming v and tol, when the estimate still exceeds tol
     once N has reached MAX_CUTOFF.
     """
     v, tol = float(v), float(tol)
     n = 16
-    while coeff_scale * n**growth * math.exp(-2 * math.pi * v * n) / (2 * math.pi * v) > tol:
+    while 2.0 * n * math.exp(-2 * math.pi * v * n) / (2 * math.pi * v) > tol:
         if n >= MAX_CUTOFF:
             raise ValueError(
                 f"no cutoff up to {MAX_CUTOFF} meets tol = {tol:g} at height v = {v:g}"
@@ -207,18 +208,17 @@ def apply_moebius(gamma, tau):
     return (a * tau + b) / (c * tau + d)
 
 
-def modularity_residual(series_fn, gamma, k, tau, cutoff=None, tol=mp.mpf("1e-8")):
+def modularity_residual(series_fn, gamma, k, tau, tol=mp.mpf("1e-8")):
     """| (f |_k gamma)(tau) - f(tau) | with per-point cutoff selection.
 
-    series_fn(tau, cutoff) -> SeriesEvaluation.  The cutoff at the
-    transformed point is chosen from its (smaller) height.
+    series_fn(tau, cutoff) -> SeriesEvaluation.  The cutoff at each point is
+    chosen from its height and tol (choose_cutoff), so the transformed point,
+    usually the lower one, gets the longer series.
     """
     with hp():
         tau = mp.mpc(tau)
         gtau = apply_moebius(gamma, tau)
-        cut_here = cutoff or choose_cutoff(tau.imag, tol)
-        cut_there = cutoff or choose_cutoff(gtau.imag, tol)
-        f_here = series_fn(tau, cut_here)
-        f_there = series_fn(gtau, cut_there)
+        f_here = series_fn(tau, choose_cutoff(tau.imag, tol))
+        f_there = series_fn(gtau, choose_cutoff(gtau.imag, tol))
         slashed = slash_half(f_there.value, gamma, k, tau)
         return +abs(slashed - f_here.value)

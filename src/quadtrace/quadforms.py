@@ -2,11 +2,11 @@
 
 Forms Q = (a, b, c) represent a x^2 + b x y + c y^2 and carry the right
 SL2(Z)-action (Q.g)(x, y) = Q(alpha x + beta y, gamma x + delta y).  The
-module provides Gauss reduction (definite and indefinite, with transform
-tracking), class representatives and class numbers for arbitrary
-discriminants, fundamental/automorph units from reduction cycles rather
-than brute-force Pell searches, Gamma_0(p)-orbit counts, and the numerical
-closed-geodesic integral.
+module provides indefinite Gauss reduction with transform tracking, class
+representatives and class numbers for arbitrary discriminants (the reduced
+definite forms are enumerated directly), automorph units from reduction
+cycles rather than brute-force Pell searches, Gamma_0(p)-orbit counts, and
+the numerical closed-geodesic integral that `verify geodesic` checks.
 
 Gamma_0(p)-orbits are counted, never built.  The cosets g Gamma_0(p) of
 SL2(Z) are the points of P^1(F_p), through the first column of g, and SL2(Z)
@@ -26,9 +26,10 @@ p + 1 of them when p divides the content of r and 1 + (n/p) otherwise
     its zeros, which is the orbit's length, so the kappas of r sum to
     #{zeros}.
 
-gamma0_equivalent decides the same relation for two arbitrary forms through
-SL2(Z)-reduction and stays as the independent oracle: the tests group forms
-with it to build the orbits this module only counts.
+The tests keep the independent oracle: tests/oracles.gamma0_equivalent
+decides the same relation for two arbitrary forms through SL2(Z)-reduction,
+and the tests group forms with it to build the orbits this module only
+counts.
 
 Class numbers, units and the cycle representatives of the primitive reduced
 forms of a positive discriminant are cached per discriminant, the 1024 most
@@ -127,44 +128,9 @@ class PellUnit:
         with hp():
             return +mp.log((self.t + self.u * mp.sqrt(self.disc)) / 2)
 
-    def value(self):
-        with hp():
-            return +((self.t + self.u * mp.sqrt(self.disc)) / 2)
-
 
 # ---------------------------------------------------------------------------
-# reduction
-
-
-def _reduce_definite_transform(q: QuadForm) -> tuple[QuadForm, Mat]:
-    """Gauss reduction of a positive-definite form, returning (R, g), Q.g = R."""
-    if q.disc >= 0 or q.a <= 0:
-        raise ValueError("reduce_definite needs D < 0 and a > 0")
-    g = IDENTITY
-    while True:
-        a, b, c = q.a, q.b, q.c
-        if b > a or b <= -a:
-            r = (a - b) // (2 * a)  # floor division; shifts b into (-a, a]
-            t: Mat = (1, r, 0, 1)
-            q, g = q.apply(t), mat_mul(g, t)
-            continue
-        if a > c:
-            q, g = q.apply(S_MAT), mat_mul(g, S_MAT)
-            continue
-        if b < 0 and (a == c or b == -a):
-            # boundary normalization b -> -b
-            if a == c:
-                q, g = q.apply(S_MAT), mat_mul(g, S_MAT)
-            else:
-                t = (1, 1, 0, 1)
-                q, g = q.apply(t), mat_mul(g, t)
-            continue
-        return q, g
-
-
-def reduce_definite(q: QuadForm) -> QuadForm:
-    """Reduced SL2(Z)-representative of a positive-definite form."""
-    return _reduce_definite_transform(q)[0]
+# indefinite reduction
 
 
 def _is_reduced_indefinite(q: QuadForm, d: int) -> bool:
@@ -363,15 +329,6 @@ def order_unit_pm(d: int) -> PellUnit:
     return PellUnit(t=aut.t, u=aut.u, disc=d, norm=1)
 
 
-def fundamental_unit(t: int) -> PellUnit:
-    """Fundamental unit of the real quadratic field of discriminant t."""
-    from .lvalues import is_fundamental_discriminant
-
-    if t <= 1 or not is_fundamental_discriminant(t):
-        raise ValueError(f"{t} is not a fundamental discriminant > 1")
-    return order_unit_pm(t)
-
-
 # ---------------------------------------------------------------------------
 # automorphs as matrices
 
@@ -393,12 +350,6 @@ def _definite_units(d0: int) -> list[tuple[int, int]]:
     return sols
 
 
-def automorphs_definite(q: QuadForm) -> list[Mat]:
-    """All SL2(Z)-automorphs of a definite form (2, 4, or 6 of them)."""
-    q0 = q.primitive_part()
-    return [_automorph_matrix(q0, t, u) for t, u in _definite_units(q0.disc)]
-
-
 def automorph_generator(q: QuadForm) -> Mat:
     """Generator (mod +-1) of the infinite cyclic automorph group, indefinite q."""
     q0 = q.primitive_part()
@@ -408,82 +359,7 @@ def automorph_generator(q: QuadForm) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# Gamma_0(p) equivalence and orbit counts
-
-
-def _sl2_transform(q1: QuadForm, q2: QuadForm) -> Mat | None:
-    """Some g with q1.g = q2, or None if the forms are not SL2(Z)-equivalent."""
-    d = q1.disc
-    if d != q2.disc:
-        return None
-    if d < 0:
-        if (q1.a > 0) != (q2.a > 0):
-            return None
-        if q1.a < 0:
-            q1, q2 = q1.neg(), q2.neg()
-        r1, g1 = _reduce_definite_transform(q1)
-        r2, g2 = _reduce_definite_transform(q2)
-        if r1 != r2:
-            return None
-        return mat_mul(g1, mat_inv(g2))
-    r1, g1 = _reduce_indefinite_transform(q1)
-    r2, g2 = _reduce_indefinite_transform(q2)
-    if r1 == r2:
-        walk: Mat | None = IDENTITY
-    else:
-        walk = None
-        q, acc = _rho_step(r1, d)
-        while q != r1:
-            if q == r2:
-                walk = acc
-                break
-            q, step = _rho_step(q, d)
-            acc = mat_mul(acc, step)
-    if walk is None:
-        return None  # r2 is not on the cycle of r1
-    return mat_mul(mat_mul(g1, walk), mat_inv(g2))
-
-
-def _order_mod_p(m: Mat, p: int) -> int:
-    """Order of m in PSL2(F_p) (iteration capped defensively)."""
-    x = tuple(v % p for v in m)
-    ident = (1, 0, 0, 1)
-    neg_ident = ((-1) % p, 0, 0, (-1) % p)
-    k = 1
-    while x != ident and x != neg_ident:
-        x = tuple(v % p for v in mat_mul(x, m))  # type: ignore[assignment]
-        k += 1
-        if k > 4 * p * (p + 1):
-            raise AssertionError("runaway order computation")
-    return k
-
-
-def gamma0_equivalent(p: int, q1: QuadForm, q2: QuadForm) -> bool:
-    """Whether some gamma in Gamma_0(p) carries q1 to q2.
-
-    Finds one SL2(Z)-transform g0 and then decides membership of A^k g0 in
-    Gamma_0(p) over one period of the automorph group A of q1 mod p.
-    """
-    if q1.disc != q2.disc:
-        raise ValueError("mismatched discriminants")
-    if q1.a % p or q2.a % p:
-        raise ValueError("both forms must have p | a")
-    if q1 == q2:
-        return True
-    g0 = _sl2_transform(q1, q2)
-    if g0 is None:
-        return False
-    d = q1.disc
-    if d < 0:
-        return any(mat_mul(a, g0)[2] % p == 0 for a in automorphs_definite(q1))
-    m = automorph_generator(q1)
-    order = _order_mod_p(m, p)
-    x: Mat = (1, 0, 0, 1)
-    for _ in range(order):
-        if mat_mul(x, g0)[2] % p == 0:
-            return True
-        x = tuple(v % p for v in mat_mul(x, m))  # type: ignore[assignment]
-    return False
+# Gamma_0(p)-orbit counts
 
 
 def p1_zero_count(p: int, r: QuadForm) -> int:

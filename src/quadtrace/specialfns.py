@@ -1,4 +1,4 @@
-"""Transcendental kernels: erfc, incomplete gamma at 1/2, the two special
+"""Transcendental kernels: incomplete gamma at 1/2, the two special
 functions carrying the harmonic part of the weight-1/2 series, and a small
 quadrature wrapper that surfaces mpmath's error estimate.
 
@@ -65,6 +65,8 @@ from .precision import hp
 
 # below this w, exp(w^2) * erfc(w) is evaluated by mpmath directly
 _CF_CROSSOVER = 7
+# digits above the working precision and its guard that every quadrature runs at
+_QUAD_GUARD_DPS = 10
 
 
 @dataclass
@@ -73,11 +75,6 @@ class QuadratureResult:
     error_estimate: mpf
     evaluations: int
     converged: bool
-
-
-def erfc(w) -> mpf:
-    with hp():
-        return +mp.erfc(mp.mpf(w))
 
 
 def inc_gamma_half(x) -> mpf:
@@ -177,7 +174,7 @@ def _alpha_integrand(factor, y, power: int):
     return f
 
 
-def quad_certified(f, points, target=mpf("1e-12"), extra_dps=10) -> QuadratureResult:
+def quad_certified(f, points, target=mpf("1e-12")) -> QuadratureResult:
     """mp.quad with its error estimate surfaced; counts integrand evaluations.
 
     The estimate is mpmath's heuristic one; `converged` is whether it is
@@ -190,7 +187,7 @@ def quad_certified(f, points, target=mpf("1e-12"), extra_dps=10) -> QuadratureRe
         count += 1
         return f(t)
 
-    with hp(extra=extra_dps):
+    with hp(extra=_QUAD_GUARD_DPS):
         val, err = mp.quad(wrapped, points, error=True)
         err = mp.mpf(err)
         if not (err < target):

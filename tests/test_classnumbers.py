@@ -10,7 +10,6 @@ from mpmath import mp
 from quadtrace.classnumbers import (
     generalized_hurwitz,
     hurwitz_class_number_forms,
-    hurwitz_class_number_lseries,
     hurwitz_forms_table,
     hurwitz_level_table,
     linear_relation_report,
@@ -31,15 +30,15 @@ def test_small_values():
 
 
 def test_lseries_route_examples():
-    assert hurwitz_class_number_lseries(3) == Fraction(1, 3)
-    assert hurwitz_class_number_lseries(12) == Fraction(4, 3)
-    assert hurwitz_class_number_lseries(8) == 1
+    assert generalized_hurwitz(1, 1, 3) == Fraction(1, 3)
+    assert generalized_hurwitz(1, 1, 12) == Fraction(4, 3)
+    assert generalized_hurwitz(1, 1, 8) == 1
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.integers(min_value=0, max_value=10**4))
 def test_dual_routes_agree_property(n):
-    assert hurwitz_class_number_forms(n) == hurwitz_class_number_lseries(n)
+    assert hurwitz_class_number_forms(n) == generalized_hurwitz(1, 1, n)
 
 
 def test_twelve_h_integral():
@@ -56,7 +55,7 @@ def test_tables_match_single_n_functions():
     assert len(forms) == n_max + 1 and all(len(row) == n_max + 1 for row in rows.values())
     for n in range(n_max + 1):
         assert forms[n] == hurwitz_class_number_forms(n), n
-        assert rows[1, 1][n] == hurwitz_class_number_lseries(n), n
+        assert rows[1, 1][n] == generalized_hurwitz(1, 1, n), n
         for p in primes:
             assert rows[1, p][n] == generalized_hurwitz(1, p, n), (p, n)
             assert rows[p, p][n] == generalized_hurwitz(p, p, n), (p, n)
@@ -86,8 +85,9 @@ def test_generalized_values():
 
 
 def test_generalized_reduces_to_classical():
+    forms = hurwitz_forms_table(249)
     for n in range(0, 250):
-        assert generalized_hurwitz(1, 1, n) == hurwitz_class_number_lseries(n)
+        assert generalized_hurwitz(1, 1, n) == forms[n], n
 
 
 def test_generalized_hurwitz_at_level_is_a_t_sum():
@@ -116,7 +116,9 @@ def test_linear_relation_report_on_given_values():
 
 def test_regulator_sum_values():
     mp.dps = 30
-    from quadtrace.quadforms import fundamental_unit, order_unit_pm
+    from quadtrace.quadforms import order_unit_pm
+
+    from .oracles import fundamental_unit
 
     # single-atom indices: (1/pi) log(fundamental unit) h
     assert abs(

@@ -56,6 +56,18 @@ def test_verify_constants(capsys):
     assert code == 0
 
 
+def test_verify_classnumbers_and_geodesic(capsys):
+    code, out, err = run(capsys, ["verify", "classnumbers", "--p", "3", "5", "--n-max", "40"])
+    assert code == 0
+    checks = [json.loads(line)["check"] for line in out.splitlines()]
+    # n = 0, 3 (mod 4) up to 40; n <= 40 for each p; the 65 squarefree N <= 105
+    assert [checks.count(name) for name in dict.fromkeys(checks)] == [21, 80, 65]
+    assert err == "# 166/166 checks passed\n"
+    code, out, err = run(capsys, ["verify", "geodesic", "--p", "5"])
+    assert code == 0
+    assert err == "verify geodesic ignores --p\n# 18/18 checks passed\n"
+
+
 def test_byte_identical_reruns(capsys):
     _, out1, _ = run(capsys, ["verify", "imaginary", "--p", "3", "--n-max", "30"])
     _, out2, _ = run(capsys, ["verify", "imaginary", "--p", "3", "--n-max", "30"])
@@ -159,6 +171,8 @@ def test_verify_names_the_flags_it_ignores(capsys):
     _, _, err = run(capsys, argv + ["--convention", "both-signs", "--seed-cases"])
     assert "ignores" not in err
     assert CHECKS["special"].flags() == CHECKS["modularity"].flags() == set()
+    assert CHECKS["geodesic"].flags() == set()
+    assert CHECKS["classnumbers"].flags() == {"p", "n_max"}
     assert CHECKS["coefficients"].flags() == {"p", "m_max", "n_max"}
 
 
@@ -245,6 +259,8 @@ NUMPY_FREE_ARGV = (
     "verify real --p 3 --n-max 40",
     "verify constants --p 3",
     "verify coefficients --p 3 --m-max 4",
+    "verify classnumbers --p 3 --n-max 40",
+    "verify geodesic",
 )
 
 

@@ -9,30 +9,26 @@ import pytest
 from mpmath import mp
 
 from quadtrace import parallel
-from quadtrace.arith import euler_phi, kronecker
+from quadtrace.arith import kronecker
 from quadtrace.kloosterman import (
     _inner_sums,
     _jacobi_table,
     _spf_table,
     _work_buffers,
     assembled_product,
-    kzeta_coprime_closed,
     kzeta_level_closed,
     kzeta_level_truncated,
     local_factor_2_exact,
     local_factor_p_exact,
     local_series_2,
     local_series_p,
-    local_sum_2,
     local_sum_2_exp,
-    local_sum_p,
     local_sum_p_exp,
-    plus_term,
     plus_zeta_batch,
-    plus_zeta_truncated,
 )
 
 from .forks import count_forks, set_cores
+from .oracles import euler_phi, kzeta_coprime_closed, local_sum_2, local_sum_p, plus_term
 
 
 def setup_module():
@@ -164,9 +160,9 @@ def test_plus_term_phase_and_symmetry():
 
 
 def test_plus_zeta_truncated_edges():
-    kv = plus_zeta_truncated(3, 5, 2.5, 0)
+    kv = plus_zeta_batch(3, [5], 2.5, 0)[0]
     assert kv.value == 0
-    kv = plus_zeta_truncated(3, 5, 2.5, 50)
+    kv = plus_zeta_batch(3, [5], 2.5, 50)[0]
     assert kv.tail_bound is not None and kv.tail_bound > 0
     empty = plus_zeta_batch(3, [-4, 5], 2.5, 0)
     assert [kv.value for kv in empty] == [0, 0]
@@ -290,16 +286,16 @@ def test_plus_zeta_batch_equals_single_index():
     for big_n in (1, 3):
         batch = plus_zeta_batch(big_n, n_list, 2.5, 60)
         for n, kv in zip(n_list, batch):
-            single = plus_zeta_truncated(big_n, n, 2.5, 60)
+            single = plus_zeta_batch(big_n, [n], 2.5, 60)[0]
             assert kv.value == single.value, (big_n, n)
             assert kv.tail_bound == single.tail_bound
 
 
 def test_plus_zeta_tail_decay_empirical():
     """Partial-sum increments shrink with the cutoff at s = 2.5."""
-    a = plus_zeta_truncated(3, 5, 2.5, 50).value
-    b = plus_zeta_truncated(3, 5, 2.5, 100).value
-    c = plus_zeta_truncated(3, 5, 2.5, 200).value
+    a = plus_zeta_batch(3, [5], 2.5, 50)[0].value
+    b = plus_zeta_batch(3, [5], 2.5, 100)[0].value
+    c = plus_zeta_batch(3, [5], 2.5, 200)[0].value
     assert abs(c - b) < abs(b - a) + 1e-12
 
 

@@ -24,11 +24,11 @@ from quadtrace.lvalues import (
     real_zeta,
     sigma_constrained,
     t_divisor_sum,
-    zeta,
     zeta_prime_over_zeta_2,
-    zeta_star,
 )
 from quadtrace.precision import hp, set_working_dps, working_dps
+
+from .oracles import zeta, zeta_star
 
 
 def test_fundamental_discriminants():

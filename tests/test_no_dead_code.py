@@ -1,5 +1,6 @@
 """Dead-code guard: every top-level name of the package is read somewhere in
-src/ or tests/, and every name a module imports is read in that module.
+src/ or tests/, every name a module imports is read in that module, and
+every top-level function and class of src/ is reachable from cli.main.
 
 References are taken from the syntax tree, so a name that survives only in
 a comment or a docstring counts as dead.  Dunder names are exempt, and so
@@ -93,3 +94,40 @@ def test_every_import_is_used():
             f"{path.stem}: {name}" for name in _imported_names(tree) if name not in loaded
         ]
     assert unused == []
+
+
+def _package_imports(tree: ast.AST, modules) -> dict:
+    """{name: (module, name)} for the names bound anywhere in tree by
+    relative imports of the package (`from .x import f`)."""
+    return {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in modules
+        for alias in node.names
+    }
+
+
+def test_every_function_is_reachable_from_the_cli():
+    # a node is a top-level statement of a module; it reaches the names it
+    # loads, through its module's definitions and relative imports
+    trees = {path.stem: _parse(path) for path in SOURCES if path.name != "__init__.py"}
+    nodes, scopes = {}, {}
+    for module, tree in trees.items():
+        scopes[module] = _package_imports(tree, trees)
+        for node in tree.body:
+            for name in _top_level_names(ast.Module([node], [])):
+                nodes[module, name] = node
+                scopes[module][name] = (module, name)
+    reached, todo = set(), [("cli", "main")]
+    while todo:
+        key = todo.pop()
+        if key not in reached and key in nodes:
+            reached.add(key)
+            scope = scopes[key[0]]
+            todo += [scope[name] for name in _loaded_names(nodes[key]) if name in scope]
+    unreached = [
+        f"{module}.{name}"
+        for (module, name), node in nodes.items()
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) and (module, name) not in reached
+    ]
+    assert unreached == []

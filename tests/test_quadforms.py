@@ -12,21 +12,24 @@ from quadtrace.quadforms import (
     QuadForm,
     S_MAT,
     _cycle_with_transforms,
-    _sl2_transform,
     automorph_generator,
     automorph_unit,
-    automorphs_definite,
     class_number,
     class_reps,
-    fundamental_unit,
-    gamma0_equivalent,
     geodesic_integral,
     mat_inv,
     mat_mul,
     order_unit_pm,
     p1_zero_count,
-    reduce_definite,
     weighted_orbit_count,
+)
+
+from .oracles import (
+    _sl2_transform,
+    automorphs_definite,
+    fundamental_unit,
+    gamma0_equivalent,
+    reduce_definite,
 )
 
 T_MAT = (1, 1, 0, 1)

@@ -14,11 +14,12 @@ from quadtrace.specialfns import (
     _tail_factor,
     alpha,
     alpha_companion,
-    erfc,
     inc_gamma_half,
     inc_gamma_minus_half,
     quad_certified,
 )
+
+from .oracles import erfc
 
 
 def setup_module():
