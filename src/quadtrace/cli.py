@@ -344,22 +344,28 @@ SPECIAL_GRID = [
 ]
 
 
-def _special_sides(point):
-    """alpha_companion(2 m sqrt(pi N v)) and alpha(4 N m^2 v)."""
-    big_n, v, m = point
-    left = alpha_companion(2 * m * mp.sqrt(mp.pi * big_n * mp.mpf(v)))
-    right = alpha(4 * big_n * m * m * mp.mpf(v))
-    return left, right
+def _special_sides(arguments):
+    """alpha_companion(t) and alpha(y)."""
+    t, y = arguments
+    return alpha_companion(t), alpha(y)
 
 
 def sweep_special(primes):
     """-2 F(2m sqrt(pi N v)) = alpha(4 N m^2 v) on a 36-point grid.
 
-    The 72 quadratures run over the usable cores; the reports are built here.
+    Grid points with bit-equal arguments share their quadratures, and the
+    distinct ones run over the usable cores; the reports are built here.
     """
     reports = []
-    sides = fork_map(_special_sides, SPECIAL_GRID)
-    for (big_n, v, m), (left, right) in zip(SPECIAL_GRID, sides):
+    arguments = [
+        (2 * m * mp.sqrt(mp.pi * big_n * mp.mpf(v)), 4 * big_n * m * m * mp.mpf(v))
+        for big_n, v, m in SPECIAL_GRID
+    ]
+    keys = [(t._mpf_, y._mpf_) for t, y in arguments]
+    distinct = dict(zip(keys, arguments))
+    sides = dict(zip(distinct, fork_map(_special_sides, distinct.values())))
+    for (big_n, v, m), key in zip(SPECIAL_GRID, keys):
+        left, right = sides[key]
         r = numeric_report(
             "special-function-relation",
             {"N": big_n, "v": v, "m": m},

@@ -105,9 +105,6 @@ class QuadForm:
         f = self.content()
         return QuadForm(self.a // f, self.b // f, self.c // f)
 
-    def neg(self) -> "QuadForm":
-        return QuadForm(-self.a, -self.b, -self.c)
-
     def __iter__(self):
         return iter((self.a, self.b, self.c))
 
@@ -399,8 +396,9 @@ def geodesic_integral(q: QuadForm):
 
     The geodesic is the half-circle over the real roots of Q(tau, 1); one
     period is cut out by the automorph of q acting on a base point.  Returns
-    (value, error_estimate), the estimate being mpmath's heuristic one; the
-    value equals twice the log of the automorph unit of the primitive
+    (value, error_estimate), the estimate being mpmath's heuristic one, but
+    never less than the value's ulp at the integral's precision; the value
+    equals twice the log of the automorph unit of the primitive
     discriminant.
     """
     d = q.disc
@@ -431,4 +429,6 @@ def geodesic_integral(q: QuadForm):
         val, err = mp.quad(integrand, [th0, th1], error=True)
         if abs(val.imag) > mp.mpf(10) ** (-(mp.dps - 8)):
             raise ArithmeticError("geodesic integral failed to come out real")
-        return +abs(val.real), +mp.mpf(err)
+        value = +abs(val.real)
+        # mpmath's estimate can lie far below what this precision carries
+        return value, max(+mp.mpf(err), mp.ldexp(1, mp.mag(value) - mp.prec))

@@ -23,13 +23,33 @@ precision: the same libmp calls, at the same precision and rounding and in
 the same order, as the mpf expressions 2 log(1 + u^2) exp(-pi y u u) and
 log(1 + t)/sqrt(t) exp(-pi y t), so each value is bit-equal to theirs.
 
-The companion's integrand exp(w^2) erfc(w) is mp.exp(w^2) * mp.erfc(w) below
-w = 7.  From there on it comes from the Laplace continued fraction
+The companion's integrand erfcx(w) = exp(w^2) erfc(w) solves
+y' = 2 w y - 2/sqrt(pi) (DLMF 7.10), so its Taylor coefficients at an anchor
+w0 follow from a_0 = erfcx(w0) alone:
+
+    a_1 = 2 w0 a_0 - 2/sqrt(pi),   (k+1) a_{k+1} = 2 w0 a_k + 2 a_{k-1}.
+
+Below w = 40 each node is one fixed-point Horner pass of the expansion at
+the nearest anchor w0 = j/4, so |h| = |w - w0| <= 1/8.  An error d in a_0,
+or a rounding in the recurrence, is carried like the growing solution
+exp(w^2) and reaches the sum as at most d exp(2 w0 |h| + h^2) <=
+d exp(w0/4 + 1/64).  Each anchor therefore carries ceil(w0 / (4 log 2)) + 30
+guard bits, which keeps the sum within about 2^-17 ulp of erfcx(w) before
+its one rounding to the precision.  An anchor is built once per
+(j, precision), and the 512 most recently used are kept, so no table made
+at one precision serves another; at the quadrature's 302 bits the anchors
+of verify special (w0 <= 33.75) hold about 52 coefficients each, 470 KB in
+all.
+
+a_0 is mp.exp(w0^2) * mp.erfc(w0) below w0 = 7, where w0^2 is exact.  From
+there on it comes from the Laplace continued fraction
 
     sqrt(pi) exp(w^2) erfc(w) = 1/(w + (1/2)/(w + 1/(w + (3/2)/(w + ...)))),
 
 evaluated backward in fixed point; mpmath's erfc would form 1 - erf(w) at
-about 1.44 w^2 extra bits there.
+about 1.44 w^2 extra bits there.  The fraction also serves the nodes from
+w = 40 on, where its depth keeps falling and the anchors would keep growing
+in number.
 
 quad_certified reports mpmath's heuristic error estimate (the difference of
 the last two tanh-sinh degrees), not a rigorous bound; `converged` says
@@ -65,6 +85,11 @@ from .precision import hp
 
 # below this w, exp(w^2) * erfc(w) is evaluated by mpmath directly
 _CF_CROSSOVER = 7
+# below this w, the companion's integrand comes from the Taylor anchors
+_TAYLOR_LIMIT = 40
+# bits above the working precision that every anchor carries, besides the
+# w0 / (4 log 2) bits the growing solution may amplify an error by
+_ANCHOR_GUARD = 30
 # digits above the working precision and its guard that every quadrature runs at
 _QUAD_GUARD_DPS = 10
 
@@ -116,8 +141,10 @@ def _cf_depth(w: float, prec: int) -> int:
     return n
 
 
-def _scaled_erfc(w) -> mpf:
-    """exp(w^2) * erfc(w) at the current precision, for an mpf w > 0."""
+def _erfcx_direct(w) -> mpf:
+    """exp(w^2) * erfc(w) at the current precision, for an mpf w >= 0, by
+    mpmath's erfc or the continued fraction: a_0 of each Taylor anchor, and
+    the integrand from _TAYLOR_LIMIT on."""
     if w < _CF_CROSSOVER:
         return mp.exp(w * w) * mp.erfc(w)
     # backward from the depth, in fixed point at wp bits: t <- w + (k/2)/t,
@@ -130,6 +157,47 @@ def _scaled_erfc(w) -> mpf:
         t = x + (k << (2 * wp - 1)) // t
     scaled = (1 << (3 * wp)) // (t * sqrt_fixed(pi_fixed(wp), wp))
     return mp.make_mpf(from_man_exp(scaled, -wp, prec, round_nearest))
+
+
+@lru_cache(maxsize=512)
+def _erfcx_anchor(j: int, prec: int) -> tuple[int, list[int]]:
+    """(wp, [a_0, a_1, ...]): the Taylor coefficients of erfcx at w0 = j/4 as
+    integers scaled by 2^wp, enough of them for |h| <= 1/8 at prec bits.
+
+    The recurrence amplifies an error in a coefficient by at most
+    exp(w0/4 + 1/64) at |h| <= 1/8, the growth of the exp(w^2) solution, so
+    wp carries w0 / (4 log 2) bits for it on top of _ANCHOR_GUARD; a_0 is
+    evaluated at wp too.
+    """
+    wp = prec + math.ceil(j / (16 * math.log(2))) + _ANCHOR_GUARD
+    with mp.workprec(wp):
+        a0 = to_fixed(_erfcx_direct(mp.mpf(j) / 4)._mpf_, wp)
+    two_over_sqrt_pi = (1 << (2 * wp + 1)) // sqrt_fixed(pi_fixed(wp), wp)
+    coeffs = [a0, (j * a0 >> 1) - two_over_sqrt_pi]
+    # (k+1) a_{k+1} = 2 w0 a_k + 2 a_{k-1}; stop once two consecutive terms
+    # a_k / 8^k are below 2^-wp and (k+1) >= w0/2, past which each term is at
+    # most half the larger of the two before it, so the tail is below 2^(1-wp)
+    k = 1
+    while 8 * k < j or abs(coeffs[k]) >> (3 * k) or abs(coeffs[k - 1]) >> (3 * k - 3):
+        coeffs.append((j * coeffs[k] + 4 * coeffs[k - 1]) // (2 * k + 2))
+        k += 1
+    return wp, coeffs
+
+
+def _scaled_erfc(w) -> mpf:
+    """exp(w^2) * erfc(w) at the current precision, for an mpf w > 0: below
+    _TAYLOR_LIMIT one Horner pass of the Taylor expansion at the nearest
+    anchor, the continued fraction from there on."""
+    if w >= _TAYLOR_LIMIT:
+        return _erfcx_direct(w)
+    prec = mp.prec
+    j = int(4 * float(w) + 0.5)
+    wp, coeffs = _erfcx_anchor(j, prec)
+    h = to_fixed(w._mpf_, wp) - (j << (wp - 2))
+    s = 0
+    for a in reversed(coeffs):
+        s = a + (s * h >> wp)
+    return mp.make_mpf(from_man_exp(s, -wp, prec, round_nearest))
 
 
 @lru_cache(maxsize=2048)

@@ -162,6 +162,11 @@ def fundamental_unit(t: int) -> PellUnit:
     return order_unit_pm(t)
 
 
+def neg(q: QuadForm) -> QuadForm:
+    """-q, which swaps positive- and negative-definite forms."""
+    return QuadForm(-q.a, -q.b, -q.c)
+
+
 def automorphs_definite(q: QuadForm) -> list[Mat]:
     """All SL2(Z)-automorphs of a definite form (2, 4, or 6 of them)."""
     q0 = q.primitive_part()
@@ -177,7 +182,7 @@ def _sl2_transform(q1: QuadForm, q2: QuadForm) -> Mat | None:
         if (q1.a > 0) != (q2.a > 0):
             return None
         if q1.a < 0:
-            q1, q2 = q1.neg(), q2.neg()
+            q1, q2 = neg(q1), neg(q2)
         r1, g1 = _reduce_definite_transform(q1)
         r2, g2 = _reduce_definite_transform(q2)
         if r1 != r2:

@@ -14,6 +14,8 @@ from quadtrace import cli
 from quadtrace.cli import CHECKS, main
 from quadtrace.specialfns import QuadratureResult
 
+from .forks import set_cores
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -217,6 +219,17 @@ def test_special_fails_an_unconverged_side(monkeypatch):
     assert [r.params for r in failed] == [{"N": 1, "v": "1", "m": 2}]
     assert failed[0].flags == {"quadrature": "unconverged"}
     assert all(r.flags == {} for r in reports if r.passed)
+
+
+def test_special_runs_each_distinct_quadrature_once(monkeypatch):
+    # the 36 grid points form only 30 bit-distinct argument pairs (t, y)
+    companions, alphas = [], []
+    converged = QuadratureResult(mp.mpf(1), mp.mpf(0), 1, converged=True)
+    monkeypatch.setattr(cli, "alpha_companion", lambda t: companions.append(t) or converged)
+    monkeypatch.setattr(cli, "alpha", lambda y: alphas.append(y) or converged)
+    set_cores(monkeypatch, 1)
+    assert len(CHECKS["special"].run(())) == 36
+    assert len(companions) == len(alphas) == 30
 
 
 # invocations of perfbench/digests.json cheap enough for the unit suite

@@ -1,6 +1,7 @@
 """Dead-code guard: every top-level name of the package is read somewhere in
 src/ or tests/, every name a module imports is read in that module, and
-every top-level function and class of src/ is reachable from cli.main.
+every top-level function and class of src/, and every method of its
+classes, is reachable from cli.main.
 
 References are taken from the syntax tree, so a name that survives only in
 a comment or a docstring counts as dead.  Dunder names are exempt, and so
@@ -8,6 +9,7 @@ are the imports of __init__.py, which are the package's public names.
 """
 
 import ast
+import copy
 from collections import Counter
 from pathlib import Path
 
@@ -96,6 +98,33 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def _loaded_attributes(tree: ast.AST) -> set:
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) per top-level statement; each non-dunder method of a
+    class is a node of its own, named Class.method, cut out of its class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            methods = [
+                sub
+                for sub in node.body
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not _is_dunder(sub.name)
+            ]
+            rest = copy.copy(node)
+            rest.body = [sub for sub in node.body if sub not in methods]
+            yield node.name, rest
+            yield from ((f"{node.name}.{sub.name}", sub) for sub in methods)
+        else:
+            yield from ((name, node) for name in _top_level_names(ast.Module([node], [])))
+
+
 def _package_imports(tree: ast.AST, modules) -> dict:
     """{name: (module, name)} for the names bound anywhere in tree by
     relative imports of the package (`from .x import f`)."""
@@ -108,15 +137,18 @@ def _package_imports(tree: ast.AST, modules) -> dict:
 
 
 def test_every_function_is_reachable_from_the_cli():
-    # a node is a top-level statement of a module; it reaches the names it
-    # loads, through its module's definitions and relative imports
+    # a node is a top-level statement of a module or a method; it reaches the
+    # names it loads, through its module's definitions and relative imports,
+    # and every method whose attribute name it loads
     trees = {path.stem: _parse(path) for path in SOURCES if path.name != "__init__.py"}
-    nodes, scopes = {}, {}
+    nodes, scopes, methods = {}, {}, {}
     for module, tree in trees.items():
         scopes[module] = _package_imports(tree, trees)
-        for node in tree.body:
-            for name in _top_level_names(ast.Module([node], [])):
-                nodes[module, name] = node
+        for name, node in _definitions(tree):
+            nodes[module, name] = node
+            if "." in name:
+                methods.setdefault(name.split(".")[1], []).append((module, name))
+            else:
                 scopes[module][name] = (module, name)
     reached, todo = set(), [("cli", "main")]
     while todo:
@@ -125,6 +157,8 @@ def test_every_function_is_reachable_from_the_cli():
             reached.add(key)
             scope = scopes[key[0]]
             todo += [scope[name] for name in _loaded_names(nodes[key]) if name in scope]
+            for attr in _loaded_attributes(nodes[key]):
+                todo += methods.get(attr, [])
     unreached = [
         f"{module}.{name}"
         for (module, name), node in nodes.items()

@@ -1,5 +1,6 @@
 """Quadratic forms: reduction, classes, units, orbit counts, geodesics."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from quadtrace.cli import GEODESIC_SEEDS, GEODESIC_WORDS, _LETTERS
+from quadtrace.precision import hp
 from quadtrace.quadforms import (
     IDENTITY,
     QuadForm,
@@ -29,6 +32,7 @@ from .oracles import (
     automorphs_definite,
     fundamental_unit,
     gamma0_equivalent,
+    neg,
     reduce_definite,
 )
 
@@ -299,7 +303,7 @@ def signed_orbits(p, n):
     negative-definite mirror (the both-signs convention)."""
     orbits = [(rep, members) for rep, _, members in pairwise_orbits(p, n)]
     if n < 0:
-        orbits += [(rep.neg(), [q.neg() for q in members]) for rep, members in orbits]
+        orbits += [(neg(rep), [neg(q) for q in members]) for rep, members in orbits]
     return orbits
 
 
@@ -409,3 +413,14 @@ def test_geodesic_integral_matches_unit_log():
             val, err = geodesic_integral(q)
             assert abs(val - expected) < mp.mpf("1e-8"), (d, q)
             assert err < mp.mpf("1e-8")
+
+
+def test_geodesic_error_estimate_is_at_least_an_ulp():
+    # the 18 forms of verify geodesic, where mpmath's own estimate read as low
+    # as 1e-150 for an integral run at the working + guard + 5 digits
+    for seed in GEODESIC_SEEDS.values():
+        for word in GEODESIC_WORDS:
+            q = seed.apply(functools.reduce(mat_mul, (_LETTERS[c] for c in word), IDENTITY))
+            value, err = geodesic_integral(q)
+            with hp(extra=5):
+                assert err >= mp.ldexp(1, mp.mag(value) - mp.prec) > 0, q

@@ -4,11 +4,14 @@ import pytest
 from mpmath import mp
 
 from quadtrace import specialfns
-from quadtrace.cli import SPECIAL_GRID
+from quadtrace.cli import SPECIAL_GRID, sweep_special
 from quadtrace.modular import apply_moebius
 from quadtrace.precision import hp, set_working_dps, working_dps
 from quadtrace.specialfns import (
     _CF_CROSSOVER,
+    _TAYLOR_LIMIT,
+    _erfcx_anchor,
+    _erfcx_direct,
     _head_log,
     _scaled_erfc,
     _tail_factor,
@@ -19,6 +22,7 @@ from quadtrace.specialfns import (
     quad_certified,
 )
 
+from .forks import set_cores
 from .oracles import erfc
 
 
@@ -125,39 +129,69 @@ def test_scaled_erfc_continued_fraction_accuracy(dps, monkeypatch):
     with mp.workprec(prec):
         for k in range(472):  # w = 7, 7.07, ..., 39.97
             w = _CF_CROSSOVER + k * mp.mpf("0.07")
-            value = _scaled_erfc(w)
+            value = _erfcx_direct(w)
             with mp.workdps(mp.dps + 60):
                 ref = mp.exp(w * w) * mp.erfc(w)
                 worst = max(worst, abs(value - ref) / ref)
     assert worst <= 2 * eps
 
 
-def test_scaled_erfc_both_sides_of_crossover(monkeypatch):
-    with mp.workprec(_integrand_prec(64, monkeypatch)):
-        below = _CF_CROSSOVER - 8 * mp.eps
-        # below the crossover the integrand is mpmath's own, bit for bit
-        assert _scaled_erfc(below) == mp.exp(below * below) * mp.erfc(below)
-        at = mp.mpf(_CF_CROSSOVER)
-        with mp.workdps(mp.dps + 60):
-            ref = mp.exp(at * at) * mp.erfc(at)
-        assert abs(_scaled_erfc(at) - ref) <= 2 * mp.eps * ref
-        # mpmath's side rounds w^2 before exp, a relative error up to w^2 eps
-        step = abs(_scaled_erfc(at) / _scaled_erfc(below) - 1)
-        assert step <= 2 * _CF_CROSSOVER**2 * mp.eps
+@pytest.mark.parametrize("dps", [64, 200])
+def test_scaled_erfc_accuracy(dps, monkeypatch):
+    # the anchors themselves, the midpoints, where |h| = 1/8 is largest, and
+    # both sides of the limit above which the continued fraction takes over
+    prec = _integrand_prec(dps, monkeypatch)
+    eps = mp.ldexp(1, 1 - prec)
+    worst = 0
+    with mp.workprec(prec):
+        points = [mp.mpf("1e-30"), _TAYLOR_LIMIT * (1 - eps), _TAYLOR_LIMIT * (1 + eps)]
+        points += [mp.mpf(j) / 8 for j in range(1, 481)]  # anchors j/4, midpoints
+        for w in points:
+            value = _scaled_erfc(w)
+            with mp.workdps(mp.dps + 60):
+                ref = mp.exp(w * w) * mp.erfc(w)
+                worst = max(worst, abs(value - ref) / ref)
+    assert worst <= eps
+
+
+def test_special_sweep_evaluates_each_anchor_once(monkeypatch):
+    # one sweep, serially, from an empty anchor cache: the direct evaluator
+    # runs once per anchor, not once per node (18,066 of them; no node of the
+    # grid reaches _TAYLOR_LIMIT)
+    calls = []
+    direct = specialfns._erfcx_direct
+    monkeypatch.setattr(specialfns, "_erfcx_direct", lambda w: calls.append(w) or direct(w))
+    set_cores(monkeypatch, 1)
+    _erfcx_anchor.cache_clear()
+    _at_working_dps(64, lambda: sweep_special(()))
+    anchors = _erfcx_anchor.cache_info().currsize
+    assert 0 < len(calls) == anchors <= 4 * _TAYLOR_LIMIT + 1
 
 
 def test_head_cache_keeps_precisions_apart():
-    # the tail factor's cache too: y = 0.7 cuts the tail at T > 1
-    assert _head_log.cache_info().maxsize is not None
-    assert _tail_factor.cache_info().maxsize is not None
-    y = mp.mpf("0.7")
-    _at_working_dps(40, lambda: alpha(y))
-    after_40 = _at_working_dps(200, lambda: alpha(y))
-    _head_log.cache_clear()
-    _tail_factor.cache_clear()
-    fresh = _at_working_dps(200, lambda: alpha(y))
-    assert after_40.value._mpf_ == fresh.value._mpf_
-    assert after_40.error_estimate._mpf_ == fresh.error_estimate._mpf_
+    # the tail factor's and the erfcx anchors' caches too: y = 0.7 cuts the
+    # tail at T > 1, and t = 3 reaches the anchors j = 0, ..., 12
+    caches = (_head_log, _tail_factor, _erfcx_anchor)
+    assert all(cache.cache_info().maxsize is not None for cache in caches)
+
+    def sides():
+        return alpha(mp.mpf("0.7")), alpha_companion(3)
+
+    def clear_caches():
+        for cache in caches:
+            cache.cache_clear()
+
+    clear_caches()
+    _at_working_dps(40, sides)
+    after_40 = _at_working_dps(200, sides)
+    both = _erfcx_anchor.cache_info().currsize
+    clear_caches()
+    fresh = _at_working_dps(200, sides)
+    # the anchors made at 40 digits sit beside those at 200, not in their place
+    assert both == 2 * _erfcx_anchor.cache_info().currsize == 26
+    for a, b in zip(after_40, fresh):
+        assert a.value._mpf_ == b.value._mpf_
+        assert a.error_estimate._mpf_ == b.error_estimate._mpf_
 
 
 def _mpf_integrand(factor, y, power):
