@@ -284,7 +284,8 @@ PLUS_ZETA_INDICES = (-4, -3, 5, 8)
 
 def sweep_kloosterman(primes, cutoff):
     reports = []
-    for p in primes:
+    batches = plus_zeta_batch(primes, PLUS_ZETA_INDICES, 2.5, cutoff)
+    for p, batch in zip(primes, batches):
         kv = kzeta_level_truncated(p, 1.25, cutoff)
         reports.append(
             tail_bound_report(
@@ -295,7 +296,7 @@ def sweep_kloosterman(primes, cutoff):
                 kv.tail_bound,
             )
         )
-        for tv in plus_zeta_batch(p, PLUS_ZETA_INDICES, 2.5, cutoff):
+        for tv in batch:
             n = tv.params["n"]
             reports.append(
                 tail_bound_report(

@@ -27,11 +27,19 @@ and square n are checked against them term by term.
 Truncated sums use float precision (tail bounds dwarf roundoff); the tests
 hold the inner sums to a working-precision evaluation (tests/oracles.py).
 
-The float kernels (local_sum_2_exp, local_sum_p_exp, _legendre_array,
-_jacobi_table, _inner_sums and plus_zeta_batch) import numpy where they
+The float kernels (local_sum_2_exp, local_sum_p_exp, _jacobi_table,
+_jacobi_period, _inner_sums and plus_zeta_batch) import numpy where they
 start, not at module level: every CLI command imports this module, but only
 `verify kloosterman` reaches them, and importing numpy takes longer than
-all the other imports of the CLI together.
+all the other imports of the CLI together.  Their Legendre symbols come
+from arith.legendre_table, as int8 arrays.
+
+plus_zeta_batch sums every level of a check in one pass over c: each c
+builds the Jacobi period of its odd part once and forms the inner sums of
+every level from it, in one set of work buffers.  _inner_sums gathers the
+roots of unity at n r mod M by np.take(mode="wrap") on r n_s, n_s the least
+absolute residue of n mod M, which costs no division but grows with |n_s|:
+it suits the small indices the checks sum (see _inner_sums).
 """
 
 from __future__ import annotations
@@ -44,7 +52,14 @@ from typing import NamedTuple
 
 from mpmath import mp
 
-from .arith import CHI8_TABLE, eps_odd, kronecker, require_odd_prime, valuation
+from .arith import (
+    CHI8_TABLE,
+    eps_odd,
+    kronecker,
+    legendre_table,
+    require_odd_prime,
+    valuation,
+)
 from .classnumbers import class_number_l_at_1
 from .lvalues import (
     chi,
@@ -83,21 +98,6 @@ def local_sum_2_exp(j: int, n: int) -> complex:
     return complex((chi_m * eps_r * np.exp((2j * np.pi / m_mod) * ((n % m_mod) * r % m_mod))).sum())
 
 
-def _legendre_array(q: int):
-    """(x/q) for 0 <= x < q, odd prime q, as an int8 numpy array.
-
-    The vectorised twin of arith.legendre_table for the float kernels, which
-    need one per prime up to the cutoff.
-    """
-    import numpy as np
-
-    table = np.full(q, -1, dtype=np.int8)
-    x = np.arange(q, dtype=np.int64)
-    table[x * x % q] = 1
-    table[0] = 0
-    return table
-
-
 def local_sum_p_exp(p: int, j: int, n: int) -> complex:
     """a(p^j, n) as a finite exponential sum (float precision), odd prime p."""
     import numpy as np
@@ -105,7 +105,7 @@ def local_sum_p_exp(p: int, j: int, n: int) -> complex:
     m_mod = p**j
     r = np.arange(m_mod, dtype=np.int64)
     if j % 2:
-        chi_m = _legendre_array(p)[r % p]
+        chi_m = np.array(legendre_table(p), dtype=np.int8)[r % p]
     else:
         chi_m = np.where(r % p != 0, 1, 0)
     return complex(
@@ -182,15 +182,17 @@ def _local_factor_p_series(p: int, n: int, sigma) -> complex:
 
 # Largest modulus of an exponential sum the CLI lets a check form.  Under
 # tracemalloc at M = 10^6, one process holds 41 bytes per unit of M for a
-# plus_zeta_batch (its work buffers; 41.06 at the peak of a call at that M)
-# and one local sum peaks at up to 48 (0.5 GB at the limit).
+# plus_zeta_batch whose largest modulus is M (its work buffers; 41.06 at
+# the peak of a call at that M) and one local sum peaks at up to 48 (0.5 GB
+# at the limit).
 MAX_MODULUS = 10**7
 
 
 def largest_modulus(p: int, n: int, cutoff: int) -> int:
-    """The largest modulus of the exponential sums that plus_zeta_batch(p, [n],
-    s, cutoff) and assembled_product(p, n, s) form, n != 0: 4p * cutoff in the
-    truncated series, 2^(nu_2(n) + 5) and p^(nu_p(n) + 4) in the local factors."""
+    """The largest modulus of the exponential sums that plus_zeta_batch([p],
+    [n], s, cutoff) and assembled_product(p, n, s) form, n != 0: 4p * cutoff in
+    the truncated series, 2^(nu_2(n) + 5) and p^(nu_p(n) + 4) in the local
+    factors."""
     return max(4 * p * cutoff, 2 ** (valuation(n, 2) + 5), p ** (valuation(n, p) + 4))
 
 
@@ -242,7 +244,7 @@ def _jacobi_table(m: int, spf):
         while rest % q == 0:
             rest //= q
             e += 1
-        table *= _legendre_array(q)[x % q] if e % 2 else (x % q != 0)
+        table *= np.array(legendre_table(q), dtype=np.int8)[x % q] if e % 2 else (x % q != 0)
     return table
 
 
@@ -282,15 +284,25 @@ def _work_buffers(m_max: int) -> _Work:
     )
 
 
-def _inner_sums(big_n: int, c: int, n_list, per4n, spf, work: _Work):
+def _jacobi_period(c: int, spf):
+    """(r/c_odd) at the odd r = 1, 3, ..., 2 c_odd - 1, c_odd the odd part of
+    c: one period of the Jacobi factor of the inner sums at c, the same at
+    every level."""
+    import numpy as np
+
+    c_odd = c >> valuation(c, 2)
+    return _jacobi_table(c_odd, spf)[np.arange(1, 2 * c_odd, 2) % c_odd]
+
+
+def _inner_sums(big_n: int, c: int, n_list, per4n, jacobi, work: _Work):
     """S(4Nc; n) for each n, splitting (4Nc/r) = (4N/r)(2/r)^e (c_odd/r).
 
     The sum runs over the M/2 odd r = 2i + 1 < M = 4Nc, and every factor of
-    (4Nc/r) eps_r is periodic in i: (4N/r) with period 2N, the Jacobi table
-    of c_odd (_jacobi_table, turned into (c_odd/r) by reciprocity) with
-    period c_odd, (2/r) with period 4, and the r = 3 mod 4 sign and eps_r
-    with period 2.  Each is one period tiled to length M/2, multiplied as
-    int8 and then by eps_r as complex.
+    (4Nc/r) eps_r is periodic in i: (4N/r) with period 2N, the Jacobi
+    factor with period c_odd (jacobi, from _jacobi_period(c), turned into
+    (c_odd/r) by reciprocity), (2/r) with period 4, and the r = 3 mod 4 sign
+    and eps_r with period 2.  Each is one period tiled to length M/2,
+    multiplied as int8 and then by eps_r as complex.
 
     The roots of unity e(k / M) are shared by all indices: each index
     gathers roots[n r mod M].  For odd n that index is an odd multiple of
@@ -301,15 +313,26 @@ def _inner_sums(big_n: int, c: int, n_list, per4n, spf, work: _Work):
     exp argument is the float product of 2 pi i / M and the reduced integer
     k, exactly as when e(n r / M) is evaluated for one index alone, and
     numpy's complex exp works element by element, so the sums are
-    bit-identical to that direct evaluation.  The gather index n r mod M is
-    periodic in i with period M / gcd(2n, M), so one period is computed and
-    tiled.
+    bit-identical to that direct evaluation.
+
+    The gather index is r n_s, n_s the least absolute residue of n mod M,
+    and np.take(mode="wrap") reduces it mod M by |r n_s| // M additions or
+    subtractions of M (at most |n_s|), so it reaches the same root as
+    n r mod M and costs no division.  For small |n_s| that beats forming
+    n r mod M by np.remainder over one period of M / gcd(2n, M) entries and
+    tiling it.  Over the moduli of `verify kloosterman --p 3 5 --cutoff
+    2000` (every third c, three rounds, a 2-vCPU x86-64 guest, numpy 2.4)
+    the gathers of -4, -3, 5 and 8 took 361 ms by wrap and 590 ms by the
+    remainder; the remainder won only for n = 8 at c = 0 mod 4 (25 against
+    27 ms), and taking the faster per class of gcd(2n, M) would have saved
+    2 ms.  The cost grows with |n_s|: at M = 30,000, n = 10^6 + 1 (n_s =
+    10,001) takes 29 ms by wrap against 97 us by the remainder.
 
     Every array of length M or M/2 is a prefix of `work` (_work_buffers),
     written through out= and in-place operations, so a call allocates only
-    the Jacobi table and its O(c_odd) temporaries.  One call depends on
-    nothing but its arguments, the buffers included, which is what lets
-    plus_zeta_batch run the calls for different c in different processes.
+    O(c_odd) temporaries.  One call depends on nothing but its arguments,
+    the buffers included, which is what lets plus_zeta_batch run the calls
+    for different c in different processes.
     """
     import numpy as np
 
@@ -339,16 +362,14 @@ def _inner_sums(big_n: int, c: int, n_list, per4n, spf, work: _Work):
         np.subtract(work.odd[:count], 1, out=index[:count])
         np.multiply(index[:count], g // 2, out=index[:count])
         write_roots(roots[:m_mod:g], count)
-    e2, c_odd = 0, c
-    while c_odd % 2 == 0:
-        c_odd //= 2
-        e2 += 1
+    e2 = valuation(c, 2)
+    c_odd = c >> e2
     # each period is tiled by a broadcast assignment, which needs no buffer,
     # and then multiplied in one pass: a broadcast multiply would allocate
     # a ufunc buffer of 8192 entries
     chi, tile = work.chi[:half], work.tile[:half]
     chi.reshape(-1, 2 * big_n)[...] = per4n[1::2]
-    tile.reshape(-1, c_odd)[...] = _jacobi_table(c_odd, spf)[np.arange(1, 2 * c_odd, 2) % c_odd]
+    tile.reshape(-1, c_odd)[...] = jacobi
     np.multiply(chi, tile, out=chi)
     if e2 % 2:
         tile.reshape(-1, 4)[...] = CHI8_TABLE[1::2]
@@ -362,68 +383,85 @@ def _inner_sums(big_n: int, c: int, n_list, per4n, spf, work: _Work):
     gather = index[:half]
     sums = []
     for n in n_list:
-        period = m_mod // math.gcd(2 * n, m_mod)
-        np.multiply(work.odd[:period], n % m_mod, out=index[:period])
-        np.remainder(index[:period], m_mod, out=index[:period])
-        gather.reshape(-1, period)[1:] = index[:period]
-        # mode="clip" (a no-op here, every index is below M): under the
-        # default mode="raise" numpy gathers into a fresh copy of out
-        np.take(roots[:m_mod], gather, out=terms, mode="clip")
+        np.multiply(work.odd[:half], (n + half) % m_mod - half, out=gather)
+        np.take(roots[:m_mod], gather, out=terms, mode="wrap")
         np.multiply(base, terms, out=terms)
         sums.append(complex(terms.sum()))
     return sums
 
 
-def plus_zeta_batch(big_n: int, n_list, s: float, cutoff: int):
-    """Truncated K^+_{1/2,4N}(0, n; s) for several indices in one pass over c.
+def plus_zeta_batch(levels, n_list, s: float, cutoff: int):
+    """Truncated K^+_{1/2,4N}(0, n; s) at each level N and index n in one pass over c.
 
-    Each c costs one period of each character factor, tiled, the roots of
-    unity at the multiples the indices can reach, and one period of the
-    gather index plus one gather per index (see _inner_sums), all in one
-    set of work buffers sized for the largest modulus 4N * cutoff.  Those
-    per-c sums are computed across the usable cores (parallel.fork_map),
-    whose workers inherit the buffers through the fork, so each process
-    reuses one allocation for all of its moduli; the buffers live as long
-    as this call.  The weighted sum over c stays here and runs in c order,
-    because float addition in another order gives other bits and the
-    reports print the totals to 30 digits.  The tail bound is the rigorous
-    trivial one, left infinite when s <= 2 (no decay) and None at cutoff 0
-    (nothing summed).
+    Returns one list per level, in the order of levels, of one
+    KloostermanValue per index.  Each c builds the Jacobi period of c_odd
+    once (_jacobi_period) and then runs _inner_sums for every level: one
+    period of each other character factor, tiled, the roots of unity at the
+    multiples the indices can reach, and one gather per index, all in one
+    set of work buffers sized for the largest modulus 4 max(N) cutoff.
+    Those per-c sums are computed across the usable cores
+    (parallel.fork_map), whose workers inherit the buffers through the
+    fork, so each process reuses one allocation for all of its moduli; the
+    buffers live as long as this call.  Each c returns its sums as one
+    complex array, levels by indices.  The weighted sum over c of each level
+    stays here and runs in c order, because float addition in another order
+    gives other bits and the reports print the totals to 30 digits.  The
+    tail bound is the rigorous trivial one, left infinite when s <= 2 (no
+    decay) and None at cutoff 0 (nothing summed).
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     import numpy as np
 
-    per4n = np.array([kronecker(4 * big_n, x) for x in range(4 * big_n)], dtype=np.int8)
+    per4n = [
+        np.array([kronecker(4 * big_n, x) for x in range(4 * big_n)], dtype=np.int8)
+        for big_n in levels
+    ]
     spf = _spf_table(max(cutoff + 1, 100))
-    work = _work_buffers(4 * big_n * cutoff)
-    totals = np.zeros(len(n_list), dtype=complex)
+    work = _work_buffers(4 * max(levels) * cutoff)
+
+    def sums_at(c):
+        jacobi = _jacobi_period(c, spf)
+        return np.array(
+            [
+                _inner_sums(big_n, c, n_list, table, jacobi, work)
+                for big_n, table in zip(levels, per4n)
+            ],
+            dtype=complex,
+        )
+
     # c ascending: the serial head of fork_map runs the small moduli here,
     # which touches only the first pages of the buffers before the fork
-    sums_by_c = fork_map(
-        lambda c: _inner_sums(big_n, c, n_list, per4n, spf, work), range(1, cutoff + 1)
-    )
+    sums_by_c = fork_map(sums_at, range(1, cutoff + 1))
+    totals = np.zeros((len(levels), len(n_list)), dtype=complex)
     for c, sums in enumerate(sums_by_c, start=1):
         w = 1 + kronecker(4, c)
-        m_mod = 4 * big_n * c
-        for i, val in enumerate(sums):
-            totals[i] += w * val / m_mod**s
-    # rigorous trivial tail: |inner| <= phi(4Nc) <= 4Nc, weight <= 2
-    if cutoff == 0:
-        tail = None
-    elif s > 2:
-        tail = 2.0 * (4 * big_n) ** (1 - s) * cutoff ** (2 - s) / (s - 2)
-    else:
-        tail = float("inf")
+        for k, big_n in enumerate(levels):
+            m_mod = 4 * big_n * c
+            # tolist gives Python complex, whose division by a float has
+            # the bits the reports were recorded with; numpy's complex
+            # division rounds otherwise (in 42% of random quotients)
+            for i, val in enumerate(sums[k].tolist()):
+                totals[k, i] += w * val / m_mod**s
     out = []
-    for i, n in enumerate(n_list):
+    for k, big_n in enumerate(levels):
+        # rigorous trivial tail: |inner| <= phi(4Nc) <= 4Nc, weight <= 2
+        if cutoff == 0:
+            tail = None
+        elif s > 2:
+            tail = 2.0 * (4 * big_n) ** (1 - s) * cutoff ** (2 - s) / (s - 2)
+        else:
+            tail = float("inf")
         out.append(
-            KloostermanValue(
-                value=complex(totals[i]),
-                params={"N": big_n, "n": n, "s": s, "m_index": 0},
-                cutoff=cutoff,
-                tail_bound=tail,
-            )
+            [
+                KloostermanValue(
+                    value=complex(totals[k, i]),
+                    params={"N": big_n, "n": n, "s": s, "m_index": 0},
+                    cutoff=cutoff,
+                    tail_bound=tail,
+                )
+                for i, n in enumerate(n_list)
+            ]
         )
     return out
 

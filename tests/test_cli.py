@@ -1,6 +1,8 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -234,6 +236,7 @@ def test_special_runs_each_distinct_quadrature_once(monkeypatch):
 
 # invocations of perfbench/digests.json cheap enough for the unit suite
 DRIFT_ARGV = (
+    "hurwitz --p 3 5 7 --n-max 2000",
     "verify constants --p 3 5 7",
     "coeffs --p 3 --m-max 12",
     "verify coefficients --p 3 --m-max 12",
@@ -261,6 +264,20 @@ def test_stdout_matches_recorded_digest(argv):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == digests[argv]["sha256"]
+
+
+def test_benchmark_cache_probes_name_cached_functions():
+    """perfbench/child.py reads cache_info() of each function in its CACHES
+    after cli.main returns, so a cache removed from quadtrace would fail
+    every benchmark run; here it fails one test."""
+    spec = importlib.util.spec_from_file_location("child", ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    assert child.CACHES
+    for cache in child.CACHES:
+        module, name = cache.split(".")
+        function = getattr(importlib.import_module(f"quadtrace.{module}"), name)
+        assert callable(getattr(function, "cache_info", None)), cache
 
 
 # small cases of the commands that run without numpy (verify special and

@@ -12,6 +12,7 @@ from quadtrace import parallel
 from quadtrace.arith import kronecker
 from quadtrace.kloosterman import (
     _inner_sums,
+    _jacobi_period,
     _jacobi_table,
     _spf_table,
     _work_buffers,
@@ -160,15 +161,15 @@ def test_plus_term_phase_and_symmetry():
 
 
 def test_plus_zeta_truncated_edges():
-    kv = plus_zeta_batch(3, [5], 2.5, 0)[0]
+    kv = plus_zeta_batch([3], [5], 2.5, 0)[0][0]
     assert kv.value == 0
-    kv = plus_zeta_batch(3, [5], 2.5, 50)[0]
+    kv = plus_zeta_batch([3], [5], 2.5, 50)[0][0]
     assert kv.tail_bound is not None and kv.tail_bound > 0
-    empty = plus_zeta_batch(3, [-4, 5], 2.5, 0)
+    empty = plus_zeta_batch([3, 5], [-4, 5], 2.5, 0)[1]
     assert [kv.value for kv in empty] == [0, 0]
     assert all(kv.tail_bound is None and kv.cutoff == 0 for kv in empty)
     with pytest.raises(ValueError):
-        plus_zeta_batch(3, [-4, 5], 2.5, -1)
+        plus_zeta_batch([3], [-4, 5], 2.5, -1)
     kv = kzeta_level_truncated(3, 1.25, 0)
     assert kv.value == 0 and kv.tail_bound is None and kv.cutoff == 0
     # the series diverges for s <= 1: no finite bound, not a negative one
@@ -201,7 +202,8 @@ def test_inner_sums_match_plus_term():
         work = _work_buffers(4 * big_n * 40)
         for c in range(1, 41):
             weight = 1 + kronecker(4, c)
-            for n, val in zip(n_list, _inner_sums(big_n, c, n_list, per4n, spf, work)):
+            sums = _inner_sums(big_n, c, n_list, per4n, _jacobi_period(c, spf), work)
+            for n, val in zip(n_list, sums):
                 oracle = complex(plus_term(big_n, n, c)) / weight
                 assert abs(val - oracle) < 1e-9, (big_n, n, c)
 
@@ -218,12 +220,13 @@ def _poison(work):
 
 
 def test_inner_sums_bit_identical_to_direct_exp():
-    """The tiled characters, the partial root table and the tiled gather
-    index give the same floats, signed zeros included, as exp evaluated per
-    index.
+    """The tiled characters, the partial root table and the wrap-mode
+    gather give the same floats, signed zeros included, as exp evaluated
+    per index.
 
     The indices reach every branch of the partial table: n = 0, odd n that
-    share a factor with 4N, even n with nu_2 in {2, 3, 5} and a large |n|.
+    share a factor with 4N, even n with nu_2 in {2, 3, 5} and a large |n|,
+    whose gather index wraps many times.
     Each index is summed in the batch and alone, whose tables differ.  All
     calls of one N share one set of work buffers, NaN-filled before each
     call, so a sum that read a root the call never wrote would come out
@@ -248,11 +251,12 @@ def test_inner_sums_bit_identical_to_direct_exp():
                 for n in n_list
             ]
         for c in [*reversed(cs), *cs]:
+            jacobi = _jacobi_period(c, spf)
             _poison(work)
-            together = _inner_sums(big_n, c, n_list, per4n, spf, work)
+            together = _inner_sums(big_n, c, n_list, per4n, jacobi, work)
             for n, val, expected in zip(n_list, together, direct[c]):
                 _poison(work)
-                alone = _inner_sums(big_n, c, [n], per4n, spf, work)[0]
+                alone = _inner_sums(big_n, c, [n], per4n, jacobi, work)[0]
                 assert _hex(val) == _hex(alone) == expected, (big_n, n, c)
 
 
@@ -261,19 +265,18 @@ def test_inner_sums_allocate_no_modulus_sized_array():
 
     c = 2000 is the CLI's largest modulus at N = 5 (c_odd = 125); c = 1536
     (nu_2 odd, c_odd = 3 = 3 mod 4) also takes the (2/r) and the sign
-    branches.  Any array of length M/2 or of one gather period that the
-    kernel allocated instead of writing into the buffers would hold at
-    least M/2 bytes here.
+    branches.  Any array of length M/2 that the kernel allocated instead of
+    writing into the buffers would hold at least M/2 bytes here.
     """
     big_n, n_list = 5, [-4, -3, 5, 8]
     per4n, spf = _per4n(big_n), _spf_table(2001)
     work = _work_buffers(4 * big_n * 2000)
     for c in (2000, 1536):
-        _inner_sums(big_n, c, n_list, per4n, spf, work)
+        _inner_sums(big_n, c, n_list, per4n, _jacobi_period(c, spf), work)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _inner_sums(big_n, c, n_list, per4n, spf, work)
+            _inner_sums(big_n, c, n_list, per4n, _jacobi_period(c, spf), work)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -282,27 +285,29 @@ def test_inner_sums_allocate_no_modulus_sized_array():
 
 
 def test_plus_zeta_batch_equals_single_index():
-    n_list = [-4, -3, 0, 5, 8]
-    for big_n in (1, 3):
-        batch = plus_zeta_batch(big_n, n_list, 2.5, 60)
-        for n, kv in zip(n_list, batch):
-            single = plus_zeta_batch(big_n, [n], 2.5, 60)[0]
+    """Levels and indices summed in one pass over c give the bits of each
+    level and index summed alone."""
+    levels, n_list = [1, 3], [-4, -3, 0, 5, 8]
+    batch = plus_zeta_batch(levels, n_list, 2.5, 60)
+    for big_n, values in zip(levels, batch):
+        for n, kv in zip(n_list, values):
+            single = plus_zeta_batch([big_n], [n], 2.5, 60)[0][0]
             assert kv.value == single.value, (big_n, n)
             assert kv.tail_bound == single.tail_bound
+            assert kv.params == single.params
 
 
 def test_plus_zeta_tail_decay_empirical():
     """Partial-sum increments shrink with the cutoff at s = 2.5."""
-    a = plus_zeta_batch(3, [5], 2.5, 50)[0].value
-    b = plus_zeta_batch(3, [5], 2.5, 100)[0].value
-    c = plus_zeta_batch(3, [5], 2.5, 200)[0].value
+    a = plus_zeta_batch([3], [5], 2.5, 50)[0][0].value
+    b = plus_zeta_batch([3], [5], 2.5, 100)[0][0].value
+    c = plus_zeta_batch([3], [5], 2.5, 200)[0][0].value
     assert abs(c - b) < abs(b - a) + 1e-12
 
 
 def test_factorization_at_convergent_point():
     """Truncated series equals the assembled product within the tail bound."""
-    for p in (3, 5):
-        values = plus_zeta_batch(p, [-4, -3, 5, 8], 2.5, 400)
+    for p, values in zip((3, 5), plus_zeta_batch([3, 5], [-4, -3, 5, 8], 2.5, 400)):
         for kv in values:
             prod = assembled_product(p, kv.params["n"], 2.5)
             assert abs(kv.value - prod) <= kv.tail_bound, (p, kv.params)
@@ -354,7 +359,7 @@ def test_serial_pass_starts_no_process(monkeypatch, cores, cutoff, other_thread)
     if other_thread:
         thread.start()
     try:
-        plus_zeta_batch(1, [5], 2.5, cutoff)
+        plus_zeta_batch([1], [5], 2.5, cutoff)
     finally:
         release.set()
     if other_thread:

@@ -207,9 +207,10 @@ def _special_sweep(monkeypatch):
     return reports
 
 
-def _plus_zeta(big_n):
+def _plus_zeta(*levels):
     def run(monkeypatch):
-        return [kv.value for kv in plus_zeta_batch(big_n, [-4, -3, 0, 5, 8], 2.5, 501)]
+        batch = plus_zeta_batch(levels, [-4, -3, 0, 5, 8], 2.5, 501)
+        return [kv.value for values in batch for kv in values]
 
     return run
 
@@ -218,6 +219,7 @@ SPLIT_CALLERS = {
     "l1-batch": _l1_batch,
     "special-sweep": _special_sweep,
     **{f"plus-zeta-{big_n}": _plus_zeta(big_n) for big_n in (1, 3, 5, 15)},
+    "plus-zeta-3-5": _plus_zeta(3, 5),
 }
 
 
