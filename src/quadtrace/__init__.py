@@ -9,7 +9,6 @@ from .classnumbers import (
     generalized_hurwitz,
     hurwitz_class_number_forms,
     regulator_class_sum,
-    verify_linear_relation,
 )
 from .coefficients import (
     coeff_oracle_4,
@@ -18,7 +17,6 @@ from .coefficients import (
     sesqui4_square_coeff,
     sesqui4p_const_coeff,
     sesqui4p_neg_coeff,
-    sesqui4p_nonsquare_coeff,
     sesqui4p_square_coeff,
     square_trace_consistency,
     theta_multiple_const,

@@ -24,7 +24,7 @@ A table row and the single-n function of its route share one formula (the
 form weight, or _level_value); the tests still hold them equal.  A table
 lives as long as the sweep that builds it, and nothing here is cached per n.
 The two routes must agree exactly: `verify classnumbers` holds the two
-tables equal, and checks the linear relation (verify_linear_relation) on
+tables equal, and checks the linear relation (linear_relation_report) on
 the single-n routes.
 
 class_regulator(d) = h(d) log eps_d, the wide class number times the log of
@@ -241,22 +241,11 @@ def regulator_class_sum(n: int):
         return +(total / (2 * mp.pi))
 
 
-def verify_linear_relation(p: int, n: int) -> VerificationReport:
-    """Exact check of H_{p,p}(n)/(1-p) = H(n) - (p+1)/p * H_{1,p}(n)."""
-    return linear_relation_report(
-        p,
-        n,
-        hurwitz_class_number_forms(n),
-        generalized_hurwitz(1, p, n),
-        generalized_hurwitz(p, p, n),
-    )
-
-
 def linear_relation_report(
     p: int, n: int, h: Fraction, h1p: Fraction, hpp: Fraction
 ) -> VerificationReport:
-    """The linear relation of verify_linear_relation on given values
-    h = H(n), h1p = H_{1,p}(n), hpp = H_{p,p}(n)."""
+    """Exact check of H_{p,p}(n)/(1-p) = H(n) - (p+1)/p * H_{1,p}(n) on given
+    values h = H(n), h1p = H_{1,p}(n), hpp = H_{p,p}(n)."""
     lhs, rhs = _linear_relation_sides(p, h, h1p, hpp)
     return exact_report("hurwitz-linear-relation", {"p": p, "n": n}, lhs, rhs)
 

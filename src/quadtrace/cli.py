@@ -25,9 +25,11 @@ from mpmath import mp
 from .arith import is_prime, is_squarefree
 from .classnumbers import (
     _linear_relation_sides,
+    generalized_hurwitz,
+    hurwitz_class_number_forms,
     hurwitz_forms_table,
     hurwitz_level_table,
-    verify_linear_relation,
+    linear_relation_report,
 )
 from .coefficients import (
     coeff_oracle_4,
@@ -49,7 +51,7 @@ from .kloosterman import (
     plus_zeta_batch,
     plus_zeta_special_value,
 )
-from .lvalues import fundamental_decomposition, l_values_at_1, moebius_char_squared_sum
+from .lvalues import moebius_char_squared_sum
 from .modular import (
     eval_cohen_eisenstein,
     eval_sesqui_4p,
@@ -58,7 +60,7 @@ from .modular import (
     modularity_residual,
 )
 from .parallel import fork_map
-from .precision import hp, set_working_dps
+from .precision import DEFAULT_DPS, hp, set_working_dps
 from .quadforms import IDENTITY, S_MAT, QuadForm, automorph_unit, geodesic_integral, mat_mul
 from .report import (
     VerificationReport,
@@ -81,7 +83,7 @@ def _add_common(sub):
     sub.add_argument("--p", type=int, nargs="+", help="odd primes (default 3)")
     sub.add_argument("--n-max", type=int, default=None)
     sub.add_argument("--m-max", type=int, default=None)
-    sub.add_argument("--prec", type=int, default=64, help="decimal digits")
+    sub.add_argument("--prec", type=int, default=DEFAULT_DPS, help="decimal digits")
     sub.add_argument("--cutoff", type=int, default=None)
     sub.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     sub.add_argument("--convention", choices=["auto", "pos-def", "both-signs"])
@@ -183,7 +185,10 @@ def sweep_classnumbers(primes, n_max):
         for n in range(n_max + 1)
         if n % 4 in (0, 3)
     ]
-    reports += [verify_linear_relation(p, n) for p in primes for n in range(1, n_max + 1)]
+    for p in primes:
+        for n in range(1, n_max + 1):
+            h1p, hpp = generalized_hurwitz(1, p, n), generalized_hurwitz(p, p, n)
+            reports.append(linear_relation_report(p, n, hurwitz_class_number_forms(n), h1p, hpp))
     for big_n in range(1, MOEBIUS_N_MAX + 1):
         if is_squarefree(big_n):
             holds = sum(
@@ -209,14 +214,9 @@ def sweep_imaginary(primes, n_max, convention):
 
 def sweep_real(primes, n_max):
     ns = [n for n in range(5, n_max + 1) if n % 4 in (0, 1) and math.isqrt(n) ** 2 != n]
-    # the L(1, chi_t) of every t in range, in one batch that may split
-    l_values_at_1([fundamental_decomposition(n).t for n in ns])
-    # n-major, so that each n's p-independent work is done once
-    by_n = []
-    for n in ns:
-        index = real_index(n)
-        by_n.append([verify_real_trace_identity(p, n, index) for p in primes])
-    return [reports[i] for i in range(len(primes)) for reports in by_n]
+    # each n's p-independent work, done once for every p and over the usable cores
+    by_n = list(zip(ns, fork_map(real_index, ns)))
+    return [verify_real_trace_identity(p, n, index) for p in primes for n, index in by_n]
 
 
 def sweep_coefficient_oracles(primes, m_max):

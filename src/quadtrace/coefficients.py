@@ -20,7 +20,7 @@ from mpmath import mp
 
 from .arith import divisors, moebius, require_odd_prime, valuation
 from .classnumbers import generalized_hurwitz
-from .kloosterman import local_series_2, local_series_p, plus_zeta_special_value
+from .kloosterman import local_series_2, local_series_p
 from .lvalues import real_zeta, t_divisor_sum, zeta_prime_over_zeta_2
 from .precision import hp, to_mpf
 from .report import VerificationReport, exact_report, fmt_hp, numeric_report
@@ -131,12 +131,6 @@ def sesqui4p_neg_coeff(p: int, n: int):
     with hp():
         x = to_mpf(r) / (8 * mp.pi * mp.sqrt(-n))
         return +mp.mpc(x, x)
-
-
-def sesqui4p_nonsquare_coeff(p: int, n: int):
-    """c(n) for positive nonsquare n: the Kloosterman-zeta special value
-    (which rejects a p that is not an odd prime)."""
-    return plus_zeta_special_value(p, n)
 
 
 def theta_multiple_const(p: int):

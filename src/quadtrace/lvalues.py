@@ -18,13 +18,11 @@ High-precision values:
     L(1, chi_t) = -(1/sqrt(t)) sum_a chi_t(a) log sin(pi a / t)    (t > 0)
     L(1, chi_t) = pi * L(0, chi_t) / sqrt(|t|)                     (t < 0)
 
-L(1) values are kept in one table for the current working precision.  A
-batch (l_values_at_1) computes the missing t in one parallel.fork_map,
-whose serial head alone decides whether any worker starts; the sine sum runs
-on raw libmp numbers, bit-equal to the same sum of mpf objects.  The table
-and the batch serve `verify real`, whose closed side takes its atom
-h(t) log eps_t as (sqrt(t)/2) L(1, chi_t) from here.  The level-4p series
-takes L(1, chi_t), t > 0, from class numbers and units instead
+The sine sum runs on raw libmp numbers, bit-equal to the same sum of mpf
+objects, and nothing is kept between calls.  It serves `verify real`, whose
+closed side takes its atom h(t) log eps_t as (sqrt(t)/2) L(1, chi_t) from
+here (traces.real_index forms it once per n).  The level-4p series takes
+L(1, chi_t), t > 0, from class numbers and units instead
 (classnumbers.class_number_l_at_1), and the tests hold the two to each other.
 
 The t < 0 evaluation at s = 1 is the functional-equation form of the finite
@@ -68,7 +66,6 @@ from .arith import (
     moebius,
     squarefree_kernel,
 )
-from .parallel import fork_map
 from .precision import hp, to_mpf, working_dps
 
 
@@ -185,39 +182,12 @@ def l_value_at_0(t: int) -> Fraction:
     return Fraction(total, 2 - chi(t, 2))
 
 
-# {working dps: {t: L(1, chi_t)}}, holding the one precision in use
-_L1_TABLE: dict[int, dict[int, mpf]] = {}
-
-
 def l_value_at_1(t: int) -> mpf:
     """L(1, chi_t) for fundamental t != 1, at working precision."""
-    return l_values_at_1([t])[0]
-
-
-def l_values_at_1(ts) -> list[mpf]:
-    """L(1, chi_t) for each fundamental t != 1 of ts, at working precision.
-
-    Values are kept in a table for the current working precision, emptied
-    when that changes.  The missing ones are computed largest t first, over
-    the usable cores (parallel.fork_map).
-    """
-    ts = list(ts)
-    for t in ts:
-        if t == 1:
-            raise ValueError("t = 1 has a pole at s = 1")
-        if not is_fundamental_discriminant(t):
-            raise ValueError(f"{t} is not a fundamental discriminant")
-    dps = working_dps()
-    if dps not in _L1_TABLE:
-        _L1_TABLE.clear()
-        _L1_TABLE[dps] = {}
-    table = _L1_TABLE[dps]
-    todo = sorted(set(ts) - table.keys(), reverse=True)
-    table.update(zip(todo, fork_map(_l_value_at_1, todo)))
-    return [table[t] for t in ts]
-
-
-def _l_value_at_1(t: int) -> mpf:
+    if t == 1:
+        raise ValueError("t = 1 has a pole at s = 1")
+    if not is_fundamental_discriminant(t):
+        raise ValueError(f"{t} is not a fundamental discriminant")
     with hp():
         if t < 0:
             return +(mp.pi * to_mpf(l_value_at_0(t)) / mp.sqrt(abs(t)))

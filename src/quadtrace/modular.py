@@ -19,9 +19,9 @@ from .classnumbers import hurwitz_forms_table, hurwitz_level_table
 from .coefficients import (
     sesqui4p_const_coeff,
     sesqui4p_neg_coeff,
-    sesqui4p_nonsquare_coeff,
     sesqui4p_square_coeff,
 )
+from .kloosterman import plus_zeta_special_value
 from .parallel import fork_map
 from .precision import hp, to_mpf
 from .specialfns import alpha, inc_gamma_half, inc_gamma_minus_half
@@ -162,7 +162,7 @@ def eval_sesqui_4p(p: int, tau, cutoff: int) -> SeriesEvaluation:
             )
             total += pref * mp.pi * sesqui4p_square_coeff(p, m) * q ** (m * m)
         for n in nonsquare:
-            total += pref * mp.pi * sesqui4p_nonsquare_coeff(p, n) * q**n
+            total += pref * mp.pi * plus_zeta_special_value(p, n) * q**n
         for n in range(1, cutoff + 1):
             if (-n) % 4 not in (0, 1):
                 continue

@@ -92,6 +92,9 @@ _TAYLOR_LIMIT = 40
 _ANCHOR_GUARD = 30
 # digits above the working precision and its guard that every quadrature runs at
 _QUAD_GUARD_DPS = 10
+# the error estimate a quadrature must meet to count as converged, and the
+# remainder at which alpha cuts its tail (read as an mpf at its precision)
+QUAD_TARGET = "1e-14"
 
 
 @dataclass
@@ -242,11 +245,11 @@ def _alpha_integrand(factor, y, power: int):
     return f
 
 
-def quad_certified(f, points, target=mpf("1e-12")) -> QuadratureResult:
+def quad_certified(f, points) -> QuadratureResult:
     """mp.quad with its error estimate surfaced; counts integrand evaluations.
 
     The estimate is mpmath's heuristic one; `converged` is whether it is
-    below target after the refinement pass.
+    below QUAD_TARGET after the refinement pass.
     """
     count = 0
 
@@ -256,6 +259,7 @@ def quad_certified(f, points, target=mpf("1e-12")) -> QuadratureResult:
         return f(t)
 
     with hp(extra=_QUAD_GUARD_DPS):
+        target = mp.mpf(QUAD_TARGET)
         val, err = mp.quad(wrapped, points, error=True)
         err = mp.mpf(err)
         if not (err < target):
@@ -273,15 +277,15 @@ def alpha(y) -> QuadratureResult:
         y = mp.mpf(y)
         if y <= 0:
             raise ValueError("requires y > 0")
-        target = mp.mpf("1e-14")
+        target = mp.mpf(QUAD_TARGET)
         # head: t = u^2 on [0, 1] removes the 1/sqrt(t) endpoint singularity
-        head = quad_certified(_alpha_integrand(_head_log, y, 2), [0, 1], target=target)
+        head = quad_certified(_alpha_integrand(_head_log, y, 2), [0, 1])
         # tail: log(1+t)/sqrt(t) <= sqrt(t) <= e^{(pi y /2) t} decay control;
         # truncate at T with remainder <= exp(-pi y T) / (pi y)
         t_cut = mp.mpf(1)
         while mp.exp(-mp.pi * y * t_cut) / (mp.pi * y) > target and t_cut < 500:
             t_cut += 1
-        tail = quad_certified(_alpha_integrand(_tail_factor, y, 1), [1, t_cut], target=target)
+        tail = quad_certified(_alpha_integrand(_tail_factor, y, 1), [1, t_cut])
         trunc = mp.exp(-mp.pi * y * t_cut) / (mp.pi * y)
         val = mp.sqrt(y) * (head.value + tail.value)
         err = mp.sqrt(y) * (head.error_estimate + tail.error_estimate + trunc)
@@ -299,7 +303,7 @@ def alpha_companion(t) -> QuadratureResult:
         t = mp.mpf(t)
         if t <= 0:
             raise ValueError("requires t > 0")
-        res = quad_certified(_scaled_erfc, [0, t], target=mp.mpf("1e-14"))
+        res = quad_certified(_scaled_erfc, [0, t])
         val = mp.log(t) - mp.sqrt(mp.pi) * res.value + mp.log(2) + mp.euler / 2
         return QuadratureResult(
             value=+val,

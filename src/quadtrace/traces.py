@@ -24,10 +24,11 @@ normalizations with sqrt(n)-weighted terms fail the sweep (see README).
 The verifier computes the t-atom through L(1, chi_t) by finite character
 sums, so the two sides share no L-value code.
 
-The class representatives, unit logarithms and h*(n) do not depend on p, so
-a sweep over several p builds them once per n (real_index) and passes them
-to each p's check; on the imaginary side a sweep passes H_{1,p}, H_{p,p}
-read from a class-number table (imaginary_trace_report).
+The class representatives, unit logarithms, h*(n) and L(1, chi_t) do not
+depend on p, so real_index builds them once per n, the one place the real
+check gets them, and a sweep over several p passes them to each p's check;
+on the imaginary side a sweep passes H_{1,p}, H_{p,p} read from a
+class-number table (imaginary_trace_report).
 """
 
 from __future__ import annotations
@@ -73,11 +74,13 @@ def trace_imaginary(p: int, n: int, convention: str = PINNED_CONVENTION) -> Frac
 class RealIndex:
     """What the real trace identity needs of n alone, for every p: the class
     representatives of discriminant n (all contents), log eps_{n/f^2} per
-    content f and h*(n), at the working precision of its construction."""
+    content f, h*(n) and L(1, chi_t) for n = t m^2, at the working precision
+    of its construction."""
 
     reps: list[QuadForm]
     unit_logs: dict[int, mpf]
     regulator_sum: mpf
+    l1: mpf
 
 
 def real_index(n: int) -> RealIndex:
@@ -88,6 +91,7 @@ def real_index(n: int) -> RealIndex:
         reps=reps,
         unit_logs={f: automorph_unit(n // (f * f)).log_value() for f in contents},
         regulator_sum=regulator_class_sum(n),
+        l1=l_value_at_1(fundamental_decomposition(n).t),
     )
 
 
@@ -112,13 +116,14 @@ def real_trace_rhs(p: int, n: int, index: RealIndex | None = None):
 
     The fundamental atom log(eps_t) h(t) is evaluated as
     (sqrt(t)/2) L(1, chi_t) by finite character sums, which keeps the check
-    two-sided.  index, when given, supplies h*(n) (real_index(n)).
+    two-sided.  h*(n) and L(1, chi_t) come from index, real_index(n) when
+    not given.
     """
+    index = index or real_index(n)
     split = fundamental_decomposition(n)
     t, m = split.t, split.m
-    regulator_sum = index.regulator_sum if index else regulator_class_sum(n)
     with hp():
-        term1 = 2 * mp.pi * (p + 1) / p * regulator_sum
+        term1 = 2 * mp.pi * (p + 1) / p * index.regulator_sum
         rational = (
             4
             * p
@@ -129,7 +134,7 @@ def real_trace_rhs(p: int, n: int, index: RealIndex | None = None):
             * local_factor_2_exact(n)
             * local_factor_p_exact(p, n)
         )
-        atom = mp.sqrt(t) / 2 * l_value_at_1(t)
+        atom = mp.sqrt(t) / 2 * index.l1
         return +(term1 + to_mpf(rational) * atom)
 
 

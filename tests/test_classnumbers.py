@@ -14,7 +14,6 @@ from quadtrace.classnumbers import (
     hurwitz_level_table,
     linear_relation_report,
     regulator_class_sum,
-    verify_linear_relation,
 )
 from quadtrace.lvalues import chi, fundamental_decomposition, l_value_at_0, t_divisor_sum
 
@@ -110,7 +109,8 @@ def test_linear_relation_report_on_given_values():
         h = hurwitz_class_number_forms(n)
         h1p, hpp = generalized_hurwitz(1, p, n), generalized_hurwitz(p, p, n)
         report = linear_relation_report(p, n, h, h1p, hpp)
-        assert report == verify_linear_relation(p, n) and report.passed
+        assert report.check == "hurwitz-linear-relation" and report.params == {"p": p, "n": n}
+        assert report.passed and report.lhs == report.rhs == str(hpp / (1 - p))
         assert not linear_relation_report(p, n, h + 1, h1p, hpp).passed
 
 

@@ -266,6 +266,57 @@ def test_stdout_matches_recorded_digest(argv):
     assert hashlib.sha256(proc.stdout).hexdigest() == digests[argv]["sha256"]
 
 
+# commands whose every printed byte is a function of --prec already; their
+# caches are keyed by precision or hold exact values
+PREC_ONLY_ARGV = (
+    "verify real --p 3 5 --n-max 120",
+    "verify coefficients --p 3 --m-max 4",
+    "verify constants --p 3 5",
+    "verify geodesic",
+    "verify classnumbers --p 3 --n-max 200",
+    "verify imaginary --p 3 --n-max 100",
+    "verify kloosterman --p 3 --cutoff 200",
+    "hurwitz --p 3 --n-max 100",
+    "coeffs --p 3 --m-max 4",
+)
+
+
+def _stdout_of_runs(runs) -> list[str]:
+    """The stdout of each argv of runs, all run in one fresh interpreter (the
+    acceptance suite changes the ambient mp.dps of this one)."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from quadtrace import cli\n"
+        "outs = []\n"
+        "for argv in sys.argv[1:]:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert cli.main(argv.split()) == 0, argv\n"
+        "    outs.append(out.getvalue())\n"
+        "print(json.dumps(outs))\n"
+    )
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *runs],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_output_at_a_precision_ignores_earlier_runs():
+    """Each command at --prec 64, run after itself at --prec 40 in the same
+    interpreter, prints what it prints in a fresh one: no cache hands a
+    value computed at one working precision to a run at another."""
+    after_40 = _stdout_of_runs([f"{a} --prec {dps}" for a in PREC_ONLY_ARGV for dps in (40, 64)])
+    for argv, out in zip(PREC_ONLY_ARGV, after_40[1::2]):
+        assert out and out == _stdout_of_runs([f"{argv} --prec 64"])[0], argv
+
+
 def test_benchmark_cache_probes_name_cached_functions():
     """perfbench/child.py reads cache_info() of each function in its CACHES
     after cli.main returns, so a cache removed from quadtrace would fail

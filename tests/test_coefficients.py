@@ -17,7 +17,6 @@ from quadtrace.coefficients import (
     sesqui4_square_coeff,
     sesqui4p_const_coeff,
     sesqui4p_neg_coeff,
-    sesqui4p_nonsquare_coeff,
     sesqui4p_square_coeff,
     t_log_sum,
     theta_multiple_const,
@@ -128,16 +127,17 @@ def test_deformation_values_and_check():
 
 def test_nonsquare_coeff_rejects_squares():
     with pytest.raises(ValueError):
-        sesqui4p_nonsquare_coeff(3, 4)
+        plus_zeta_special_value(3, 4)
     with pytest.raises(ValueError):
-        sesqui4p_nonsquare_coeff(3, 0)
+        plus_zeta_special_value(3, 0)
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda p: plus_zeta_special_value(p, 5),
-        lambda p: sesqui4p_nonsquare_coeff(p, 5),
+        # a nonsquare index divisible by 3
+        lambda p: plus_zeta_special_value(p, 12),
         lambda p: local_factor_p_exact(p, 5),
         lambda p: sesqui4p_const_coeff(p),
         lambda p: sesqui4p_square_coeff(p, 1),

@@ -12,7 +12,6 @@ from quadtrace import lvalues
 from quadtrace.arith import kronecker
 from quadtrace.coefficients import coeff_oracle_4p
 from quadtrace.lvalues import (
-    _l_value_at_1,
     character_table,
     chi,
     dirichlet_l,
@@ -160,24 +159,12 @@ def test_log_sine_kernel_equals_mpf_sum(dps):
     set_working_dps(dps)
     try:
         for t in [t for t in POSITIVE_FUNDAMENTALS if t <= 300] + POSITIVE_FUNDAMENTALS[-10:]:
-            assert _l_value_at_1(t) == reference_l_at_1(t), (dps, t)
-    finally:
-        set_working_dps(old)
-
-
-def test_l1_table_holds_one_precision():
-    old = working_dps()
-    try:
-        set_working_dps(64)
-        at_64 = l_value_at_1(13)
-        set_working_dps(80)
-        at_80 = l_value_at_1(13)
-        assert list(lvalues._L1_TABLE) == [80]
-        with mp.workdps(100):
-            # recomputed: the 64-digit value differs, beyond its guard digits
-            assert 0 < abs(at_80 - at_64) < mp.mpf("1e-70")
+            assert l_value_at_1(t) == reference_l_at_1(t), (dps, t)
+        # and to the working precision: h(13) = 1, eps_13 = (3 + sqrt(13))/2
+        with mp.workdps(dps + 20):
             golden = (3 + mp.sqrt(13)) / 2
-            assert abs(at_80 - 2 * mp.log(golden) / mp.sqrt(13)) < mp.mpf("1e-80")
+            error = l_value_at_1(13) - 2 * mp.log(golden) / mp.sqrt(13)
+            assert abs(error) < mp.mpf(10) ** -dps
     finally:
         set_working_dps(old)
 

@@ -204,8 +204,6 @@ def test_sesqui_4p_series_forms_no_sine_sum(monkeypatch):
         raise AssertionError(f"sine sum formed for t = {t}")
 
     monkeypatch.setattr(lvalues, "_log_sine_sum", refuse)
-    # an empty table, so that no L(1) computed by an earlier test is reused
-    monkeypatch.setattr(lvalues, "_L1_TABLE", {})
     tau = mp.mpc("0.21", "1.1")
     image = apply_moebius((1, 0, 12, 1), tau)
     series = eval_sesqui_4p(3, image, 703)

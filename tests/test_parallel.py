@@ -1,7 +1,7 @@
 """The ordered fork map and the callers that split their work with it: the
-L(1) batch, the alpha map of the level-4p series, the special-function
-sweep and the per-c Kloosterman sums.  A split gives the values of the
-serial pass, bit for bit."""
+per-n data of the real trace sweep, the alpha map of the level-4p series,
+the special-function sweep and the per-c Kloosterman sums.  A split gives
+the values of the serial pass, bit for bit."""
 
 import ast
 import multiprocessing
@@ -14,9 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from quadtrace import cli, lvalues, parallel
+from quadtrace import cli, parallel
 from quadtrace.kloosterman import plus_zeta_batch
-from quadtrace.lvalues import is_fundamental_discriminant, l_values_at_1
 from quadtrace.parallel import fork_map
 
 from .forks import count_forks, deadline, set_cores
@@ -196,9 +195,8 @@ def test_only_parallel_starts_processes():
 # callers
 
 
-def _l1_batch(monkeypatch):
-    monkeypatch.setattr(lvalues, "_L1_TABLE", {})
-    return l_values_at_1([t for t in range(2, 251) if is_fundamental_discriminant(t)])
+def _real_sweep(monkeypatch):
+    return [r.to_json() for r in cli.sweep_real((3,), 250)]
 
 
 def _special_sweep(monkeypatch):
@@ -216,7 +214,7 @@ def _plus_zeta(*levels):
 
 
 SPLIT_CALLERS = {
-    "l1-batch": _l1_batch,
+    "real-sweep": _real_sweep,
     "special-sweep": _special_sweep,
     **{f"plus-zeta-{big_n}": _plus_zeta(big_n) for big_n in (1, 3, 5, 15)},
     "plus-zeta-3-5": _plus_zeta(3, 5),
