@@ -41,11 +41,6 @@ from .quadforms import (
     geodesic_integral,
 )
 from .specialfns import alpha, alpha_companion, inc_gamma_half
-from .traces import (
-    trace_imaginary,
-    trace_real_nonsquare,
-    verify_imaginary_trace_identity,
-    verify_real_trace_identity,
-)
+from .traces import trace_real_nonsquare, verify_real_trace_identity
 
 __version__ = "0.1.0"

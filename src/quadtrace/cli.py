@@ -71,12 +71,7 @@ from .report import (
     tail_bound_report,
 )
 from .specialfns import alpha, alpha_companion
-from .traces import (
-    imaginary_trace_report,
-    pin_convention,
-    real_index,
-    verify_real_trace_identity,
-)
+from .traces import imaginary_trace_report, real_index, verify_real_trace_identity
 
 
 def _add_common(sub):
@@ -86,13 +81,6 @@ def _add_common(sub):
     sub.add_argument("--prec", type=int, default=DEFAULT_DPS, help="decimal digits")
     sub.add_argument("--cutoff", type=int, default=None)
     sub.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    sub.add_argument("--convention", choices=["auto", "pos-def", "both-signs"])
-    sub.add_argument(
-        "--seed-cases",
-        action="store_true",
-        default=None,
-        help="run the convention-pinning seed cases and report the outcome",
-    )
 
 
 def _emit_reports(reports, fmt) -> int:
@@ -200,12 +188,10 @@ def sweep_classnumbers(primes, n_max):
     return reports
 
 
-def sweep_imaginary(primes, n_max, convention):
-    if convention == "auto":
-        convention = pin_convention()
+def sweep_imaginary(primes, n_max):
     levels = hurwitz_level_table(n_max, _prime_levels(primes))
     return [
-        imaginary_trace_report(p, n, convention, levels[1, p][-n], levels[p, p][-n])
+        imaginary_trace_report(p, n, levels[1, p][-n], levels[p, p][-n])
         for p in primes
         for n in range(-n_max, 0)
         if n % 4 in (0, 1)
@@ -215,8 +201,8 @@ def sweep_imaginary(primes, n_max, convention):
 def sweep_real(primes, n_max):
     ns = [n for n in range(5, n_max + 1) if n % 4 in (0, 1) and math.isqrt(n) ** 2 != n]
     # each n's p-independent work, done once for every p and over the usable cores
-    by_n = list(zip(ns, fork_map(real_index, ns)))
-    return [verify_real_trace_identity(p, n, index) for p in primes for n, index in by_n]
+    indices = fork_map(real_index, ns)
+    return [verify_real_trace_identity(p, index) for p in primes for index in indices]
 
 
 def sweep_coefficient_oracles(primes, m_max):
@@ -262,12 +248,12 @@ def sweep_square_traces(primes, m_max):
     return [square_trace_consistency(p, m) for p in primes for m in range(1, m_max + 1)]
 
 
-def sweep_coefficients(primes, m_max, n_max, square_m_max):
+def sweep_coefficients(primes, m_max, n_max):
     reports = []
     for p in primes:
         reports += sweep_coefficient_oracles([p], m_max)
         reports += sweep_negative_two_path([p], n_max)
-        reports += sweep_square_traces([p], square_m_max)
+        reports += sweep_square_traces([p], m_max)
     return reports
 
 
@@ -431,8 +417,8 @@ def _residual_report(check, params, residual, tol) -> VerificationReport:
 
 class Check(NamedTuple):
     """A verify target: its sweep and the defaults of the sweep's named
-    parameters.  Each parameter is read from the flag of its name, except
-    that `--m-max` also sets `square_m_max`; `--p` is read when reads_p."""
+    parameters.  Each parameter is read from the flag of its name, and
+    `--p` when reads_p."""
 
     sweep: Callable[..., list[VerificationReport]]
     defaults: dict
@@ -442,59 +428,34 @@ class Check(NamedTuple):
         return self.sweep(primes, **{**self.defaults, **params})
 
     def flags(self) -> set:
-        return {_flag(name) for name in self.defaults} | ({"p"} if self.reads_p else set())
+        return set(self.defaults) | ({"p"} if self.reads_p else set())
 
 
 CHECKS = {
     "classnumbers": Check(sweep_classnumbers, {"n_max": 2000}),
-    "imaginary": Check(sweep_imaginary, {"n_max": 400, "convention": "auto"}),
+    "imaginary": Check(sweep_imaginary, {"n_max": 400}),
     "real": Check(sweep_real, {"n_max": 300}),
-    "coefficients": Check(
-        sweep_coefficients, {"m_max": 12, "n_max": 200, "square_m_max": 10}
-    ),
+    "coefficients": Check(sweep_coefficients, {"m_max": 12, "n_max": 200}),
     "constants": Check(sweep_constants, {}),
     "kloosterman": Check(sweep_kloosterman, {"cutoff": 2000}),
     "special": Check(sweep_special, {}, reads_p=False),
     "modularity": Check(sweep_modularity, {}, reads_p=False),
     "geodesic": Check(sweep_geodesic, {}, reads_p=False),
 }
-SWEEP_FLAGS = ("p", "n_max", "m_max", "cutoff", "convention", "seed_cases")
-
-
-def _flag(param: str) -> str:
-    return "m_max" if param == "square_m_max" else param
+SWEEP_FLAGS = ("p", "n_max", "m_max", "cutoff")
 
 
 def _flags_read(args) -> tuple[str, set]:
     """The command as named in notes, and the flags of SWEEP_FLAGS it reads."""
     if args.command == "verify":
-        read = CHECKS[args.which].flags() | {"seed_cases"}
-        return f"verify {args.which}", read | ({"convention"} if args.seed_cases else set())
+        return f"verify {args.which}", CHECKS[args.which].flags()
     return args.command, {"p", "n_max" if args.command == "hurwitz" else "m_max"}
 
 
 def cmd_verify(args) -> int:
     check = CHECKS[args.which]
-    reports: list[VerificationReport] = []
-    if args.seed_cases:
-        pinned = pin_convention()
-        convention = pinned if args.convention in (None, "auto") else args.convention
-        reports.append(
-            VerificationReport(
-                check="convention-pinning",
-                params={"seed_cases": "(3,-3);(3,-4);(5,-4)"},
-                lhs=pinned,
-                rhs=convention,
-                abs_err="0",
-                rel_err="0",
-                passed=pinned == convention,
-            )
-        )
-    params = {
-        name: getattr(args, _flag(name)) for name in check.defaults if _flag(name) in args.given
-    }
-    reports += check.run(args.p, **params)
-    return _emit_reports(reports, args.format)
+    params = {name: getattr(args, name) for name in check.defaults if name in args.given}
+    return _emit_reports(check.run(args.p, **params), args.format)
 
 
 def cmd_coeffs(args) -> int:

@@ -38,7 +38,8 @@ discriminant d are f times the primitive ones of d/f^2, so class_reps with
 every content and class_number read the same enumeration.
 
 Conventions pinned by the seed-identity runs (see README):
-  * for n < 0 the set of forms with p | a carries both definiteness signs;
+  * for n < 0 the set of forms with p | a carries both definiteness signs
+    (tests/test_traces.py re-runs the seed cases that fix it);
   * stabilizer orders are taken in the projective group, so weights are
     1/2 and 1/3 at discriminants -4 f^2 and -3 f^2 when the extra
     automorphs land in Gamma_0(p);
@@ -366,25 +367,24 @@ def p1_zero_count(p: int, r: QuadForm) -> int:
     return p + 1 if r.content() % p == 0 else 1 + kronecker(r.disc, p)
 
 
-def weighted_orbit_count(p: int, n: int, convention: str = "both-signs") -> Fraction:
+def weighted_orbit_count(p: int, n: int) -> Fraction:
     """sum over the Gamma_0(p)-orbits of discriminant n < 0 of 1/|stabilizer|
-    (projective orders), without building the orbits.
+    (projective orders), without building the orbits, over the forms of both
+    definiteness signs.
 
     By orbit-stabilizer an orbit of k zeros of the class representative r has
     projective stabilizer order |Aut(r)| / (2k), so the orbits of r weigh
-    2 p1_zero_count(p, r) / |Aut(r)| together.  "both-signs" doubles the sum,
-    as the negative-definite orbits mirror the positive ones.
+    2 p1_zero_count(p, r) / |Aut(r)| together, and the negative-definite
+    orbits mirror the positive ones, which doubles the sum.
     """
     if n >= 0:
         raise ValueError("weighted_orbit_count needs n < 0")
     _check_disc(n)
-    if convention not in ("both-signs", "pos-def"):
-        raise ValueError(f"unknown convention {convention!r}")
     sixths = 0  # six times the positive-definite count; 12 / |Aut(r)| is 6, 3 or 2
     for r in class_reps(n, include_imprimitive=True):
         f = r.content()
         sixths += p1_zero_count(p, r) * (12 // len(_definite_units(n // (f * f))))
-    return Fraction(2 * sixths if convention == "both-signs" else sixths, 6)
+    return Fraction(2 * sixths, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ trace identities.
 
 Imaginary side (n < 0): the weighted orbit count sum 1/|stab| equals
     4(p+1)/p H_{1,p}(-n) - 2(p+1)/(p-1) H_{p,p}(-n)
-exactly, under the both-signs convention pinned by the seed cases.
+exactly, over the forms of both definiteness signs (the convention that
+tests/test_traces.py pins on three seed cases).
 
 Real side (n > 0 nonsquare): each Gamma_0(p)-orbit contributes
 kappa * 2 log(eps) to the geodesic-length sum, where eps is the automorph
@@ -26,9 +27,9 @@ sums, so the two sides share no L-value code.
 
 The class representatives, unit logarithms, h*(n) and L(1, chi_t) do not
 depend on p, so real_index builds them once per n, the one place the real
-check gets them, and a sweep over several p passes them to each p's check;
-on the imaginary side a sweep passes H_{1,p}, H_{p,p} read from a
-class-number table (imaginary_trace_report).
+check gets them, and a sweep over several p passes them, with n, to each
+p's check; on the imaginary side a sweep passes H_{1,p}, H_{p,p} read from
+a class-number table (imaginary_trace_report).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .classnumbers import generalized_hurwitz, regulator_class_sum
+from .classnumbers import regulator_class_sum
 from .kloosterman import local_factor_2_exact, local_factor_p_exact
 from .lvalues import chi, fundamental_decomposition, l_value_at_1, t_divisor_sum
 from .precision import hp, to_mpf
@@ -51,32 +52,14 @@ from .quadforms import (
 )
 from .report import VerificationReport, exact_report, numeric_report
 
-PINNED_CONVENTION = "both-signs"
-_SEED_CASES = ((3, -3), (3, -4), (5, -4))
-
-
-def pin_convention() -> str:
-    """Re-run the seed cases and return the definiteness convention they pin."""
-    for conv in ("both-signs", "pos-def"):
-        if all(verify_imaginary_trace_identity(p, n, conv).passed for p, n in _SEED_CASES):
-            return conv
-    raise AssertionError("no convention satisfies the seed identities")
-
-
-def trace_imaginary(p: int, n: int, convention: str = PINNED_CONVENTION) -> Fraction:
-    """Weighted orbit count of the discriminant-n forms with p | a, n < 0."""
-    if n >= 0 or n % 4 not in (0, 1):
-        raise ValueError("requires a negative discriminant")
-    return weighted_orbit_count(p, n, convention)
-
-
 @dataclass(frozen=True)
 class RealIndex:
-    """What the real trace identity needs of n alone, for every p: the class
-    representatives of discriminant n (all contents), log eps_{n/f^2} per
-    content f, h*(n) and L(1, chi_t) for n = t m^2, at the working precision
-    of its construction."""
+    """What the real trace identity needs of n alone, for every p: n, the
+    class representatives of discriminant n (all contents), log eps_{n/f^2}
+    per content f, h*(n) and L(1, chi_t) for n = t m^2, at the working
+    precision of its construction."""
 
+    n: int
     reps: list[QuadForm]
     unit_logs: dict[int, mpf]
     regulator_sum: mpf
@@ -88,6 +71,7 @@ def real_index(n: int) -> RealIndex:
     reps = class_reps(n, include_imprimitive=True)
     contents = {r.content() for r in reps}
     return RealIndex(
+        n=n,
         reps=reps,
         unit_logs={f: automorph_unit(n // (f * f)).log_value() for f in contents},
         regulator_sum=regulator_class_sum(n),
@@ -95,15 +79,14 @@ def real_index(n: int) -> RealIndex:
     )
 
 
-def trace_real_nonsquare(p: int, n: int, index: RealIndex | None = None):
-    """Half the geodesic-length sum over Gamma_0(p)-classes, n > 0 nonsquare.
+def trace_real_nonsquare(p: int, index: RealIndex):
+    """Half the geodesic-length sum over Gamma_0(p)-classes at index.n > 0
+    nonsquare, index = real_index(n).
 
     Per class representative r: p1_zero_count(p, r), the sum of the kappas
     of its Gamma_0(p)-orbits, times log(automorph unit of the primitive
-    discriminant).  index, when given, is real_index(n), which a sweep over
-    p builds once.
+    discriminant).
     """
-    index = index or real_index(n)
     with hp():
         total = mp.mpf(0)
         for r in index.reps:
@@ -111,15 +94,15 @@ def trace_real_nonsquare(p: int, n: int, index: RealIndex | None = None):
         return +total
 
 
-def real_trace_rhs(p: int, n: int, index: RealIndex | None = None):
-    """Closed form for the real-trace half-sum (see module docstring).
+def real_trace_rhs(p: int, index: RealIndex):
+    """Closed form for the real-trace half-sum at index.n (see module
+    docstring).
 
     The fundamental atom log(eps_t) h(t) is evaluated as
     (sqrt(t)/2) L(1, chi_t) by finite character sums, which keeps the check
-    two-sided.  h*(n) and L(1, chi_t) come from index, real_index(n) when
-    not given.
+    two-sided.  h*(n) and L(1, chi_t) come from index.
     """
-    index = index or real_index(n)
+    n = index.n
     split = fundamental_decomposition(n)
     t, m = split.t, split.m
     with hp():
@@ -138,36 +121,17 @@ def real_trace_rhs(p: int, n: int, index: RealIndex | None = None):
         return +(term1 + to_mpf(rational) * atom)
 
 
-def verify_imaginary_trace_identity(
-    p: int, n: int, convention: str = PINNED_CONVENTION
-) -> VerificationReport:
-    """Exact rational comparison of the weighted orbit count with the
-    H_{1,p}/H_{p,p} combination."""
-    return imaginary_trace_report(
-        p, n, convention, generalized_hurwitz(1, p, -n), generalized_hurwitz(p, p, -n)
-    )
-
-
-def imaginary_trace_report(
-    p: int, n: int, convention: str, h1p: Fraction, hpp: Fraction
-) -> VerificationReport:
-    """The check of verify_imaginary_trace_identity on given values
-    h1p = H_{1,p}(-n), hpp = H_{p,p}(-n).  The report names the convention
-    only when it is not the pinned one."""
-    lhs = trace_imaginary(p, n, convention)
+def imaginary_trace_report(p: int, n: int, h1p: Fraction, hpp: Fraction) -> VerificationReport:
+    """Exact rational comparison of the weighted orbit count at n < 0 with
+    the combination of the given h1p = H_{1,p}(-n) and hpp = H_{p,p}(-n)."""
+    lhs = weighted_orbit_count(p, n)
     rhs = Fraction(4 * (p + 1), p) * h1p - Fraction(2 * (p + 1), p - 1) * hpp
-    params = {"p": p, "n": n}
-    if convention != PINNED_CONVENTION:
-        params["convention"] = convention
-    return exact_report("imaginary-trace", params, lhs, rhs)
+    return exact_report("imaginary-trace", {"p": p, "n": n}, lhs, rhs)
 
 
-def verify_real_trace_identity(
-    p: int, n: int, index: RealIndex | None = None
-) -> VerificationReport:
-    """Geodesic-length sum against the closed form, relative 1e-9; index as
-    in trace_real_nonsquare."""
-    index = index or real_index(n)
-    lhs = trace_real_nonsquare(p, n, index)
-    rhs = real_trace_rhs(p, n, index=index)
-    return numeric_report("real-trace", {"p": p, "n": n}, lhs, rhs, "1e-9")
+def verify_real_trace_identity(p: int, index: RealIndex) -> VerificationReport:
+    """Geodesic-length sum against the closed form at index.n, relative
+    1e-9, index = real_index(n)."""
+    lhs = trace_real_nonsquare(p, index)
+    rhs = real_trace_rhs(p, index)
+    return numeric_report("real-trace", {"p": p, "n": index.n}, lhs, rhs, "1e-9")

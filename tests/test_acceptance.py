@@ -81,7 +81,7 @@ ROWS = (
     Row(11, "geodesic_oracle", "geodesic cycle integral equals 2 log(unit), abs 1e-8",
         "geodesic", max_abs="1e-8"),
     Row(13, "square_trace_consistency",
-        "square-index trace consistency p in {3,5,7}, m <= 10, rel 1e-10",
+        "square-index trace consistency p in {3,5,7}, m <= 12, rel 1e-10",
         *COEFFICIENTS, checks=("square-trace-consistency",)),
 )
 

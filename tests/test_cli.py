@@ -166,14 +166,11 @@ def test_coeffs_table(capsys):
 
 def test_verify_names_the_flags_it_ignores(capsys):
     argv = ["verify", "real", "--p", "3", "--n-max", "30"]
-    code, out, err = run(capsys, argv + ["--m-max", "4", "--convention", "pos-def"])
+    code, out, err = run(capsys, argv + ["--m-max", "4", "--cutoff", "7"])
     assert code == 0
-    assert "verify real ignores --m-max\nverify real ignores --convention\n" in err
+    assert "verify real ignores --m-max\nverify real ignores --cutoff\n" in err
     _, plain_out, plain_err = run(capsys, argv)
     assert out == plain_out and "ignores" not in plain_err
-    # --seed-cases reads --convention
-    _, _, err = run(capsys, argv + ["--convention", "both-signs", "--seed-cases"])
-    assert "ignores" not in err
     assert CHECKS["special"].flags() == CHECKS["modularity"].flags() == set()
     assert CHECKS["geodesic"].flags() == set()
     assert CHECKS["classnumbers"].flags() == {"p", "n_max"}
@@ -184,13 +181,13 @@ def test_tables_name_the_flags_they_ignore(capsys):
     for argv, ignored, notes in (
         (
             ["hurwitz", "--p", "3", "--n-max", "5"],
-            ["--cutoff", "7", "--m-max", "3", "--seed-cases"],
-            "hurwitz ignores --m-max\nhurwitz ignores --cutoff\nhurwitz ignores --seed-cases\n",
+            ["--cutoff", "7", "--m-max", "3"],
+            "hurwitz ignores --m-max\nhurwitz ignores --cutoff\n",
         ),
         (
             ["coeffs", "--p", "3", "--m-max", "2"],
-            ["--n-max", "9", "--convention", "pos-def"],
-            "coeffs ignores --n-max\ncoeffs ignores --convention\n",
+            ["--n-max", "9", "--cutoff", "5"],
+            "coeffs ignores --n-max\ncoeffs ignores --cutoff\n",
         ),
     ):
         code, out, err = run(capsys, argv + ignored)
@@ -200,11 +197,47 @@ def test_tables_name_the_flags_they_ignore(capsys):
         assert (plain_code, plain_out, plain_err) == (code, out, "")
 
 
+def test_removed_flags_are_rejected(capsys):
+    for flag in (["--convention", "both-signs"], ["--seed-cases"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "imaginary", "--p", "3", "--n-max", "20", *flag])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2, flag
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+def _readme_inventory() -> dict:
+    """target -> (flags, defaults) from the rows of the README's
+    verification-inventory table, such as "| `real` | `--p`, `--n-max 300` |"."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Verification inventory", 1)[1]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    inventory = {}
+    for row in rows:
+        targets, flags = (cell.strip() for cell in row.strip("|").split("|"))
+        read, defaults = set(), {}
+        for token in flags.split("`")[1::2]:
+            flag, *default = token.split()
+            name = flag.removeprefix("--").replace("-", "_")
+            read.add(name)
+            if default:
+                defaults[name] = int(default[0])
+        for target in targets.split("`")[1::2]:
+            inventory[target] = read, defaults
+    return inventory
+
+
 def test_readme_cli_block_matches_checks():
     readme = (ROOT / "README.md").read_text()
     lines = [line.split() for line in readme.splitlines()]
     named = {words[2] for words in lines if words[:2] == ["quadtrace", "verify"]}
     assert named == set(CHECKS)
+    # the inventory table names each target's flags and defaults as CHECKS has them
+    inventory = _readme_inventory()
+    assert set(inventory) == set(CHECKS)
+    for target, check in CHECKS.items():
+        assert inventory[target] == (check.flags(), check.defaults), target
 
 
 def test_special_fails_an_unconverged_side(monkeypatch):
@@ -249,11 +282,9 @@ DRIFT_ARGV = (
 )
 
 
-@pytest.mark.parametrize("argv", DRIFT_ARGV)
-def test_stdout_matches_recorded_digest(argv):
-    # a fresh interpreter, as the benchmark runs it: these sweeps read the
-    # ambient mp.dps, which other tests change
-    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+def _fresh_stdout_digest(argv: str) -> str:
+    """sha256 of the stdout of argv in a fresh interpreter, as the benchmark
+    runs it: the sweeps read the ambient mp.dps, which other tests change."""
     src = str(ROOT / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -263,7 +294,23 @@ def test_stdout_matches_recorded_digest(argv):
         cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert hashlib.sha256(proc.stdout).hexdigest() == digests[argv]["sha256"]
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+def _recorded_digest(argv: str) -> str:
+    return json.loads((ROOT / "perfbench" / "digests.json").read_text())[argv]["sha256"]
+
+
+@pytest.mark.parametrize("argv", DRIFT_ARGV)
+def test_stdout_matches_recorded_digest(argv):
+    assert _fresh_stdout_digest(argv) == _recorded_digest(argv)
+
+
+def test_default_coefficients_run_is_the_m_max_12_run():
+    # --m-max sets the one range of every coefficient family, the square
+    # traces included, so spelling out its default changes no byte
+    recorded = _recorded_digest("verify coefficients --p 3 --m-max 12")
+    assert _fresh_stdout_digest("verify coefficients --p 3") == recorded
 
 
 # commands whose every printed byte is a function of --prec already; their

@@ -261,8 +261,10 @@ def test_orbit_partition_complete_and_disjoint():
 
 
 def test_orbits_definiteness_convention():
-    assert weighted_orbit_count(3, -3, "both-signs") == Fraction(2, 3)
-    assert weighted_orbit_count(3, -3, "pos-def") == Fraction(1, 3)
+    # both signs: twice the one positive-definite orbit of weight 1/3
+    positive = [stab for _, stab, _ in pairwise_orbits(3, -3)]
+    assert positive == [3]
+    assert weighted_orbit_count(3, -3) == 2 * Fraction(1, 3) == Fraction(2, 3)
     assert weighted_orbit_count(3, -4) == 0  # empty: -4 is a nonresidue mod 3
     with pytest.raises(ValueError):
         weighted_orbit_count(3, 5)
@@ -322,16 +324,15 @@ def stabilizer_index(p, q):
 
 def test_weighted_count_matches_built_orbits():
     """The orbit-stabilizer count against sum 1/|stabilizer| over the orbits
-    that pairwise_orbits builds, both conventions: the negative-definite
-    orbits mirror the positive ones."""
+    that pairwise_orbits builds: twice the positive-definite sum, as the
+    negative-definite orbits mirror the positive ones."""
     cases = 0
     for p in (3, 5, 7, 11, 13):
         for n in range(-1000, 0):
             if n % 4 not in (0, 1):
                 continue
             pos_def = sum((Fraction(1, stab) for _, stab, _ in pairwise_orbits(p, n)), Fraction(0))
-            assert weighted_orbit_count(p, n, "pos-def") == pos_def, (p, n)
-            assert weighted_orbit_count(p, n, "both-signs") == 2 * pos_def, (p, n)
+            assert weighted_orbit_count(p, n) == 2 * pos_def, (p, n)
             cases += 1
     assert cases == 2500
 
