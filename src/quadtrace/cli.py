@@ -2,9 +2,10 @@
 
 Output is deterministic for a fixed configuration: json-lines (one report
 per line) or CSV for tables.  Exit codes: 0 all checks pass, 1 at least
-one verification failed, 2 configuration error, 141 (128 + SIGPIPE) when
-the reader of stdout closed it early, as `| head` does; that ends the
-command without a traceback.
+one verification failed, 2 configuration or usage error (main returns
+argparse's code, 0 after --help), 141 (128 + SIGPIPE) when the reader of
+stdout closed it early, as `| head` does; that ends the command without a
+traceback.
 
 Each verify target is one entry of CHECKS: a sweep over the primes and the
 defaults of its parameters.  The acceptance suite runs the same sweeps.
@@ -373,6 +374,9 @@ def sweep_special(primes):
 
 
 def sweep_modularity(primes):
+    """Modularity residuals of theta, Zagier's and Cohen's Eisenstein series
+    and the level-4p series; each residual evaluates its series at both of
+    its points in one call."""
     reports = []
     tau = mp.mpc("0.13", "0.9")
     r = modularity_residual(eval_theta, (1, 0, 4, 1), mp.mpf(1) / 2, tau)
@@ -382,7 +386,7 @@ def sweep_modularity(primes):
     tau2 = mp.mpc("0.21", "0.63")
     for g in ((1, 0, 12, 1), (5, 2, 12, 5)):
         r = modularity_residual(
-            lambda t, c: eval_cohen_eisenstein(3, 3, t, c),
+            functools.partial(eval_cohen_eisenstein, 3, 3),
             g,
             mp.mpf(3) / 2,
             tau2,
@@ -393,7 +397,7 @@ def sweep_modularity(primes):
         )
     tau3 = mp.mpc("0.21", "1.1")
     r = modularity_residual(
-        lambda t, c: eval_sesqui_4p(3, t, c),
+        functools.partial(eval_sesqui_4p, 3),
         (1, 0, 12, 1),
         mp.mpf(1) / 2,
         tau3,
@@ -512,7 +516,11 @@ def _run(argv) -> int:
     p_c = subs.add_parser("coeffs", help="coefficient tables with oracle deltas")
     _add_common(p_c)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exit_:
+        # argparse has printed the usage error (code 2) or the help (code 0)
+        return exit_.code
     # flags left unset are None, so that each command can name the ones it ignores
     args.given = {flag for flag in SWEEP_FLAGS if getattr(args, flag) is not None}
     if args.p is None:

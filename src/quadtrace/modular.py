@@ -1,10 +1,14 @@
 """Truncated evaluation of the scalar q-series on the upper half-plane and
 the half-integral-weight slash operator for numerical modularity tests.
 
-Series are summed term by term in mpmath with documented geometric tail
-bounds; cutoff selection from a target tolerance is provided.  The slash
-operator carries the theta multiplier (c/d) eps_d^{2k} with principal
-branch powers throughout.
+Each series is evaluated at a list of (tau, cutoff) points, as a
+modularity residual asks for tau and its image in one call.  Series are
+summed term by term in mpmath with documented geometric tail bounds; cutoff
+selection from a target tolerance is provided.  The level-4p series forms
+the terms of all its points in one parallel term map and adds each point's
+terms in the series' own order, so its sums are those of a serial pass.
+The slash operator carries the theta multiplier (c/d) eps_d^{2k} with
+principal branch powers throughout.
 """
 
 from __future__ import annotations
@@ -65,117 +69,163 @@ def choose_cutoff(v, tol) -> int:
     return n
 
 
-def eval_theta(tau, cutoff: int) -> SeriesEvaluation:
-    """theta(tau) = sum_{k in Z} q^{k^2}, truncated at |k| <= cutoff."""
+def eval_theta(points) -> list[SeriesEvaluation]:
+    """theta(tau) = sum_{k in Z} q^{k^2}, truncated at |k| <= cutoff, at each
+    (tau, cutoff) of points."""
     with hp():
-        tau = _check_tau(tau)
-        q = mp.e ** (2j * mp.pi * tau)
-        total = mp.mpc(1)
-        for k in range(1, cutoff + 1):
-            total += 2 * q ** (k * k)
-        absq = abs(q)
-        tail = 2 * absq ** ((cutoff + 1) ** 2) / (1 - absq)
-        return SeriesEvaluation(value=+total, tau=tau, cutoff=cutoff, tail_bound=+tail)
+        out = []
+        for tau, cutoff in points:
+            tau = _check_tau(tau)
+            q = mp.e ** (2j * mp.pi * tau)
+            total = mp.mpc(1)
+            for k in range(1, cutoff + 1):
+                total += 2 * q ** (k * k)
+            absq = abs(q)
+            tail = 2 * absq ** ((cutoff + 1) ** 2) / (1 - absq)
+            out.append(SeriesEvaluation(value=+total, tau=tau, cutoff=cutoff, tail_bound=+tail))
+        return out
 
 
-def eval_zagier_eisenstein(tau, cutoff: int) -> SeriesEvaluation:
+def eval_zagier_eisenstein(points) -> list[SeriesEvaluation]:
     """The weight-3/2 nonholomorphic Eisenstein series with Hurwitz
-    class-number coefficients:
+    class-number coefficients, at each (tau, cutoff) of points:
 
     -1/12 + sum_{n>=1} H(n) q^n + 1/(8 pi sqrt(v))
           + (1/(4 sqrt(pi))) sum_{n>=1} n Gamma(-1/2, 4 pi n^2 v) q^{-n^2}.
     """
     with hp():
-        tau = _check_tau(tau)
-        v = tau.imag
-        q = mp.e ** (2j * mp.pi * tau)
-        total = mp.mpc(mp.mpf(-1) / 12)
-        hs = hurwitz_forms_table(cutoff)
-        for n in range(1, cutoff + 1):
-            h = hs[n]
-            if h:
-                total += to_mpf(h) * q**n
-        total += 1 / (8 * mp.pi * mp.sqrt(v))
-        nmax = max(1, math.isqrt(cutoff))
-        for n in range(1, nmax + 1):
-            total += (
-                mp.mpf(1)
-                / (4 * mp.sqrt(mp.pi))
-                * n
-                * inc_gamma_minus_half(4 * mp.pi * n * n * v)
-                * q ** (-n * n)
+        hs = hurwitz_forms_table(max(cutoff for _, cutoff in points))
+        out = []
+        for tau, cutoff in points:
+            tau = _check_tau(tau)
+            v = tau.imag
+            q = mp.e ** (2j * mp.pi * tau)
+            total = mp.mpc(mp.mpf(-1) / 12)
+            for n in range(1, cutoff + 1):
+                h = hs[n]
+                if h:
+                    total += to_mpf(h) * q**n
+            total += 1 / (8 * mp.pi * mp.sqrt(v))
+            nmax = max(1, math.isqrt(cutoff))
+            for n in range(1, nmax + 1):
+                total += (
+                    mp.mpf(1)
+                    / (4 * mp.sqrt(mp.pi))
+                    * n
+                    * inc_gamma_minus_half(4 * mp.pi * n * n * v)
+                    * q ** (-n * n)
+                )
+            absq = abs(q)
+            # H(n) <= n; the nonholomorphic tail decays like e^{-2 pi n^2 v}
+            tail = (
+                2 * (cutoff + 1) * absq ** (cutoff + 1) / (1 - absq)
+                + (nmax + 1) * mp.exp(-2 * mp.pi * (nmax + 1) ** 2 * v)
             )
-        absq = abs(q)
-        # H(n) <= n; the nonholomorphic tail decays like e^{-2 pi n^2 v}
-        tail = (
-            2 * (cutoff + 1) * absq ** (cutoff + 1) / (1 - absq)
-            + (nmax + 1) * mp.exp(-2 * mp.pi * (nmax + 1) ** 2 * v)
-        )
-        return SeriesEvaluation(value=+total, tau=tau, cutoff=cutoff, tail_bound=+tail)
+            out.append(SeriesEvaluation(value=+total, tau=tau, cutoff=cutoff, tail_bound=+tail))
+        return out
 
 
-def eval_cohen_eisenstein(ell: int, big_n: int, tau, cutoff: int) -> SeriesEvaluation:
-    """sum_{n >= 0} H_{ell,N}(n) q^n, truncated."""
+def eval_cohen_eisenstein(ell: int, big_n: int, points) -> list[SeriesEvaluation]:
+    """sum_{n >= 0} H_{ell,N}(n) q^n, truncated, at each (tau, cutoff) of
+    points; one table of H_{ell,N} serves every point."""
     with hp():
-        tau = _check_tau(tau)
-        q = mp.e ** (2j * mp.pi * tau)
-        hs = hurwitz_level_table(cutoff, [(ell, big_n)])[ell, big_n]
-        total = mp.mpc(to_mpf(hs[0]))
-        for n in range(1, cutoff + 1):
-            h = hs[n]
-            if h:
-                total += to_mpf(h) * q**n
-        absq = abs(q)
-        tail = 2 * (cutoff + 1) * absq ** (cutoff + 1) / (1 - absq)
-        return SeriesEvaluation(value=+total, tau=tau, cutoff=cutoff, tail_bound=+tail)
+        table = hurwitz_level_table(max(cutoff for _, cutoff in points), [(ell, big_n)])
+        hs = table[ell, big_n]
+        out = []
+        for tau, cutoff in points:
+            tau = _check_tau(tau)
+            q = mp.e ** (2j * mp.pi * tau)
+            total = mp.mpc(to_mpf(hs[0]))
+            for n in range(1, cutoff + 1):
+                h = hs[n]
+                if h:
+                    total += to_mpf(h) * q**n
+            absq = abs(q)
+            tail = 2 * (cutoff + 1) * absq ** (cutoff + 1) / (1 - absq)
+            out.append(SeriesEvaluation(value=+total, tau=tau, cutoff=cutoff, tail_bound=+tail))
+        return out
 
 
-def eval_sesqui_4p(p: int, tau, cutoff: int) -> SeriesEvaluation:
-    """The level-4p sesquiharmonic series, truncated.
+def eval_sesqui_4p(p: int, points) -> list[SeriesEvaluation]:
+    """The level-4p sesquiharmonic series, truncated, at each (tau, cutoff)
+    of points:
 
     (2/3) v^{1/2} - log(16 v)/(2 pi (p+1))
       + (1/(pi(p+1))) sum_{m>=1} (gamma + log(pi m^2) + alpha(4 m^2 v)) q^{m^2}
       + (2/3)(1-i) pi sum_{n >= 0, disc} c(n) q^n
       + (2/3)(1-i) sqrt(pi) sum_{n < 0, disc} c(n) Gamma(1/2, 4 pi |n| v) q^n.
 
-    The alpha quadratures of the square-indexed terms are the one batch run
-    over the usable cores.  The nonsquare c(n) take L(1, chi_t) from
-    h(t) log eps_t (kloosterman.plus_zeta_special_value), so the series
-    forms no L(1) sine sum.
+    Every term of every point is one job of a single map over the usable
+    cores: the two square terms at m (the alpha quadrature and c(m^2), one
+    q^{m^2}), each nonsquare c(n) q^n and each negative-index term.  The
+    cheap coefficient jobs come first, so the map's serial head runs them
+    and not a quadrature.  Each point's terms are then added here in the
+    order of the formula above, so the sums do not depend on the split.
+    The nonsquare c(n) take L(1, chi_t) from h(t) log eps_t
+    (kloosterman.plus_zeta_special_value), so the series forms no L(1)
+    sine sum.
     """
     with hp():
-        tau = _check_tau(tau)
-        v = tau.imag
-        q = mp.e ** (2j * mp.pi * tau)
+        points = [(_check_tau(tau), cutoff) for tau, cutoff in points]
+        qs = [mp.e ** (2j * mp.pi * tau) for tau, _ in points]
         pref = (mp.mpf(2) / 3) * (1 - 1j)
-        total = mp.mpc(2 * mp.sqrt(v) / 3 - mp.log(16 * v) / (2 * mp.pi * (p + 1)))
-        total += pref * mp.pi * sesqui4p_const_coeff(p)
-        sqmax = max(1, math.isqrt(cutoff))
-        nonsquare = [n for n in range(1, cutoff + 1) if n % 4 in (0, 1) and math.isqrt(n) ** 2 != n]
-        ys = [4 * m * m * v for m in range(1, sqmax + 1)]
-        alphas = fork_map(alpha, ys)
-        for m in range(1, sqmax + 1):
-            total += (
-                (mp.euler + mp.log(mp.pi * m * m) + alphas[m - 1].value)
-                / (mp.pi * (p + 1))
-                * q ** (m * m)
-            )
-            total += pref * mp.pi * sesqui4p_square_coeff(p, m) * q ** (m * m)
-        for n in nonsquare:
-            total += pref * mp.pi * plus_zeta_special_value(p, n) * q**n
-        for n in range(1, cutoff + 1):
-            if (-n) % 4 not in (0, 1):
-                continue
-            total += (
+
+        def term(job):
+            kind, i, n = job
+            v, q = points[i][0].imag, qs[i]
+            if kind == "square":
+                qn = q ** (n * n)
+                return (
+                    (mp.euler + mp.log(mp.pi * n * n) + alpha(4 * n * n * v).value)
+                    / (mp.pi * (p + 1))
+                    * qn,
+                    pref * mp.pi * sesqui4p_square_coeff(p, n) * qn,
+                )
+            if kind == "nonsquare":
+                return pref * mp.pi * plus_zeta_special_value(p, n) * q**n
+            return (
                 pref
                 * mp.sqrt(mp.pi)
                 * sesqui4p_neg_coeff(p, -n)
                 * inc_gamma_half(4 * mp.pi * n * v)
                 * q ** (-n)
             )
-        absq = abs(q)
-        tail = 6 * (cutoff + 1) * absq ** (cutoff + 1) / (1 - absq)
-        return SeriesEvaluation(value=+total, tau=tau, cutoff=cutoff, tail_bound=+tail)
+
+        indices = [_sesqui_4p_indices(cutoff) for _, cutoff in points]
+        jobs = [
+            (kind, i, n)
+            for kind in ("nonsquare", "negative", "square")
+            for i, index in enumerate(indices)
+            for n in index[kind]
+        ]
+        terms = dict(zip(jobs, fork_map(term, jobs)))
+        out = []
+        for i, ((tau, cutoff), index) in enumerate(zip(points, indices)):
+            v = tau.imag
+            total = mp.mpc(2 * mp.sqrt(v) / 3 - mp.log(16 * v) / (2 * mp.pi * (p + 1)))
+            total += pref * mp.pi * sesqui4p_const_coeff(p)
+            for m in index["square"]:
+                for part in terms["square", i, m]:
+                    total += part
+            for kind in ("nonsquare", "negative"):
+                for n in index[kind]:
+                    total += terms[kind, i, n]
+            absq = abs(qs[i])
+            tail = 6 * (cutoff + 1) * absq ** (cutoff + 1) / (1 - absq)
+            out.append(SeriesEvaluation(value=+total, tau=tau, cutoff=cutoff, tail_bound=+tail))
+        return out
+
+
+def _sesqui_4p_indices(cutoff: int) -> dict:
+    """The m of the square terms and the n > 0 of the nonsquare and of the
+    negative-index terms n -> -n that the level-4p series sums to cutoff."""
+    return {
+        "square": range(1, max(1, math.isqrt(cutoff)) + 1),
+        "nonsquare": [
+            n for n in range(1, cutoff + 1) if n % 4 in (0, 1) and math.isqrt(n) ** 2 != n
+        ],
+        "negative": [n for n in range(1, cutoff + 1) if (-n) % 4 in (0, 1)],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +261,16 @@ def apply_moebius(gamma, tau):
 def modularity_residual(series_fn, gamma, k, tau, tol=mp.mpf("1e-8")):
     """| (f |_k gamma)(tau) - f(tau) | with per-point cutoff selection.
 
-    series_fn(tau, cutoff) -> SeriesEvaluation.  The cutoff at each point is
-    chosen from its height and tol (choose_cutoff), so the transformed point,
+    series_fn(points) -> one SeriesEvaluation per (tau, cutoff) of points,
+    called once with tau and its image.  The cutoff at each point is chosen
+    from its height and tol (choose_cutoff), so the transformed point,
     usually the lower one, gets the longer series.
     """
     with hp():
         tau = mp.mpc(tau)
         gtau = apply_moebius(gamma, tau)
-        f_here = series_fn(tau, choose_cutoff(tau.imag, tol))
-        f_there = series_fn(gtau, choose_cutoff(gtau.imag, tol))
+        f_here, f_there = series_fn(
+            [(tau, choose_cutoff(tau.imag, tol)), (gtau, choose_cutoff(gtau.imag, tol))]
+        )
         slashed = slash_half(f_there.value, gamma, k, tau)
         return +abs(slashed - f_here.value)

@@ -18,7 +18,7 @@ neither on the core count nor on where the head ended.  An exception raised
 by fn reaches the caller with its own type.
 
 Its callers: the per-c Kloosterman sums, `verify real`'s real_index, the
-special sweep's quadratures and the alpha map of the level-4p series.
+special sweep's quadratures and the term map of the level-4p series.
 """
 
 from __future__ import annotations

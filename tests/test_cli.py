@@ -198,13 +198,24 @@ def test_tables_name_the_flags_they_ignore(capsys):
 
 
 def test_removed_flags_are_rejected(capsys):
-    for flag in (["--convention", "both-signs"], ["--seed-cases"]):
-        with pytest.raises(SystemExit) as exit_:
-            main(["verify", "imaginary", "--p", "3", "--n-max", "20", *flag])
-        captured = capsys.readouterr()
-        assert exit_.value.code == 2, flag
-        assert captured.out == ""
-        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+    # a bad --format is refused the same way
+    for flag, message in (
+        (["--convention", "both-signs"], "unrecognized arguments: --convention both-signs"),
+        (["--seed-cases"], "unrecognized arguments: --seed-cases"),
+        (["--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    ):
+        code, out, err = run(capsys, ["verify", "imaginary", "--p", "3", "--n-max", "20", *flag])
+        assert code == 2, flag
+        assert out == ""
+        assert err.startswith("usage: quadtrace")
+        assert message in err
+
+
+def test_help_returns_zero(capsys):
+    code, out, err = run(capsys, ["verify", "--help"])
+    assert code == 0
+    assert out.startswith("usage: quadtrace verify")
+    assert err == ""
 
 
 def _readme_inventory() -> dict:

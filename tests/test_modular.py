@@ -1,5 +1,6 @@
 """q-series evaluation and numerical modularity residuals."""
 
+import functools
 import random
 
 import pytest
@@ -57,7 +58,7 @@ def battery(seed=2024, count=10, max_len=3, min_height=0.05):
 
 def test_theta_direct_value():
     tau = mp.mpc(0, 1)
-    th = eval_theta(tau, 50)
+    (th,) = eval_theta([(tau, 50)])
     direct = 1 + 2 * mp.fsum(mp.exp(-2 * mp.pi * n * n) for n in range(1, 51))
     assert abs(th.value - direct) < mp.mpf("1e-30")
     assert th.tail_bound < mp.mpf("1e-100")
@@ -66,9 +67,8 @@ def test_theta_direct_value():
 def test_theta_inversion():
     # theta(-1/(4 tau)) = sqrt(-2 i tau) theta(tau)
     for tau in TEST_POINTS[:3]:
-        lhs = eval_theta(-1 / (4 * tau), 80).value
-        rhs = mp.sqrt(-2j * tau) * eval_theta(tau, 80).value
-        assert abs(lhs - rhs) < mp.mpf("1e-10")
+        image, here = eval_theta([(-1 / (4 * tau), 80), (tau, 80)])
+        assert abs(image.value - mp.sqrt(-2j * tau) * here.value) < mp.mpf("1e-10")
 
 
 def test_theta_residual_battery():
@@ -80,8 +80,8 @@ def test_theta_residual_battery():
 def test_zagier_constant_term():
     # q -> 0 limit: the holomorphic part tends to -1/12 (v -> infinity kills the rest)
     tau = mp.mpc(0, 40)
-    val = eval_zagier_eisenstein(tau, 10).value
-    assert abs(val - (mp.mpf(-1) / 12 + 1 / (8 * mp.pi * mp.sqrt(40)))) < mp.mpf("1e-25")
+    (series,) = eval_zagier_eisenstein([(tau, 10)])
+    assert abs(series.value - (mp.mpf(-1) / 12 + 1 / (8 * mp.pi * mp.sqrt(40)))) < mp.mpf("1e-25")
 
 
 def test_zagier_nonholomorphic_kernel():
@@ -89,7 +89,7 @@ def test_zagier_nonholomorphic_kernel():
     from quadtrace.specialfns import inc_gamma_minus_half
 
     tau = mp.mpc("0.25", "1")
-    full = eval_zagier_eisenstein(tau, 420)
+    (full,) = eval_zagier_eisenstein([(tau, 420)])
     q = mp.e ** (2j * mp.pi * tau)
     kernel = mp.mpf(1) / (4 * mp.sqrt(mp.pi)) * inc_gamma_minus_half(4 * mp.pi) * q ** (-1)
     # removing the n=1 nonholomorphic term must change the value by exactly it
@@ -119,7 +119,7 @@ def test_cohen_eisenstein_residuals():
     tau = mp.mpc("0.21", "0.63")
     for g in ((1, 0, 12, 1), (5, 2, 12, 5)):
         r = modularity_residual(
-            lambda t, c: eval_cohen_eisenstein(3, 3, t, c),
+            functools.partial(eval_cohen_eisenstein, 3, 3),
             g,
             mp.mpf(3) / 2,
             tau,
@@ -159,14 +159,13 @@ def test_slash_trivial_cases():
 
 def test_evaluations_deterministic():
     tau = mp.mpc("0.13", "0.9")
-    a = eval_zagier_eisenstein(tau, 150).value
-    b = eval_zagier_eisenstein(tau, 150).value
-    assert a == b
+    a, b = eval_zagier_eisenstein([(tau, 150), (tau, 150)])
+    assert a.value == b.value
 
 
 def test_rejects_lower_half_plane():
     with pytest.raises(ValueError):
-        eval_theta(mp.mpc(0, -1), 10)
+        eval_theta([(mp.mpc(0, -1), 10)])
 
 
 def test_choose_cutoff_monotone():
@@ -206,5 +205,5 @@ def test_sesqui_4p_series_forms_no_sine_sum(monkeypatch):
     monkeypatch.setattr(lvalues, "_log_sine_sum", refuse)
     tau = mp.mpc("0.21", "1.1")
     image = apply_moebius((1, 0, 12, 1), tau)
-    series = eval_sesqui_4p(3, image, 703)
+    (series,) = eval_sesqui_4p(3, [(image, 703)])
     assert mp.isfinite(series.value)

@@ -1,5 +1,5 @@
 """The ordered fork map and the callers that split their work with it: the
-per-n data of the real trace sweep, the alpha map of the level-4p series,
+per-n data of the real trace sweep, the term map of the level-4p series,
 the special-function sweep and the per-c Kloosterman sums.  A split gives
 the values of the serial pass, bit for bit."""
 
@@ -13,9 +13,11 @@ import time
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 from quadtrace import cli, parallel
 from quadtrace.kloosterman import plus_zeta_batch
+from quadtrace.modular import apply_moebius, eval_sesqui_4p
 from quadtrace.parallel import fork_map
 
 from .forks import count_forks, deadline, set_cores
@@ -213,8 +215,16 @@ def _plus_zeta(*levels):
     return run
 
 
+def _sesqui_4p(monkeypatch):
+    # both points of verify modularity's level-4p residual, shorter series
+    tau = mp.mpc("0.21", "1.1")
+    points = [(tau, 16), (apply_moebius((1, 0, 12, 1), tau), 90)]
+    return [(e.value, e.tail_bound) for e in eval_sesqui_4p(3, points)]
+
+
 SPLIT_CALLERS = {
     "real-sweep": _real_sweep,
+    "sesqui-4p-series": _sesqui_4p,
     "special-sweep": _special_sweep,
     **{f"plus-zeta-{big_n}": _plus_zeta(big_n) for big_n in (1, 3, 5, 15)},
     "plus-zeta-3-5": _plus_zeta(3, 5),
@@ -231,5 +241,16 @@ def test_split_equals_one_core(monkeypatch, no_head, caller):
     with deadline(120):
         split = run(monkeypatch)
     assert split == serial
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_level_4p_residual_starts_one_pool(monkeypatch, no_head):
+    # both points of the level-4p residual share one map; no other residual splits
+    set_cores(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    with deadline(120):
+        reports = cli.sweep_modularity(())
+    assert [r.passed for r in reports] == [True] * 5
     assert len(forks) == 2
     assert multiprocessing.active_children() == []
