@@ -91,8 +91,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     n = abs(n)
     fac: dict[int, int] = {}
 
-    def _add(p, e=1):
-        fac[p] = fac.get(p, 0) + e
+    def _add(p):
+        fac[p] = fac.get(p, 0) + 1
 
     for p in (2, 3):
         while n % p == 0:

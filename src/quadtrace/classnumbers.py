@@ -55,16 +55,8 @@ from .lvalues import (
     sigma_constrained,
 )
 from .precision import hp
-from .quadforms import class_number, order_unit_pm, _reduced_definite_forms
+from .quadforms import _weight_sixths, class_number, class_reps, order_unit_pm
 from .report import VerificationReport, exact_report
-
-
-def _weight_sixths(a: int, b: int, c: int) -> int:
-    """6 times the weight of the reduced definite form (a, b, c) in H: 2/|Aut|,
-    so 2 at f(1, 1, 1) (discriminant -3 f^2), 3 at f(1, 0, 1) (-4 f^2), else 6."""
-    if a == c and b in (0, a):
-        return 3 if b == 0 else 2
-    return 6
 
 
 # maxsize=0 caches nothing: the tables serve the sweeps, and the wrapper only
@@ -79,7 +71,7 @@ def hurwitz_class_number_forms(n: int) -> Fraction:
         raise ValueError("requires n >= 0")
     if n == 0:
         return Fraction(-1, 12)
-    forms = _reduced_definite_forms(-n, include_imprimitive=True) if n % 4 in (0, 3) else []
+    forms = class_reps(-n) if n % 4 in (0, 3) else []
     return Fraction(sum(_weight_sixths(*q) for q in forms), 6)
 
 

@@ -104,6 +104,18 @@ def _emit_reports(reports, fmt) -> int:
     return 0 if failures == 0 else 1
 
 
+def _emit_table(columns, rows, fmt) -> None:
+    """A table: CSV (a header, then one line per row, a bool as 0/1) or one
+    json object per row."""
+    if fmt == "csv":
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(str(int(x) if isinstance(x, bool) else x) for x in row))
+    else:
+        for row in rows:
+            print(json.dumps(dict(zip(columns, row)), separators=(",", ":")))
+
+
 def cmd_hurwitz(args) -> int:
     n_max = 100 if args.n_max is None else args.n_max
     failures = 0
@@ -118,26 +130,8 @@ def cmd_hurwitz(args) -> int:
                 lhs, rhs = _linear_relation_sides(p, h, h1p, hpp)
                 ok = lhs == rhs
             failures += 0 if ok else 1
-            rows.append((p, n, h, h1p, hpp, ok))
-    if args.format == "csv":
-        print("p,n,H,H_1p,H_pp,relation_ok")
-        for p, n, h, h1p, hpp, ok in rows:
-            print(f"{p},{n},{fmt_exact(h)},{fmt_exact(h1p)},{fmt_exact(hpp)},{int(ok)}")
-    else:
-        for p, n, h, h1p, hpp, ok in rows:
-            print(
-                json.dumps(
-                    {
-                        "p": p,
-                        "n": n,
-                        "H": fmt_exact(h),
-                        "H_1p": fmt_exact(h1p),
-                        "H_pp": fmt_exact(hpp),
-                        "relation_ok": ok,
-                    },
-                    separators=(",", ":"),
-                )
-            )
+            rows.append((p, n, fmt_exact(h), fmt_exact(h1p), fmt_exact(hpp), ok))
+    _emit_table(("p", "n", "H", "H_1p", "H_pp", "relation_ok"), rows, args.format)
     return 0 if failures == 0 else 1
 
 
@@ -206,26 +200,30 @@ def sweep_real(primes, n_max):
     return [verify_real_trace_identity(p, index) for p in primes for index in indices]
 
 
+# relative to max(|value|, |oracle|, COEFF_ORACLE_TOL): `verify coefficients`
+# and `coeffs` gate a coefficient against its derivative oracle alike
+COEFF_ORACLE_TOL = "1e-8"
+
+
+def _oracle_report(p, m, value, oracle) -> VerificationReport:
+    """c(0) (m = 0) or c(m^2) at level 4p against its derivative oracle."""
+    check = "coeff-c-oracle" if m else "coeff-const-oracle"
+    tol = COEFF_ORACLE_TOL
+    return numeric_report(check, {"p": p, "m": m}, value, oracle, tol, scale_floor=tol)
+
+
 def sweep_coefficient_oracles(primes, m_max):
     """c(0), b(m^2) and c(m^2) against their derivative oracles."""
     reports = []
+    tol = COEFF_ORACLE_TOL
     for p in primes:
         for m, value, oracle in _coefficient_rows(p, m_max):
             if m:
                 b, ob = sesqui4_square_coeff(m), coeff_oracle_4(m)
                 reports.append(
-                    numeric_report("coeff-b-oracle", {"m": m}, b, ob, "1e-8", scale_floor="1e-8")
+                    numeric_report("coeff-b-oracle", {"m": m}, b, ob, tol, scale_floor=tol)
                 )
-            reports.append(
-                numeric_report(
-                    "coeff-c-oracle" if m else "coeff-const-oracle",
-                    {"p": p, "m": m},
-                    value,
-                    oracle,
-                    "1e-8",
-                    scale_floor="1e-8",
-                )
-            )
+            reports.append(_oracle_report(p, m, value, oracle))
     return reports
 
 
@@ -375,48 +373,32 @@ def sweep_special(primes):
 
 def sweep_modularity(primes):
     """Modularity residuals of theta, Zagier's and Cohen's Eisenstein series
-    and the level-4p series; each residual evaluates its series at both of
-    its points in one call."""
+    and the level-4p series.  Each case evaluates its series at tau and at
+    gamma tau in one call, with cutoffs chosen for its tolerance, and passes
+    when the residual is at most its gate."""
+    # built per call, so that each series is the module global of the moment
+    cohen = functools.partial(eval_cohen_eisenstein, 3, 3)
+    sesqui = functools.partial(eval_sesqui_4p, 3)
+    cases = [
+        # check, params, series, gamma, weight, tau, cutoff tolerance, gate
+        ("theta-residual", {"gamma": "[1,0;4,1]"}, eval_theta, (1, 0, 4, 1), 0.5,
+         ("0.13", "0.9"), "1e-8", "1e-10"),
+        ("zagier-residual", {"gamma": "[1,0;4,1]"}, eval_zagier_eisenstein, (1, 0, 4, 1), 1.5,
+         ("0.13", "0.9"), "1e-8", "1e-6"),
+        ("cohen-eisenstein-residual", {"gamma": "(1, 0, 12, 1)"}, cohen, (1, 0, 12, 1), 1.5,
+         ("0.21", "0.63"), "1e-7", "1e-5"),
+        ("cohen-eisenstein-residual", {"gamma": "(5, 2, 12, 5)"}, cohen, (5, 2, 12, 5), 1.5,
+         ("0.21", "0.63"), "1e-7", "1e-5"),
+        ("sesqui-4p-residual", {"p": 3}, sesqui, (1, 0, 12, 1), 0.5,
+         ("0.21", "1.1"), "2e-5", "1e-4"),
+    ]
     reports = []
-    tau = mp.mpc("0.13", "0.9")
-    r = modularity_residual(eval_theta, (1, 0, 4, 1), mp.mpf(1) / 2, tau)
-    reports.append(_residual_report("theta-residual", {"gamma": "[1,0;4,1]"}, r, "1e-10"))
-    r = modularity_residual(eval_zagier_eisenstein, (1, 0, 4, 1), mp.mpf(3) / 2, tau)
-    reports.append(_residual_report("zagier-residual", {"gamma": "[1,0;4,1]"}, r, "1e-6"))
-    tau2 = mp.mpc("0.21", "0.63")
-    for g in ((1, 0, 12, 1), (5, 2, 12, 5)):
-        r = modularity_residual(
-            functools.partial(eval_cohen_eisenstein, 3, 3),
-            g,
-            mp.mpf(3) / 2,
-            tau2,
-            tol=mp.mpf("1e-7"),
-        )
-        reports.append(
-            _residual_report("cohen-eisenstein-residual", {"gamma": str(g)}, r, "1e-5")
-        )
-    tau3 = mp.mpc("0.21", "1.1")
-    r = modularity_residual(
-        functools.partial(eval_sesqui_4p, 3),
-        (1, 0, 12, 1),
-        mp.mpf(1) / 2,
-        tau3,
-        tol=mp.mpf("2e-5"),
-    )
-    reports.append(_residual_report("sesqui-4p-residual", {"p": 3}, r, "1e-4"))
+    for check, params, series, gamma, weight, tau, tol, gate in cases:
+        residual = modularity_residual(series, gamma, weight, mp.mpc(*tau), mp.mpf(tol))
+        text, passed = fmt_hp(residual, 8), bool(residual <= mp.mpf(gate))
+        # lhs, abs_err and rel_err are the residual, rhs is 0
+        reports.append(VerificationReport(check, params, text, "0", text, text, passed))
     return reports
-
-
-def _residual_report(check, params, residual, tol) -> VerificationReport:
-    return VerificationReport(
-        check=check,
-        params=params,
-        lhs=fmt_hp(residual, 8),
-        rhs="0",
-        abs_err=fmt_hp(residual, 8),
-        rel_err=fmt_hp(residual, 8),
-        passed=bool(residual <= mp.mpf(tol)),
-    )
 
 
 class Check(NamedTuple):
@@ -464,26 +446,14 @@ def cmd_verify(args) -> int:
 
 def cmd_coeffs(args) -> int:
     m_max = CHECKS["coefficients"].defaults["m_max"] if args.m_max is None else args.m_max
-    lines = []
+    rows = []
     failures = 0
     for p in args.p:
         for m, c, o in _coefficient_rows(p, m_max):
-            delta = abs(c - o)
-            if delta > mp.mpf("1e-8"):
+            if not _oracle_report(p, m, c, o).passed:
                 failures += 1
-            lines.append((p, m, fmt_hp(c), fmt_hp(o), fmt_hp(delta, 6)))
-    if args.format == "csv":
-        print("p,m,value,oracle,delta")
-        for row in lines:
-            print(",".join(str(x) for x in row))
-    else:
-        for p, m, c, o, d in lines:
-            print(
-                json.dumps(
-                    {"p": p, "m": m, "value": c, "oracle": o, "delta": d},
-                    separators=(",", ":"),
-                )
-            )
+            rows.append((p, m, fmt_hp(c), fmt_hp(o), fmt_hp(abs(c - o), 6)))
+    _emit_table(("p", "m", "value", "oracle", "delta"), rows, args.format)
     return 0 if failures == 0 else 1
 
 

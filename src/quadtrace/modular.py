@@ -2,9 +2,9 @@
 the half-integral-weight slash operator for numerical modularity tests.
 
 Each series is evaluated at a list of (tau, cutoff) points, as a
-modularity residual asks for tau and its image in one call.  Series are
-summed term by term in mpmath with documented geometric tail bounds; cutoff
-selection from a target tolerance is provided.  The level-4p series forms
+modularity residual asks for tau and its image in one call, and returns
+one value per point, summed term by term in mpmath; the cutoff of a point
+is chosen from its height and a target tolerance.  The level-4p series forms
 the terms of all its points in one parallel term map and adds each point's
 terms in the series' own order, so its sums are those of a serial pass.
 The slash operator carries the theta multiplier (c/d) eps_d^{2k} with
@@ -14,9 +14,8 @@ principal branch powers throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from mpmath import mp, mpc
+from mpmath import mp
 
 from .arith import eps_odd, kronecker
 from .classnumbers import hurwitz_forms_table, hurwitz_level_table
@@ -31,20 +30,12 @@ from .precision import hp, to_mpf
 from .specialfns import alpha, inc_gamma_half, inc_gamma_minus_half
 
 
-@dataclass
-class SeriesEvaluation:
-    value: mpc
-    tau: mpc
-    cutoff: int
-    tail_bound: object
-    flags: dict = field(default_factory=dict)
-
-
-def _check_tau(tau):
+def _nome(tau):
+    """q = e^{2 pi i tau} for tau in the upper half-plane."""
     tau = mp.mpc(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    return tau
+    return mp.e ** (2j * mp.pi * tau)
 
 
 MAX_CUTOFF = 200000
@@ -69,24 +60,31 @@ def choose_cutoff(v, tol) -> int:
     return n
 
 
-def eval_theta(points) -> list[SeriesEvaluation]:
+def _table_sum(hs, q, cutoff):
+    """sum_{0 <= n <= cutoff} hs[n] q^n over an exact class-number table hs."""
+    total = mp.mpc(to_mpf(hs[0]))
+    for n in range(1, cutoff + 1):
+        h = hs[n]
+        if h:
+            total += to_mpf(h) * q**n
+    return total
+
+
+def eval_theta(points) -> list:
     """theta(tau) = sum_{k in Z} q^{k^2}, truncated at |k| <= cutoff, at each
     (tau, cutoff) of points."""
     with hp():
         out = []
         for tau, cutoff in points:
-            tau = _check_tau(tau)
-            q = mp.e ** (2j * mp.pi * tau)
+            q = _nome(tau)
             total = mp.mpc(1)
             for k in range(1, cutoff + 1):
                 total += 2 * q ** (k * k)
-            absq = abs(q)
-            tail = 2 * absq ** ((cutoff + 1) ** 2) / (1 - absq)
-            out.append(SeriesEvaluation(value=+total, tau=tau, cutoff=cutoff, tail_bound=+tail))
+            out.append(+total)
         return out
 
 
-def eval_zagier_eisenstein(points) -> list[SeriesEvaluation]:
+def eval_zagier_eisenstein(points) -> list:
     """The weight-3/2 nonholomorphic Eisenstein series with Hurwitz
     class-number coefficients, at each (tau, cutoff) of points:
 
@@ -97,17 +95,11 @@ def eval_zagier_eisenstein(points) -> list[SeriesEvaluation]:
         hs = hurwitz_forms_table(max(cutoff for _, cutoff in points))
         out = []
         for tau, cutoff in points:
-            tau = _check_tau(tau)
-            v = tau.imag
-            q = mp.e ** (2j * mp.pi * tau)
-            total = mp.mpc(mp.mpf(-1) / 12)
-            for n in range(1, cutoff + 1):
-                h = hs[n]
-                if h:
-                    total += to_mpf(h) * q**n
+            q = _nome(tau)
+            v = mp.im(tau)
+            total = _table_sum(hs, q, cutoff)
             total += 1 / (8 * mp.pi * mp.sqrt(v))
-            nmax = max(1, math.isqrt(cutoff))
-            for n in range(1, nmax + 1):
+            for n in range(1, max(1, math.isqrt(cutoff)) + 1):
                 total += (
                     mp.mpf(1)
                     / (4 * mp.sqrt(mp.pi))
@@ -115,38 +107,20 @@ def eval_zagier_eisenstein(points) -> list[SeriesEvaluation]:
                     * inc_gamma_minus_half(4 * mp.pi * n * n * v)
                     * q ** (-n * n)
                 )
-            absq = abs(q)
-            # H(n) <= n; the nonholomorphic tail decays like e^{-2 pi n^2 v}
-            tail = (
-                2 * (cutoff + 1) * absq ** (cutoff + 1) / (1 - absq)
-                + (nmax + 1) * mp.exp(-2 * mp.pi * (nmax + 1) ** 2 * v)
-            )
-            out.append(SeriesEvaluation(value=+total, tau=tau, cutoff=cutoff, tail_bound=+tail))
+            out.append(+total)
         return out
 
 
-def eval_cohen_eisenstein(ell: int, big_n: int, points) -> list[SeriesEvaluation]:
+def eval_cohen_eisenstein(ell: int, big_n: int, points) -> list:
     """sum_{n >= 0} H_{ell,N}(n) q^n, truncated, at each (tau, cutoff) of
     points; one table of H_{ell,N} serves every point."""
     with hp():
         table = hurwitz_level_table(max(cutoff for _, cutoff in points), [(ell, big_n)])
         hs = table[ell, big_n]
-        out = []
-        for tau, cutoff in points:
-            tau = _check_tau(tau)
-            q = mp.e ** (2j * mp.pi * tau)
-            total = mp.mpc(to_mpf(hs[0]))
-            for n in range(1, cutoff + 1):
-                h = hs[n]
-                if h:
-                    total += to_mpf(h) * q**n
-            absq = abs(q)
-            tail = 2 * (cutoff + 1) * absq ** (cutoff + 1) / (1 - absq)
-            out.append(SeriesEvaluation(value=+total, tau=tau, cutoff=cutoff, tail_bound=+tail))
-        return out
+        return [+_table_sum(hs, _nome(tau), cutoff) for tau, cutoff in points]
 
 
-def eval_sesqui_4p(p: int, points) -> list[SeriesEvaluation]:
+def eval_sesqui_4p(p: int, points) -> list:
     """The level-4p sesquiharmonic series, truncated, at each (tau, cutoff)
     of points:
 
@@ -166,13 +140,12 @@ def eval_sesqui_4p(p: int, points) -> list[SeriesEvaluation]:
     sine sum.
     """
     with hp():
-        points = [(_check_tau(tau), cutoff) for tau, cutoff in points]
-        qs = [mp.e ** (2j * mp.pi * tau) for tau, _ in points]
+        qs = [_nome(tau) for tau, _ in points]
         pref = (mp.mpf(2) / 3) * (1 - 1j)
 
         def term(job):
             kind, i, n = job
-            v, q = points[i][0].imag, qs[i]
+            v, q = mp.im(points[i][0]), qs[i]
             if kind == "square":
                 qn = q ** (n * n)
                 return (
@@ -200,8 +173,8 @@ def eval_sesqui_4p(p: int, points) -> list[SeriesEvaluation]:
         ]
         terms = dict(zip(jobs, fork_map(term, jobs)))
         out = []
-        for i, ((tau, cutoff), index) in enumerate(zip(points, indices)):
-            v = tau.imag
+        for i, ((tau, _), index) in enumerate(zip(points, indices)):
+            v = mp.im(tau)
             total = mp.mpc(2 * mp.sqrt(v) / 3 - mp.log(16 * v) / (2 * mp.pi * (p + 1)))
             total += pref * mp.pi * sesqui4p_const_coeff(p)
             for m in index["square"]:
@@ -210,9 +183,7 @@ def eval_sesqui_4p(p: int, points) -> list[SeriesEvaluation]:
             for kind in ("nonsquare", "negative"):
                 for n in index[kind]:
                     total += terms[kind, i, n]
-            absq = abs(qs[i])
-            tail = 6 * (cutoff + 1) * absq ** (cutoff + 1) / (1 - absq)
-            out.append(SeriesEvaluation(value=+total, tau=tau, cutoff=cutoff, tail_bound=+tail))
+            out.append(+total)
         return out
 
 
@@ -258,10 +229,10 @@ def apply_moebius(gamma, tau):
     return (a * tau + b) / (c * tau + d)
 
 
-def modularity_residual(series_fn, gamma, k, tau, tol=mp.mpf("1e-8")):
+def modularity_residual(series_fn, gamma, k, tau, tol):
     """| (f |_k gamma)(tau) - f(tau) | with per-point cutoff selection.
 
-    series_fn(points) -> one SeriesEvaluation per (tau, cutoff) of points,
+    series_fn(points) -> one value per (tau, cutoff) of points,
     called once with tau and its image.  The cutoff at each point is chosen
     from its height and tol (choose_cutoff), so the transformed point,
     usually the lower one, gets the longer series.
@@ -272,5 +243,5 @@ def modularity_residual(series_fn, gamma, k, tau, tol=mp.mpf("1e-8")):
         f_here, f_there = series_fn(
             [(tau, choose_cutoff(tau.imag, tol)), (gtau, choose_cutoff(gtau.imag, tol))]
         )
-        slashed = slash_half(f_there.value, gamma, k, tau)
-        return +abs(slashed - f_here.value)
+        slashed = slash_half(f_there, gamma, k, tau)
+        return +abs(slashed - f_here)

@@ -34,8 +34,8 @@ counts.
 Class numbers, units and the cycle representatives of the primitive reduced
 forms of a positive discriminant are cached per discriminant, the 1024 most
 recently used of each.  The class representatives of content f of
-discriminant d are f times the primitive ones of d/f^2, so class_reps with
-every content and class_number read the same enumeration.
+discriminant d are f times the primitive ones of d/f^2, so class_reps (every
+content) and class_number read the same enumeration.
 
 Conventions pinned by the seed-identity runs (see README):
   * for n < 0 the set of forms with p | a carries both definiteness signs
@@ -233,8 +233,9 @@ def _divisor_range(num: int, b: int, d: int):
             yield -a
 
 
-def class_reps(d: int, include_imprimitive: bool = False) -> list[QuadForm]:
-    """One form per PSL2(Z)-class of discriminant d, ascending.
+def class_reps(d: int) -> list[QuadForm]:
+    """One form per PSL2(Z)-class of discriminant d, of every content,
+    ascending.
 
     d < 0: reduced positive-definite forms.  d > 0 nonsquare: one form per
     cycle of reduced indefinite forms (deterministically the smallest).  The
@@ -243,9 +244,7 @@ def class_reps(d: int, include_imprimitive: bool = False) -> list[QuadForm]:
     """
     _check_disc(d)
     if d < 0:
-        return _reduced_definite_forms(d, include_imprimitive)
-    if not include_imprimitive:
-        return list(_primitive_cycle_reps(d))
+        return _reduced_definite_forms(d, include_imprimitive=True)
     return sorted(
         QuadForm(f * q.a, f * q.b, f * q.c)
         for f in range(1, math.isqrt(d) + 1)
@@ -337,23 +336,21 @@ def _automorph_matrix(q: QuadForm, t: int, u: int) -> Mat:
     return ((t - b * u) // 2, -c * u, a * u, (t + b * u) // 2)
 
 
-def _definite_units(d0: int) -> list[tuple[int, int]]:
-    """The (t, u) with t^2 - d0 u^2 = 4 for a discriminant d0 < 0: 6 at -3,
-    4 at -4, else 2."""
-    sols = [(2, 0), (-2, 0)]
-    if d0 == -4:
-        sols += [(0, 1), (0, -1)]
-    if d0 == -3:
-        sols += [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    return sols
-
-
 def automorph_generator(q: QuadForm) -> Mat:
     """Generator (mod +-1) of the infinite cyclic automorph group, indefinite q."""
     q0 = q.primitive_part()
     d0 = q0.disc
     aut = automorph_unit(d0)
     return _automorph_matrix(q0, aut.t, aut.u)
+
+
+def _weight_sixths(a: int, b: int, c: int) -> int:
+    """12 / |Aut| for the reduced definite form (a, b, c), six times its
+    weight 2/|Aut| in H: 2 at f(1, 1, 1) (discriminant -3 f^2), 3 at
+    f(1, 0, 1) (-4 f^2), else 6."""
+    if a == c and b in (0, a):
+        return 3 if b == 0 else 2
+    return 6
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +377,9 @@ def weighted_orbit_count(p: int, n: int) -> Fraction:
     if n >= 0:
         raise ValueError("weighted_orbit_count needs n < 0")
     _check_disc(n)
-    sixths = 0  # six times the positive-definite count; 12 / |Aut(r)| is 6, 3 or 2
-    for r in class_reps(n, include_imprimitive=True):
-        f = r.content()
-        sixths += p1_zero_count(p, r) * (12 // len(_definite_units(n // (f * f))))
+    sixths = 0  # six times the positive-definite count
+    for r in class_reps(n):
+        sixths += p1_zero_count(p, r) * _weight_sixths(*r)
     return Fraction(2 * sixths, 6)
 
 

@@ -68,7 +68,7 @@ class RealIndex:
 
 def real_index(n: int) -> RealIndex:
     """The p-independent part of the real trace identity at n > 0 nonsquare."""
-    reps = class_reps(n, include_imprimitive=True)
+    reps = class_reps(n)
     contents = {r.content() for r in reps}
     return RealIndex(
         n=n,

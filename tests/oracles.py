@@ -22,7 +22,6 @@ from quadtrace.quadforms import (
     PellUnit,
     QuadForm,
     _automorph_matrix,
-    _definite_units,
     _reduce_indefinite_transform,
     _rho_step,
     automorph_generator,
@@ -165,6 +164,17 @@ def fundamental_unit(t: int) -> PellUnit:
 def neg(q: QuadForm) -> QuadForm:
     """-q, which swaps positive- and negative-definite forms."""
     return QuadForm(-q.a, -q.b, -q.c)
+
+
+def _definite_units(d0: int) -> list[tuple[int, int]]:
+    """The (t, u) with t^2 - d0 u^2 = 4 for a discriminant d0 < 0: 6 at -3,
+    4 at -4, else 2."""
+    sols = [(2, 0), (-2, 0)]
+    if d0 == -4:
+        sols += [(0, 1), (0, -1)]
+    if d0 == -3:
+        sols += [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    return sols
 
 
 def automorphs_definite(q: QuadForm) -> list[Mat]:

@@ -164,6 +164,15 @@ def test_coeffs_table(capsys):
     assert len(lines) == 5
 
 
+def test_coefficient_oracle_gate_is_shared(monkeypatch, capsys):
+    # a relative error of 1e-7 is at most 4.5e-9 absolute at p = 3, m <= 2,
+    # below 1e-8: both commands gate it relative to the larger side
+    oracle = cli.coeff_oracle_4p
+    monkeypatch.setattr(cli, "coeff_oracle_4p", lambda p, m: oracle(p, m) * (1 + mp.mpf("1e-7")))
+    for command in (["verify", "coefficients"], ["coeffs"]):
+        assert run(capsys, [*command, "--p", "3", "--m-max", "2"])[0] == 1, command
+
+
 def test_verify_names_the_flags_it_ignores(capsys):
     argv = ["verify", "real", "--p", "3", "--n-max", "30"]
     code, out, err = run(capsys, argv + ["--m-max", "4", "--cutoff", "7"])

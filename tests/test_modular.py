@@ -60,15 +60,14 @@ def test_theta_direct_value():
     tau = mp.mpc(0, 1)
     (th,) = eval_theta([(tau, 50)])
     direct = 1 + 2 * mp.fsum(mp.exp(-2 * mp.pi * n * n) for n in range(1, 51))
-    assert abs(th.value - direct) < mp.mpf("1e-30")
-    assert th.tail_bound < mp.mpf("1e-100")
+    assert abs(th - direct) < mp.mpf("1e-30")
 
 
 def test_theta_inversion():
     # theta(-1/(4 tau)) = sqrt(-2 i tau) theta(tau)
     for tau in TEST_POINTS[:3]:
         image, here = eval_theta([(-1 / (4 * tau), 80), (tau, 80)])
-        assert abs(image.value - mp.sqrt(-2j * tau) * here.value) < mp.mpf("1e-10")
+        assert abs(image - mp.sqrt(-2j * tau) * here) < mp.mpf("1e-10")
 
 
 def test_theta_residual_battery():
@@ -81,7 +80,7 @@ def test_zagier_constant_term():
     # q -> 0 limit: the holomorphic part tends to -1/12 (v -> infinity kills the rest)
     tau = mp.mpc(0, 40)
     (series,) = eval_zagier_eisenstein([(tau, 10)])
-    assert abs(series.value - (mp.mpf(-1) / 12 + 1 / (8 * mp.pi * mp.sqrt(40)))) < mp.mpf("1e-25")
+    assert abs(series - (mp.mpf(-1) / 12 + 1 / (8 * mp.pi * mp.sqrt(40)))) < mp.mpf("1e-25")
 
 
 def test_zagier_nonholomorphic_kernel():
@@ -93,8 +92,8 @@ def test_zagier_nonholomorphic_kernel():
     q = mp.e ** (2j * mp.pi * tau)
     kernel = mp.mpf(1) / (4 * mp.sqrt(mp.pi)) * inc_gamma_minus_half(4 * mp.pi) * q ** (-1)
     # removing the n=1 nonholomorphic term must change the value by exactly it
-    stripped = full.value - kernel
-    assert abs((full.value - stripped) - kernel) < mp.mpf("1e-25")
+    stripped = full - kernel
+    assert abs((full - stripped) - kernel) < mp.mpf("1e-25")
 
 
 def test_zagier_residual_battery():
@@ -161,7 +160,7 @@ def test_evaluations_deterministic():
     tau = mp.mpc("0.13", "0.9")
     (a,) = eval_zagier_eisenstein([(tau, 150)])
     (b,) = eval_zagier_eisenstein([(tau, 150)])
-    assert a.value == b.value
+    assert a == b
 
 
 def test_rejects_lower_half_plane():
@@ -207,4 +206,4 @@ def test_sesqui_4p_series_forms_no_sine_sum(monkeypatch):
     tau = mp.mpc("0.21", "1.1")
     image = apply_moebius((1, 0, 12, 1), tau)
     (series,) = eval_sesqui_4p(3, [(image, 703)])
-    assert mp.isfinite(series.value)
+    assert mp.isfinite(series)

@@ -1,7 +1,8 @@
 """Dead-code guard: every top-level name of the package is read somewhere in
 src/ or tests/, every name a module imports is read in that module, and
 every top-level function and class of src/, and every method of its
-classes, is reachable from cli.main.
+classes, is reachable from cli.main, and every parameter default of src/
+is both kept by some call of src/ and overridden by another.
 
 References are taken from the syntax tree, so a name that survives only in
 a comment or a docstring counts as dead.  Dunder names are exempt, and so
@@ -165,3 +166,46 @@ def test_every_function_is_reachable_from_the_cli():
         if not isinstance(node, (ast.Assign, ast.AnnAssign)) and (module, name) not in reached
     ]
     assert unreached == []
+
+
+def _passes(call: ast.Call, index: int | None, param: str) -> bool:
+    """Whether call passes param, at positional index (None when keyword-only);
+    a *args or **kwargs that could carry it counts as passing it."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return starred or len(call.args) > index
+
+
+def test_every_parameter_default_is_kept_and_overridden():
+    # a default that every call overrides is not a default, and one that no
+    # call overrides is a constant; calls are matched to definitions by name,
+    # and cli.main's argv is exempt as the entry point
+    defs, calls = [], {}
+    for path in SOURCES:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((path.stem, node))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    knobs = []
+    for module, fn in defs:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i - bound, a.arg) for i, a in enumerate(positional) if i >= first]
+        defaulted += [
+            (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+        for index, param in defaulted:
+            if (module, fn.name, param) == ("cli", "main", "argv"):
+                continue
+            passes = {_passes(call, index, param) for call in calls.get(fn.name, [])}
+            if passes != {True, False}:
+                knobs.append(f"{module}.{fn.name}({param})")
+    assert knobs == []

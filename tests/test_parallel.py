@@ -219,7 +219,7 @@ def _sesqui_4p(monkeypatch):
     # both points of verify modularity's level-4p residual, shorter series
     tau = mp.mpc("0.21", "1.1")
     points = [(tau, 16), (apply_moebius((1, 0, 12, 1), tau), 90)]
-    return [(e.value, e.tail_bound) for e in eval_sesqui_4p(3, points)]
+    return eval_sesqui_4p(3, points)
 
 
 SPLIT_CALLERS = {

@@ -15,6 +15,7 @@ from quadtrace.quadforms import (
     QuadForm,
     S_MAT,
     _cycle_with_transforms,
+    _weight_sixths,
     automorph_generator,
     automorph_unit,
     class_number,
@@ -108,11 +109,20 @@ def test_class_reps_definite_against_oracle():
     for d in range(-3, -200, -1):
         if d % 4 not in (0, 1):
             continue
-        reps = class_reps(d)
+        reps = [q for q in class_reps(d) if q.content() == 1]
         assert sorted((q.a, q.b, q.c) for q in reps) == enumerate_reduced_oracle(d)
     assert [tuple(q) for q in class_reps(-3)] == [(1, 1, 1)]
     assert [tuple(q) for q in class_reps(-4)] == [(1, 0, 1)]
     assert len(class_reps(-23)) == 3
+
+
+def test_weight_sixths_is_twelve_over_automorph_count():
+    # the weight from the shape of the reduced form against the automorphs
+    # the oracle builds, every content of every discriminant down to -2000
+    for d in range(-3, -2001, -1):
+        if d % 4 in (0, 1):
+            for q in class_reps(d):
+                assert _weight_sixths(*q) == 12 // len(automorphs_definite(q)), q
 
 
 def test_class_reps_indefinite_all_contents_against_direct_cycles():
@@ -136,8 +146,7 @@ def test_class_reps_indefinite_all_contents_against_direct_cycles():
             least = min(forms)
             reps.append(least)
             forms -= set(_cycle_with_transforms(least)[0])
-        assert class_reps(d, include_imprimitive=True) == reps, d
-        assert len(class_reps(d)) == sum(q.content() == 1 for q in reps), d
+        assert class_reps(d) == reps, d
 
 
 def test_class_numbers():
@@ -277,7 +286,7 @@ def pairwise_orbits(p, n):
     never compared: Gamma_0(p) lies in SL2(Z)."""
     cosets = [(1, 0, k, 1) for k in range(p)] + [S_MAT]  # SL2(Z)/Gamma_0(p)
     orbits = []
-    for r in class_reps(n, include_imprimitive=True):
+    for r in class_reps(n):
         class_orbits = []
         for g in cosets:
             q = r.apply(g)
@@ -351,7 +360,7 @@ def test_kappa_sums_match_zero_count():
             for rep, _, _ in pairwise_orbits(p, n):
                 f = rep.content()
                 kappas[f] = kappas.get(f, 0) + stabilizer_index(p, rep)
-            for r in class_reps(n, include_imprimitive=True):
+            for r in class_reps(n):
                 f = r.content()
                 zeros[f] = zeros.get(f, 0) + p1_zero_count(p, r)
                 level_content += f % p == 0
@@ -371,7 +380,7 @@ def test_zero_count_brute_force():
     for p in (3, 5, 7, 11, 13):
         points = [(1, y) for y in range(p)] + [(0, 1)]
         for n in discs:
-            for r in class_reps(n, include_imprimitive=True):
+            for r in class_reps(n):
                 zeros = sum(1 for x, y in points if r.value(x, y) % p == 0)
                 assert p1_zero_count(p, r) == zeros, (p, r)
 
@@ -391,7 +400,7 @@ def test_stabilizer_index_sums_to_p_plus_one():
         for f, ks in by_content.items():
             if f % p == 0:
                 d0 = n // (f * f)
-                per_class = len(class_reps(d0))
+                per_class = sum(q.content() == 1 for q in class_reps(d0))
                 assert sum(ks) == per_class * (p + 1)
 
 

@@ -76,9 +76,9 @@ def test_imaginary_invariant_under_rep_permutation(monkeypatch):
     orig = qf.class_reps
     calls = []
 
-    def reversed_reps(d, include_imprimitive=False):
+    def reversed_reps(d):
         calls.append(d)
-        return list(reversed(orig(d, include_imprimitive)))
+        return list(reversed(orig(d)))
 
     monkeypatch.setattr(qf, "class_reps", reversed_reps)
     monkeypatch.setattr(tr, "class_reps", reversed_reps)
