@@ -1,10 +1,12 @@
 """Exact integer arithmetic primitives.
 
-Factorization is deterministic: trial division over a 6k+-1 wheel, with a
-Brent-cycle rho fallback for cofactors beyond 10**12 so that accidental
-large inputs terminate.  Everything here is pure and exact; the
-factorization cache keeps the 4096 most recently used n and is safe under
-concurrent reads and duplicate inserts.
+Factorization is trial division over a 6k+-1 wheel, so the primes are
+found in increasing order.  Once the divisor passes 10**6, a cofactor above
+10**12 is tested by Miller-Rabin once: a prime one ends the division, so a
+large prime costs no more than the division to 10**6, and a composite one
+is finished by trial division (no command reaches one).  Everything here is
+pure and exact; the factorization cache keeps the 4096 most recently used n
+and is safe under concurrent reads and duplicate inserts.
 Legendre symbols come one at a time (kronecker) or as a tuple over a full
 period (legendre_table, and CHI8_TABLE for (2/x)), the building blocks of
 the character tables in lvalues.  Nothing here imports numpy.
@@ -50,36 +52,6 @@ def require_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime (got {p})")
 
 
-def _brent_rho(n: int) -> int:
-    """One nontrivial factor of composite odd n, deterministic seed sweep."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"rho failed to split {n}")
-
-
 @lru_cache(maxsize=4096)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Canonical factorization of |n| as ((prime, exponent), ...), primes increasing.
@@ -99,7 +71,10 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             _add(p)
             n //= p
     d = 5
-    while d * d <= n and d <= _TRIAL_LIMIT:
+    while d * d <= n:
+        # the first divisor past the limit tests the cofactor once
+        if _TRIAL_LIMIT < d <= _TRIAL_LIMIT + 6 and is_prime(n):
+            break
         for step in (0, 2):
             q = d + step
             while n % q == 0:
@@ -107,15 +82,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 n //= q
         d += 6
     if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if is_prime(m):
-                _add(m)
-            else:
-                g = _brent_rho(m)
-                stack.extend((g, m // g))
-    return tuple(sorted(fac.items()))
+        _add(n)
+    return tuple(fac.items())
 
 
 def valuation(n: int, p: int) -> int:

@@ -212,21 +212,6 @@ def _oracle_report(p, m, value, oracle) -> VerificationReport:
     return numeric_report(check, {"p": p, "m": m}, value, oracle, tol, scale_floor=tol)
 
 
-def sweep_coefficient_oracles(primes, m_max):
-    """c(0), b(m^2) and c(m^2) against their derivative oracles."""
-    reports = []
-    tol = COEFF_ORACLE_TOL
-    for p in primes:
-        for m, value, oracle in _coefficient_rows(p, m_max):
-            if m:
-                b, ob = sesqui4_square_coeff(m), coeff_oracle_4(m)
-                reports.append(
-                    numeric_report("coeff-b-oracle", {"m": m}, b, ob, tol, scale_floor=tol)
-                )
-            reports.append(_oracle_report(p, m, value, oracle))
-    return reports
-
-
 def sweep_negative_two_path(primes, n_max):
     """c(-n) by class numbers against the Kloosterman-zeta special value."""
     return [
@@ -248,9 +233,19 @@ def sweep_square_traces(primes, m_max):
 
 
 def sweep_coefficients(primes, m_max, n_max):
+    """c(0), b(m^2) and c(m^2) against their derivative oracles, c(-n) by two
+    paths and the square traces, prime by prime.  b(m^2) does not depend on
+    p, so its rows come with the first prime only."""
     reports = []
+    tol = COEFF_ORACLE_TOL
     for p in primes:
-        reports += sweep_coefficient_oracles([p], m_max)
+        for m, value, oracle in _coefficient_rows(p, m_max):
+            if m and p == primes[0]:
+                b, ob = sesqui4_square_coeff(m), coeff_oracle_4(m)
+                reports.append(
+                    numeric_report("coeff-b-oracle", {"m": m}, b, ob, tol, scale_floor=tol)
+                )
+            reports.append(_oracle_report(p, m, value, oracle))
         reports += sweep_negative_two_path([p], n_max)
         reports += sweep_square_traces([p], m_max)
     return reports
@@ -270,26 +265,25 @@ PLUS_ZETA_INDICES = (-4, -3, 5, 8)
 def sweep_kloosterman(primes, cutoff):
     reports = []
     batches = plus_zeta_batch(primes, PLUS_ZETA_INDICES, 2.5, cutoff)
-    for p, batch in zip(primes, batches):
-        kv = kzeta_level_truncated(p, 1.25, cutoff)
+    for p, (values, tail) in zip(primes, batches):
+        level_value, level_tail = kzeta_level_truncated(p, 1.25, cutoff)
         reports.append(
             tail_bound_report(
                 "kzeta-closed-form",
-                {"p": p, "s": "1.25", "cutoff": kv.cutoff},
-                kv.value,
+                {"p": p, "s": "1.25", "cutoff": cutoff},
+                level_value,
                 kzeta_level_closed(p, 1.25),
-                kv.tail_bound,
+                level_tail,
             )
         )
-        for tv in batch:
-            n = tv.params["n"]
+        for n, value in zip(PLUS_ZETA_INDICES, values):
             reports.append(
                 tail_bound_report(
                     "plus-zeta-factorization",
-                    {"p": p, "n": n, "s": "2.5", "cutoff": tv.cutoff},
-                    tv.value,
+                    {"p": p, "n": n, "s": "2.5", "cutoff": cutoff},
+                    value,
                     assembled_product(p, n, 2.5),
-                    tv.tail_bound,
+                    tail,
                 )
             )
     return reports

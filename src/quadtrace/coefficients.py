@@ -34,7 +34,7 @@ def t_log_sum(big_n: int, m: int):
     with hp():
         total = mp.mpf(0)
         for d in divisors(m):
-            if big_n > 1 and math.gcd(d, big_n) != 1:
+            if math.gcd(d, big_n) != 1:
                 continue
             mu = moebius(d)
             if mu == 0:
@@ -42,7 +42,7 @@ def t_log_sum(big_n: int, m: int):
             inner = mp.fsum(
                 (mp.log(d) + 2 * mp.log(r)) / r
                 for r in divisors(m // d)
-                if big_n == 1 or math.gcd(r, big_n) == 1
+                if math.gcd(r, big_n) == 1
             )
             total += mp.mpf(mu) / d * inner
         return +total

@@ -45,7 +45,6 @@ it suits the small indices the checks sum (see _inner_sums).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -70,14 +69,6 @@ from .lvalues import (
 )
 from .parallel import fork_map
 from .precision import hp, to_mpf
-
-
-@dataclass
-class KloostermanValue:
-    value: complex
-    params: dict
-    cutoff: int | None = None
-    tail_bound: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +384,21 @@ def _inner_sums(big_n: int, c: int, n_list, per4n, jacobi, work: _Work):
 def plus_zeta_batch(levels, n_list, s: float, cutoff: int):
     """Truncated K^+_{1/2,4N}(0, n; s) at each level N and index n in one pass over c.
 
-    Returns one list per level, in the order of levels, of one
-    KloostermanValue per index.  Each c builds the Jacobi period of c_odd
-    once (_jacobi_period) and then runs _inner_sums for every level: one
-    period of each other character factor, tiled, the roots of unity at the
-    multiples the indices can reach, and one gather per index, all in one
-    set of work buffers sized for the largest modulus 4 max(N) cutoff.
-    Those per-c sums are computed across the usable cores
-    (parallel.fork_map), whose workers inherit the buffers through the
-    fork, so each process reuses one allocation for all of its moduli; the
-    buffers live as long as this call.  Each c returns its sums as one
-    complex array, levels by indices.  The weighted sum over c of each level
-    stays here and runs in c order, because float addition in another order
-    gives other bits and the reports print the totals to 30 digits.  The
-    tail bound is the rigorous trivial one, left infinite when s <= 2 (no
-    decay) and None at cutoff 0 (nothing summed).
+    Returns one (values, tail bound) pair per level, in the order of levels,
+    values holding one complex per index in the order of n_list.  Each c
+    builds the Jacobi period of c_odd once (_jacobi_period) and then runs
+    _inner_sums for every level: one period of each other character factor,
+    tiled, the roots of unity at the multiples the indices can reach, and
+    one gather per index, all in one set of work buffers sized for the
+    largest modulus 4 max(N) cutoff.  Those per-c sums are computed across
+    the usable cores (parallel.fork_map), whose workers inherit the buffers
+    through the fork, so each process reuses one allocation for all of its
+    moduli; the buffers live as long as this call.  Each c returns its sums
+    as one complex array, levels by indices.  The weighted sum over c of
+    each level stays here and runs in c order, because float addition in
+    another order gives other bits and the reports print the totals to 30
+    digits.  The tail bound is the rigorous trivial one, left infinite when
+    s <= 2 (no decay) and None at cutoff 0 (nothing summed).
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -452,17 +443,7 @@ def plus_zeta_batch(levels, n_list, s: float, cutoff: int):
             tail = 2.0 * (4 * big_n) ** (1 - s) * cutoff ** (2 - s) / (s - 2)
         else:
             tail = float("inf")
-        out.append(
-            [
-                KloostermanValue(
-                    value=complex(totals[k, i]),
-                    params={"N": big_n, "n": n, "s": s, "m_index": 0},
-                    cutoff=cutoff,
-                    tail_bound=tail,
-                )
-                for i, n in enumerate(n_list)
-            ]
-        )
+        out.append((totals[k].tolist(), tail))
     return out
 
 
@@ -546,8 +527,9 @@ def kzeta_level_closed(p: int, s):
         return +(real_zeta(2 * s - 1) / real_zeta(2 * s) * (p - 1) / (x - 1))
 
 
-def kzeta_level_truncated(p: int, s: float, cutoff: int) -> KloostermanValue:
-    """Truncated sum_{p | c} phi(c) c^{-2s} with a rigorous phi(c) <= c tail.
+def kzeta_level_truncated(p: int, s: float, cutoff: int) -> tuple[float, float | None]:
+    """Truncated sum_{p | c} phi(c) c^{-2s} and its rigorous phi(c) <= c tail
+    bound, as (value, tail bound).
 
     The tail bound is None at cutoff 0 (nothing summed) and infinite for
     s <= 1, where the series diverges; a negative cutoff raises ValueError.
@@ -566,9 +548,7 @@ def kzeta_level_truncated(p: int, s: float, cutoff: int) -> KloostermanValue:
         tail = float(p) ** (1 - 2 * s) * cutoff ** (2 - 2 * s) / (2 * s - 2)
     else:
         tail = float("inf")
-    return KloostermanValue(
-        value=total, params={"p": p, "s": s}, cutoff=cutoff, tail_bound=tail
-    )
+    return total, tail
 
 
 def _phi_from_spf(n: int, spf) -> int:

@@ -228,7 +228,7 @@ def dirichlet_l(s, t: int) -> mpf:
     with hp():
         s = mp.mpf(s)
         if s == 1:
-            return l_value_at_1(t)
+            raise ValueError("use l_value_at_1 at s = 1")
         total = mp.mpf(0)
         for a in range(1, q + 1):
             c = chi(t, a)

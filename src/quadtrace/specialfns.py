@@ -29,27 +29,22 @@ w0 follow from a_0 = erfcx(w0) alone:
 
     a_1 = 2 w0 a_0 - 2/sqrt(pi),   (k+1) a_{k+1} = 2 w0 a_k + 2 a_{k-1}.
 
-Below w = 40 each node is one fixed-point Horner pass of the expansion at
-the nearest anchor w0 = j/4, so |h| = |w - w0| <= 1/8.  An error d in a_0,
-or a rounding in the recurrence, is carried like the growing solution
-exp(w^2) and reaches the sum as at most d exp(2 w0 |h| + h^2) <=
-d exp(w0/4 + 1/64).  Each anchor therefore carries ceil(w0 / (4 log 2)) + 30
-guard bits, which keeps the sum within about 2^-17 ulp of erfcx(w) before
-its one rounding to the precision.  An anchor is built once per
-(j, precision), and the 512 most recently used are kept, so no table made
-at one precision serves another; at the quadrature's 302 bits the anchors
-of verify special (w0 <= 33.75) hold about 52 coefficients each, 470 KB in
-all.
+Each node is one fixed-point Horner pass of the expansion at the nearest
+anchor w0 = j/4, so |h| = |w - w0| <= 1/8.  An error d in a_0, or a
+rounding in the recurrence, is carried like the growing solution exp(w^2)
+and reaches the sum as at most d exp(2 w0 |h| + h^2) <= d exp(w0/4 + 1/64).
+Each anchor therefore carries ceil(w0 / (4 log 2)) + 30 guard bits, which
+keeps the sum within about 2^-17 ulp of erfcx(w) before its one rounding to
+the precision.  An anchor is built once per (j, precision), and the 512
+most recently used are kept, so no table made at one precision serves
+another; at the quadrature's 302 bits the anchors of verify special
+(w0 <= 33.75) hold about 52 coefficients each, 470 KB in all.
 
-a_0 is mp.exp(w0^2) * mp.erfc(w0) below w0 = 7, where w0^2 is exact.  From
-there on it comes from the Laplace continued fraction
-
-    sqrt(pi) exp(w^2) erfc(w) = 1/(w + (1/2)/(w + 1/(w + (3/2)/(w + ...)))),
-
-evaluated backward in fixed point; mpmath's erfc would form 1 - erf(w) at
-about 1.44 w^2 extra bits there.  The fraction also serves the nodes from
-w = 40 on, where its depth keeps falling and the anchors would keep growing
-in number.
+a_0 is mp.exp(w0^2) * mp.erfc(w0) at the anchor's bits, where w0^2 is
+exact.  From about w0 = 7 on, mpmath's erfc forms 1 - erf(w0) at about
+1.44 w0^2 extra bits, a cost paid once per anchor, not once per node: the
+136 anchors of verify special take about 0.06 s at 302 bits on one x86-64
+core.
 
 quad_certified reports mpmath's heuristic error estimate (the difference of
 the last two tanh-sinh degrees), not a rigorous bound; `converged` says
@@ -83,10 +78,6 @@ from mpmath.libmp import (
 
 from .precision import hp
 
-# below this w, exp(w^2) * erfc(w) is evaluated by mpmath directly
-_CF_CROSSOVER = 7
-# below this w, the companion's integrand comes from the Taylor anchors
-_TAYLOR_LIMIT = 40
 # bits above the working precision that every anchor carries, besides the
 # w0 / (4 log 2) bits the growing solution may amplify an error by
 _ANCHOR_GUARD = 30
@@ -123,45 +114,6 @@ def inc_gamma_minus_half(x) -> mpf:
         return +(2 * (mp.exp(-x) / mp.sqrt(x) - inc_gamma_half(x)))
 
 
-def _cf_depth(w: float, prec: int) -> int:
-    """Depth n at which the Laplace continued fraction is within 2^-(prec+10).
-
-    With B_k = w B_{k-1} + a_k B_{k-2}, a_1 = 1 and a_k = (k-1)/2, consecutive
-    approximants bracket the value and differ by d_n = prod a_k / (B_n B_{n+1}).
-    The value exceeds 1/(w + 1/(2w)), so the first n with w d_n < 2^-(prec+10)
-    bounds the relative error of the n-th approximant.  The ratio
-    q = B_{k-1}/B_k and log d_n are carried in floats, so nothing overflows.
-    """
-    limit = -(prec + 10) * math.log(2) - math.log(w)
-    log_d = -math.log(w)
-    q = 1.0 / w
-    n = 0
-    while log_d >= limit:
-        n += 1
-        q_next = 1.0 / (w + 0.5 * n * q)
-        log_d += math.log(0.5 * n * q * q_next)
-        q = q_next
-    return n
-
-
-def _erfcx_direct(w) -> mpf:
-    """exp(w^2) * erfc(w) at the current precision, for an mpf w >= 0, by
-    mpmath's erfc or the continued fraction: a_0 of each Taylor anchor, and
-    the integrand from _TAYLOR_LIMIT on."""
-    if w < _CF_CROSSOVER:
-        return mp.exp(w * w) * mp.erfc(w)
-    # backward from the depth, in fixed point at wp bits: t <- w + (k/2)/t,
-    # then exp(w^2) erfc(w) = 1/(sqrt(pi) t), as in mpmath's mpf_erfc
-    prec = mp.prec
-    wp = prec + 30
-    x = to_fixed(w._mpf_, wp)
-    t = x
-    for k in range(_cf_depth(float(w), prec) - 1, 0, -1):
-        t = x + (k << (2 * wp - 1)) // t
-    scaled = (1 << (3 * wp)) // (t * sqrt_fixed(pi_fixed(wp), wp))
-    return mp.make_mpf(from_man_exp(scaled, -wp, prec, round_nearest))
-
-
 @lru_cache(maxsize=512)
 def _erfcx_anchor(j: int, prec: int) -> tuple[int, list[int]]:
     """(wp, [a_0, a_1, ...]): the Taylor coefficients of erfcx at w0 = j/4 as
@@ -174,7 +126,8 @@ def _erfcx_anchor(j: int, prec: int) -> tuple[int, list[int]]:
     """
     wp = prec + math.ceil(j / (16 * math.log(2))) + _ANCHOR_GUARD
     with mp.workprec(wp):
-        a0 = to_fixed(_erfcx_direct(mp.mpf(j) / 4)._mpf_, wp)
+        w0 = mp.mpf(j) / 4
+        a0 = to_fixed((mp.exp(w0 * w0) * mp.erfc(w0))._mpf_, wp)
     two_over_sqrt_pi = (1 << (2 * wp + 1)) // sqrt_fixed(pi_fixed(wp), wp)
     coeffs = [a0, (j * a0 >> 1) - two_over_sqrt_pi]
     # (k+1) a_{k+1} = 2 w0 a_k + 2 a_{k-1}; stop once two consecutive terms
@@ -188,11 +141,8 @@ def _erfcx_anchor(j: int, prec: int) -> tuple[int, list[int]]:
 
 
 def _scaled_erfc(w) -> mpf:
-    """exp(w^2) * erfc(w) at the current precision, for an mpf w > 0: below
-    _TAYLOR_LIMIT one Horner pass of the Taylor expansion at the nearest
-    anchor, the continued fraction from there on."""
-    if w >= _TAYLOR_LIMIT:
-        return _erfcx_direct(w)
+    """exp(w^2) * erfc(w) at the current precision, for an mpf w >= 0: one
+    Horner pass of the Taylor expansion at the nearest anchor."""
     prec = mp.prec
     j = int(4 * float(w) + 0.5)
     wp, coeffs = _erfcx_anchor(j, prec)

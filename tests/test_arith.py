@@ -82,6 +82,7 @@ def test_factorize_roundtrip_sampled():
 def test_factorize_large_cofactor():
     n = 1000003 * 1000033
     assert factorize(n) == ((1000003, 1), (1000033, 1))
+    assert factorize(n * 1000003) == ((1000003, 2), (1000033, 1))
 
 
 def test_moebius():

@@ -173,6 +173,15 @@ def test_coefficient_oracle_gate_is_shared(monkeypatch, capsys):
         assert run(capsys, [*command, "--p", "3", "--m-max", "2"])[0] == 1, command
 
 
+def test_verify_coefficients_reports_each_check_once():
+    # b(m^2) does not depend on p: its rows come once, with the first prime
+    reports = CHECKS["coefficients"].run([3, 5], m_max=2)
+    keys = [(r.check, tuple(sorted(r.params.items()))) for r in reports]
+    assert len(keys) == len(set(keys))
+    b_rows = [(i, r.params) for i, r in enumerate(reports) if r.check == "coeff-b-oracle"]
+    assert b_rows == [(1, {"m": 1}), (3, {"m": 2})]
+
+
 def test_verify_names_the_flags_it_ignores(capsys):
     argv = ["verify", "real", "--p", "3", "--n-max", "30"]
     code, out, err = run(capsys, argv + ["--m-max", "4", "--cutoff", "7"])

@@ -161,20 +161,18 @@ def test_plus_term_phase_and_symmetry():
 
 
 def test_plus_zeta_truncated_edges():
-    kv = plus_zeta_batch([3], [5], 2.5, 0)[0][0]
-    assert kv.value == 0
-    kv = plus_zeta_batch([3], [5], 2.5, 50)[0][0]
-    assert kv.tail_bound is not None and kv.tail_bound > 0
-    empty = plus_zeta_batch([3, 5], [-4, 5], 2.5, 0)[1]
-    assert [kv.value for kv in empty] == [0, 0]
-    assert all(kv.tail_bound is None and kv.cutoff == 0 for kv in empty)
+    values, tail = plus_zeta_batch([3], [5], 2.5, 0)[0]
+    assert values == [0]
+    values, tail = plus_zeta_batch([3], [5], 2.5, 50)[0]
+    assert tail is not None and tail > 0
+    values, tail = plus_zeta_batch([3, 5], [-4, 5], 2.5, 0)[1]
+    assert values == [0, 0] and tail is None
     with pytest.raises(ValueError):
         plus_zeta_batch([3], [-4, 5], 2.5, -1)
-    kv = kzeta_level_truncated(3, 1.25, 0)
-    assert kv.value == 0 and kv.tail_bound is None and kv.cutoff == 0
+    assert kzeta_level_truncated(3, 1.25, 0) == (0, None)
     # the series diverges for s <= 1: no finite bound, not a negative one
     for s in (0.5, 1):
-        assert kzeta_level_truncated(3, s, 100).tail_bound == float("inf")
+        assert kzeta_level_truncated(3, s, 100)[1] == float("inf")
     with pytest.raises(ValueError):
         kzeta_level_truncated(3, 1.25, -1)
 
@@ -289,30 +287,27 @@ def test_plus_zeta_batch_equals_single_index():
     level and index summed alone."""
     levels, n_list = [1, 3], [-4, -3, 0, 5, 8]
     batch = plus_zeta_batch(levels, n_list, 2.5, 60)
-    for big_n, values in zip(levels, batch):
-        for n, kv in zip(n_list, values):
-            single = plus_zeta_batch([big_n], [n], 2.5, 60)[0][0]
-            assert kv.value == single.value, (big_n, n)
-            assert kv.tail_bound == single.tail_bound
-            assert kv.params == single.params
+    for big_n, (values, tail) in zip(levels, batch):
+        for n, value in zip(n_list, values):
+            single = plus_zeta_batch([big_n], [n], 2.5, 60)[0]
+            assert ([value], tail) == single, (big_n, n)
 
 
 def test_plus_zeta_tail_decay_empirical():
     """Partial-sum increments shrink with the cutoff at s = 2.5."""
-    a = plus_zeta_batch([3], [5], 2.5, 50)[0][0].value
-    b = plus_zeta_batch([3], [5], 2.5, 100)[0][0].value
-    c = plus_zeta_batch([3], [5], 2.5, 200)[0][0].value
+    a, b, c = (plus_zeta_batch([3], [5], 2.5, cutoff)[0][0][0] for cutoff in (50, 100, 200))
     assert abs(c - b) < abs(b - a) + 1e-12
 
 
 def test_factorization_at_convergent_point():
     """Truncated series equals the assembled product within the tail bound."""
-    for p, values in zip((3, 5), plus_zeta_batch([3, 5], [-4, -3, 5, 8], 2.5, 400)):
-        for kv in values:
-            prod = assembled_product(p, kv.params["n"], 2.5)
-            assert abs(kv.value - prod) <= kv.tail_bound, (p, kv.params)
+    n_list = [-4, -3, 5, 8]
+    for p, (values, tail) in zip((3, 5), plus_zeta_batch([3, 5], n_list, 2.5, 400)):
+        for n, value in zip(n_list, values):
+            prod = assembled_product(p, n, 2.5)
+            assert abs(value - prod) <= tail, (p, n)
             # and far inside it
-            assert abs(kv.value - prod) < 1e-4
+            assert abs(value - prod) < 1e-4
 
 
 def test_kzeta_closed_forms():
@@ -328,9 +323,9 @@ def test_kzeta_closed_forms():
 
 def test_kzeta_truncation_within_bound():
     for p in (3, 5):
-        kv = kzeta_level_truncated(p, 1.25, 5000)
+        value, tail = kzeta_level_truncated(p, 1.25, 5000)
         closed = kzeta_level_closed(p, 1.25)
-        assert abs(kv.value - complex(closed)) <= kv.tail_bound
+        assert abs(value - complex(closed)) <= tail
 
 
 def test_kzeta_level_truncated_matches_sieve_to_p_cutoff():
@@ -339,7 +334,7 @@ def test_kzeta_level_truncated_matches_sieve_to_p_cutoff():
         total = 0.0
         for k in range(1, 501):
             total += euler_phi(p * k) * float(p * k) ** (-2 * 1.25)
-            assert kzeta_level_truncated(p, 1.25, k).value == total, (p, k)
+            assert kzeta_level_truncated(p, 1.25, k)[0] == total, (p, k)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,10 @@ def test_dirichlet_l_series_oracle():
     for t in (-4, 5, -3):
         direct = mp.fsum(chi(t, k) / mp.mpf(k) ** 2 for k in range(1, 4000))
         assert abs(dirichlet_l(2, t) - direct) < mp.mpf("1e-6")
+    # s = 1 is l_value_at_1's, as t = 1 is real_zeta's
+    for s, t in ((1, -4), (2, 1)):
+        with pytest.raises(ValueError):
+            dirichlet_l(s, t)
 
 
 def test_zeta_tools():

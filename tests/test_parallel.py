@@ -210,7 +210,7 @@ def _special_sweep(monkeypatch):
 def _plus_zeta(*levels):
     def run(monkeypatch):
         batch = plus_zeta_batch(levels, [-4, -3, 0, 5, 8], 2.5, 501)
-        return [kv.value for values in batch for kv in values]
+        return [value for values, _ in batch for value in values]
 
     return run
 

@@ -8,10 +8,7 @@ from quadtrace.cli import SPECIAL_GRID, sweep_special
 from quadtrace.modular import apply_moebius
 from quadtrace.precision import hp, set_working_dps, working_dps
 from quadtrace.specialfns import (
-    _CF_CROSSOVER,
-    _TAYLOR_LIMIT,
     _erfcx_anchor,
-    _erfcx_direct,
     _head_log,
     _scaled_erfc,
     _tail_factor,
@@ -122,30 +119,29 @@ def _integrand_prec(dps, monkeypatch):
 
 
 @pytest.mark.parametrize("dps", [64, 200])
-def test_scaled_erfc_continued_fraction_accuracy(dps, monkeypatch):
+def test_anchor_value_matches_mpmath(dps, monkeypatch):
+    # a_0 on both sides of w0 = 7, where mpmath's erfc turns to 1 - erf at
+    # extra bits, and around w0 = 40, beyond the grid of verify special: as
+    # an integer scaled by 2^wp, within two units of its last place
     prec = _integrand_prec(dps, monkeypatch)
-    eps = mp.ldexp(1, 1 - prec)
-    worst = 0
-    with mp.workprec(prec):
-        for k in range(472):  # w = 7, 7.07, ..., 39.97
-            w = _CF_CROSSOVER + k * mp.mpf("0.07")
-            value = _erfcx_direct(w)
+    for j in (27, 28, 29, 159, 160, 161):
+        wp, coeffs = _erfcx_anchor(j, prec)
+        with mp.workprec(wp):
+            value = mp.ldexp(coeffs[0], -wp)
             with mp.workdps(mp.dps + 60):
-                ref = mp.exp(w * w) * mp.erfc(w)
-                worst = max(worst, abs(value - ref) / ref)
-    assert worst <= 2 * eps
+                w0 = mp.mpf(j) / 4
+                ref = mp.exp(w0 * w0) * mp.erfc(w0)
+                assert abs(value - ref) <= mp.ldexp(1, 1 - wp), j
 
 
 @pytest.mark.parametrize("dps", [64, 200])
 def test_scaled_erfc_accuracy(dps, monkeypatch):
-    # the anchors themselves, the midpoints, where |h| = 1/8 is largest, and
-    # both sides of the limit above which the continued fraction takes over
+    # the anchors themselves and the midpoints, where |h| = 1/8 is largest
     prec = _integrand_prec(dps, monkeypatch)
     eps = mp.ldexp(1, 1 - prec)
     worst = 0
     with mp.workprec(prec):
-        points = [mp.mpf("1e-30"), _TAYLOR_LIMIT * (1 - eps), _TAYLOR_LIMIT * (1 + eps)]
-        points += [mp.mpf(j) / 8 for j in range(1, 481)]  # anchors j/4, midpoints
+        points = [mp.mpf("1e-30")] + [mp.mpf(j) / 8 for j in range(1, 481)]
         for w in points:
             value = _scaled_erfc(w)
             with mp.workdps(mp.dps + 60):
@@ -155,17 +151,15 @@ def test_scaled_erfc_accuracy(dps, monkeypatch):
 
 
 def test_special_sweep_evaluates_each_anchor_once(monkeypatch):
-    # one sweep, serially, from an empty anchor cache: the direct evaluator
-    # runs once per anchor, not once per node (18,066 of them; no node of the
-    # grid reaches _TAYLOR_LIMIT)
-    calls = []
-    direct = specialfns._erfcx_direct
-    monkeypatch.setattr(specialfns, "_erfcx_direct", lambda w: calls.append(w) or direct(w))
+    # one sweep, serially, from an empty anchor cache: each anchor is built
+    # once, not once per node (18,066 of them), and the grid's largest t,
+    # 2 * 3 sqrt(10 pi) < 33.75, needs no anchor past j = 135
     set_cores(monkeypatch, 1)
     _erfcx_anchor.cache_clear()
     _at_working_dps(64, lambda: sweep_special(()))
-    anchors = _erfcx_anchor.cache_info().currsize
-    assert 0 < len(calls) == anchors <= 4 * _TAYLOR_LIMIT + 1
+    info = _erfcx_anchor.cache_info()
+    assert 0 < info.misses == info.currsize <= 136
+    assert info.hits > 100 * info.misses
 
 
 def test_head_cache_keeps_precisions_apart():
