@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from mpmath import mp
@@ -57,6 +56,7 @@ from .arith import (
     kronecker,
     legendre_table,
     require_odd_prime,
+    smallest_prime_factors,
     valuation,
 )
 from .classnumbers import class_number_l_at_1
@@ -210,13 +210,6 @@ def assembled_product(p: int, n: int, s: float) -> complex:
 
 # ---------------------------------------------------------------------------
 # truncated series (float precision, numpy inner sums)
-
-
-@lru_cache(maxsize=8)
-def _spf_table(limit: int) -> tuple:
-    from .arith import smallest_prime_factors
-
-    return tuple(smallest_prime_factors(limit))
 
 
 def _jacobi_table(m: int, spf):
@@ -408,7 +401,7 @@ def plus_zeta_batch(levels, n_list, s: float, cutoff: int):
         np.array([kronecker(4 * big_n, x) for x in range(4 * big_n)], dtype=np.int8)
         for big_n in levels
     ]
-    spf = _spf_table(max(cutoff + 1, 100))
+    spf = smallest_prime_factors(max(cutoff + 1, 100))
     work = _work_buffers(4 * max(levels) * cutoff)
 
     def sums_at(c):
@@ -421,8 +414,7 @@ def plus_zeta_batch(levels, n_list, s: float, cutoff: int):
             dtype=complex,
         )
 
-    # c ascending: the serial head of fork_map runs the small moduli here,
-    # which touches only the first pages of the buffers before the fork
+    # c ascending: _shares splits a cost that grows with c into even shares
     sums_by_c = fork_map(sums_at, range(1, cutoff + 1))
     totals = np.zeros((len(levels), len(n_list)), dtype=complex)
     for c, sums in enumerate(sums_by_c, start=1):
@@ -536,7 +528,7 @@ def kzeta_level_truncated(p: int, s: float, cutoff: int) -> tuple[float, float |
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    spf = _spf_table(max(cutoff + 1, 100))
+    spf = smallest_prime_factors(max(cutoff + 1, 100))
     total = 0.0
     for k in range(1, cutoff + 1):
         phi = _phi_from_spf(k, spf) * (p if k % p == 0 else p - 1)  # phi(pk)

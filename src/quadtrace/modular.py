@@ -132,9 +132,9 @@ def eval_sesqui_4p(p: int, points) -> list:
     Every term of every point is one job of a single map over the usable
     cores: the two square terms at m (the alpha quadrature and c(m^2), one
     q^{m^2}), each nonsquare c(n) q^n and each negative-index term.  The
-    cheap coefficient jobs come first, so the map's serial head runs them
-    and not a quadrature.  Each point's terms are then added here in the
-    order of the formula above, so the sums do not depend on the split.
+    jobs are listed point by point in the order of the formula above, and
+    each job's parts are added here to its point's total in that order, so
+    the sums do not depend on the split.
     The nonsquare c(n) take L(1, chi_t) from h(t) log eps_t
     (kloosterman.plus_zeta_special_value), so the series forms no L(1)
     sine sum.
@@ -144,6 +144,7 @@ def eval_sesqui_4p(p: int, points) -> list:
         pref = (mp.mpf(2) / 3) * (1 - 1j)
 
         def term(job):
+            """The parts of one job, in the order they are added."""
             kind, i, n = job
             v, q = mp.im(points[i][0]), qs[i]
             if kind == "square":
@@ -155,41 +156,36 @@ def eval_sesqui_4p(p: int, points) -> list:
                     pref * mp.pi * sesqui4p_square_coeff(p, n) * qn,
                 )
             if kind == "nonsquare":
-                return pref * mp.pi * plus_zeta_special_value(p, n) * q**n
+                return (pref * mp.pi * plus_zeta_special_value(p, n) * q**n,)
             return (
                 pref
                 * mp.sqrt(mp.pi)
                 * sesqui4p_neg_coeff(p, -n)
                 * inc_gamma_half(4 * mp.pi * n * v)
-                * q ** (-n)
+                * q ** (-n),
             )
 
-        indices = [_sesqui_4p_indices(cutoff) for _, cutoff in points]
         jobs = [
             (kind, i, n)
-            for kind in ("nonsquare", "negative", "square")
-            for i, index in enumerate(indices)
-            for n in index[kind]
+            for i, (_, cutoff) in enumerate(points)
+            for kind, index in _sesqui_4p_indices(cutoff).items()
+            for n in index
         ]
-        terms = dict(zip(jobs, fork_map(term, jobs)))
-        out = []
-        for i, ((tau, _), index) in enumerate(zip(points, indices)):
+        totals = []
+        for tau, _ in points:
             v = mp.im(tau)
             total = mp.mpc(2 * mp.sqrt(v) / 3 - mp.log(16 * v) / (2 * mp.pi * (p + 1)))
-            total += pref * mp.pi * sesqui4p_const_coeff(p)
-            for m in index["square"]:
-                for part in terms["square", i, m]:
-                    total += part
-            for kind in ("nonsquare", "negative"):
-                for n in index[kind]:
-                    total += terms[kind, i, n]
-            out.append(+total)
-        return out
+            totals.append(total + pref * mp.pi * sesqui4p_const_coeff(p))
+        for (_, i, _), parts in zip(jobs, fork_map(term, jobs)):
+            for part in parts:
+                totals[i] += part
+        return [+total for total in totals]
 
 
 def _sesqui_4p_indices(cutoff: int) -> dict:
     """The m of the square terms and the n > 0 of the nonsquare and of the
-    negative-index terms n -> -n that the level-4p series sums to cutoff."""
+    negative-index terms n -> -n that the level-4p series sums to cutoff,
+    in the order the series adds them."""
     return {
         "square": range(1, max(1, math.isqrt(cutoff)) + 1),
         "nonsquare": [

@@ -1,21 +1,22 @@
 """An ordered map over forked worker processes.
 
-fork_map(fn, items) returns [fn(x) for x in items].  It first runs items
-here, in input order, until SERIAL_HEAD_S has passed, so a map that ends
-within that time starts no process.  The rest is split over worker
-processes when that is safe: the platform has fork and the affinity call,
-more than one core is usable, no other thread runs (a fork would copy it in
-whatever state it is in), and the caller is not itself a worker.
-Otherwise, or when one item is left, the rest runs here too.
+fork_map(fn, items) returns [fn(x) for x in items].  It splits the items
+over worker processes when that is safe: the platform has fork and the
+affinity call, more than one core is usable, no other thread runs (a fork
+would copy it in whatever state it is in), the caller is not itself a
+worker, and there are at least two items.  Otherwise every item runs here.
+A split deals every item to one share per usable core (_shares), so which
+process runs an item depends only on the number of items and of usable
+cores, never on how fast the machine is.
 
-The workers are forked after the head, so they start with the caller's
-imports, tables, working precision, the job itself and whatever the head
-warmed: mpmath's tanh-sinh nodes for each degree and precision, libmp's log
-tables and the caller's own caches.  Only share numbers go out, so fn may be
-a closure, and only the results come back, pickled.  The results are in
-input order whichever process made them, so the output of a caller depends
-neither on the core count nor on where the head ended.  An exception raised
-by fn reaches the caller with its own type.
+Each worker starts with the caller's state at the fork: its imports,
+tables, working precision and the job itself.  Whatever a worker warms,
+such as mpmath's tanh-sinh nodes for each degree and precision, libmp's log
+tables and the caller's own caches, it warms for itself.  Only share
+numbers go out, so fn may be a closure, and only the results come back,
+pickled.  The results are in input order whichever process made them, so
+the output of a caller does not depend on the core count.  An exception
+raised by fn reaches the caller with its own type.
 
 Its callers: the per-c Kloosterman sums, `verify real`'s real_index, the
 special sweep's quadratures and the term map of the level-4p series.
@@ -25,13 +26,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
-
-# Seconds of items the caller runs before it forks: a little over the cold
-# start of a two-worker fork pool, 32-49 ms (median 35 ms) in a fresh
-# interpreter on a 2-vCPU guest, so that a map no longer than the pool
-# start it would pay runs here.
-SERIAL_HEAD_S = 0.05
 
 # the (fn, items, shares) of the running split map, inherited by its workers
 _job = None
@@ -49,40 +43,32 @@ def usable_workers() -> int:
 
 
 def fork_map(fn, items) -> list:
-    """[fn(x) for x in items]: a serial head, then the rest over the usable cores.
+    """[fn(x) for x in items], dealt over the usable cores.
 
-    Each worker runs one share of what the head left (_shares), so a caller
-    whose item cost grows or falls steadily along its items gets shares of
-    nearly equal cost.
+    Each worker runs one share of the items (_shares), so a caller whose
+    item cost grows or falls steadily along its items gets shares of nearly
+    equal cost.
     """
     items = list(items)
-    workers = usable_workers()
+    workers = min(usable_workers(), len(items))
     if workers < 2:
         return [fn(x) for x in items]
-    out = []
-    start = time.perf_counter()
-    while len(out) < len(items) and time.perf_counter() - start < SERIAL_HEAD_S:
-        out.append(fn(items[len(out)]))
-    rest = items[len(out) :]
-    workers = min(workers, len(rest))
-    if workers < 2:
-        return out + [fn(x) for x in rest]
     # imported here: every CLI command imports this module, few of them split
     import multiprocessing
 
     global _job
-    shares = _shares(len(rest), workers)
-    _job = (fn, rest, shares)
+    shares = _shares(len(items), workers)
+    _job = (fn, items, shares)
     try:
         with multiprocessing.get_context("fork").Pool(workers, initializer=_enter_worker) as pool:
             results = pool.map(_run, range(workers), chunksize=1)
     finally:
         _job = None
-    by_index = [None] * len(rest)
+    out = [None] * len(items)
     for share, values in zip(shares, results):
         for index, value in zip(share, values):
-            by_index[index] = value
-    return out + by_index
+            out[index] = value
+    return out
 
 
 def _shares(count: int, workers: int) -> list[list[int]]:

@@ -85,21 +85,22 @@ def numeric_report(check, params, lhs, rhs, tol, scale_floor="1e-30", detail="")
     """Build a report from two high-precision numbers and a relative tolerance.
 
     The relative error uses max(|lhs|, |rhs|, scale_floor) so that identities
-    whose both sides vanish (empty form sets and the like) pass cleanly.
+    whose both sides vanish (empty form sets and the like) pass cleanly.  The
+    residual is formed at the caller's precision; in the CLI sweeps that is
+    mpmath's ambient 15 digits.
     """
-    with mp.workdps(mp.dps):
-        labs = abs(mp.mpc(lhs))
-        rabs = abs(mp.mpc(rhs))
-        aerr = abs(mp.mpc(lhs) - mp.mpc(rhs))
-        scale = max(labs, rabs, mp.mpf(scale_floor))
-        rerr = aerr / scale
-        return VerificationReport(
-            check=check,
-            params=params,
-            lhs=fmt_hp(lhs),
-            rhs=fmt_hp(rhs),
-            abs_err=fmt_hp(aerr, 8),
-            rel_err=fmt_hp(rerr, 8),
-            passed=bool(rerr <= mp.mpf(tol)),
-            detail=detail,
-        )
+    labs = abs(mp.mpc(lhs))
+    rabs = abs(mp.mpc(rhs))
+    aerr = abs(mp.mpc(lhs) - mp.mpc(rhs))
+    scale = max(labs, rabs, mp.mpf(scale_floor))
+    rerr = aerr / scale
+    return VerificationReport(
+        check=check,
+        params=params,
+        lhs=fmt_hp(lhs),
+        rhs=fmt_hp(rhs),
+        abs_err=fmt_hp(aerr, 8),
+        rel_err=fmt_hp(rerr, 8),
+        passed=bool(rerr <= mp.mpf(tol)),
+        detail=detail,
+    )

@@ -8,13 +8,11 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from quadtrace import parallel
-from quadtrace.arith import kronecker
+from quadtrace.arith import kronecker, smallest_prime_factors
 from quadtrace.kloosterman import (
     _inner_sums,
     _jacobi_period,
     _jacobi_table,
-    _spf_table,
     _work_buffers,
     assembled_product,
     kzeta_level_closed,
@@ -178,7 +176,7 @@ def test_plus_zeta_truncated_edges():
 
 
 def test_jacobi_table_matches_kronecker():
-    spf = _spf_table(2001)
+    spf = smallest_prime_factors(2001)
     for m in range(1, 2002, 2):
         table = _jacobi_table(m, spf)
         assert table.tolist() == [kronecker(x, m) for x in range(m)], m
@@ -193,7 +191,7 @@ def test_inner_sums_match_plus_term():
 
     c <= 40 covers odd nu_2(c), c_odd = 3 mod 4 and non-squarefree c_odd.
     """
-    spf = _spf_table(100)
+    spf = smallest_prime_factors(100)
     n_list = [-4, -3, 0, 5, 8]
     for big_n in (1, 3, 5, 15):
         per4n = _per4n(big_n)
@@ -231,7 +229,7 @@ def test_inner_sums_bit_identical_to_direct_exp():
     NaN; the moduli run in descending and then in ascending order, so an
     entry left by a larger or a smaller M would show.
     """
-    spf = _spf_table(2001)
+    spf = smallest_prime_factors(2001)
     n_list = [0, -3, 5, 15, -4, 8, -32, 10**6 + 1]
     cases = [(big_n, range(1, 121)) for big_n in (1, 3, 5, 15)]
     cases += [(big_n, range(1990, 2001)) for big_n in (3, 5)]
@@ -267,7 +265,7 @@ def test_inner_sums_allocate_no_modulus_sized_array():
     writing into the buffers would hold at least M/2 bytes here.
     """
     big_n, n_list = 5, [-4, -3, 5, 8]
-    per4n, spf = _per4n(big_n), _spf_table(2001)
+    per4n, spf = _per4n(big_n), smallest_prime_factors(2001)
     work = _work_buffers(4 * big_n * 2000)
     for c in (2000, 1536):
         _inner_sums(big_n, c, n_list, per4n, _jacobi_period(c, spf), work)
@@ -346,7 +344,6 @@ def test_kzeta_level_truncated_matches_sieve_to_p_cutoff():
     [(1, 501, False), (2, 501, True)],
 )
 def test_serial_pass_starts_no_process(monkeypatch, cores, cutoff, other_thread):
-    monkeypatch.setattr(parallel, "SERIAL_HEAD_S", 0)
     set_cores(monkeypatch, cores)
     forks = count_forks(monkeypatch)
     release = threading.Event()

@@ -30,13 +30,7 @@ class WorkerFault(Exception):
     pass
 
 
-@pytest.fixture
-def no_head(monkeypatch):
-    """Every item of a map that may split goes to the workers."""
-    monkeypatch.setattr(parallel, "SERIAL_HEAD_S", 0)
-
-
-def test_fork_map_keeps_input_order(monkeypatch, no_head):
+def test_fork_map_keeps_input_order(monkeypatch):
     set_cores(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     items = list(range(40))
@@ -48,7 +42,7 @@ def test_fork_map_keeps_input_order(monkeypatch, no_head):
     assert multiprocessing.active_children() == []
 
 
-def test_zero_head_deals_every_item_to_the_workers(monkeypatch, no_head):
+def test_split_deals_every_item_to_the_workers(monkeypatch):
     set_cores(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     with deadline(60):
@@ -61,35 +55,30 @@ def test_zero_head_deals_every_item_to_the_workers(monkeypatch, no_head):
     assert multiprocessing.active_children() == []
 
 
-def test_head_that_finishes_every_item_starts_no_process(monkeypatch):
-    set_cores(monkeypatch, 2)
-    forks = count_forks(monkeypatch)
-    out = fork_map(lambda x: (x, os.getpid()), range(40))
-    assert out == [(x, os.getpid()) for x in range(40)]
-    assert forks == []
-    assert multiprocessing.active_children() == []
-
-
-def test_head_runs_here_and_the_rest_in_workers(monkeypatch):
-    monkeypatch.setattr(parallel, "SERIAL_HEAD_S", 0.3)
+def test_split_depends_only_on_items_and_cores(monkeypatch):
+    # a slow first item keeps nothing in the caller: every item goes to a
+    # worker, and two items share a process exactly when they share a share
     set_cores(monkeypatch, 2)
     forks = count_forks(monkeypatch)
 
-    def slow(x):
-        time.sleep(0.2)
-        return x, os.getpid()
+    def first_slow(x):
+        if x == 0:
+            time.sleep(0.2)
+        return os.getpid()
 
     with deadline(60):
-        out = fork_map(slow, range(6))
-    assert [x for x, _ in out] == list(range(6))
-    # the head ends at the first item that starts after 0.3 s: the third
-    assert [pid == os.getpid() for _, pid in out] == [True] * 2 + [False] * 4
+        pids = fork_map(first_slow, range(6))
+    assert os.getpid() not in pids
+    share_of = {i: k for k, share in enumerate(parallel._shares(6, 2)) for i in share}
+    for i in range(6):
+        for j in range(6):
+            assert (pids[i] == pids[j]) == (share_of[i] == share_of[j]), (i, j)
     assert len(forks) == 2
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("condition", ["one-core", "other-thread", "one-item"])
-def test_serial_pass_starts_no_process(monkeypatch, no_head, condition):
+def test_serial_pass_starts_no_process(monkeypatch, condition):
     set_cores(monkeypatch, 1 if condition == "one-core" else 2)
     forks = count_forks(monkeypatch)
     release = threading.Event()
@@ -109,7 +98,7 @@ def test_serial_pass_starts_no_process(monkeypatch, no_head, condition):
     assert multiprocessing.active_children() == []
 
 
-def test_map_inside_a_worker_starts_no_process(monkeypatch, no_head):
+def test_map_inside_a_worker_starts_no_process(monkeypatch):
     set_cores(monkeypatch, 2)
     forks = count_forks(monkeypatch)
 
@@ -125,7 +114,7 @@ def test_map_inside_a_worker_starts_no_process(monkeypatch, no_head):
     assert multiprocessing.active_children() == []
 
 
-def test_worker_exception_reaches_caller(monkeypatch, no_head):
+def test_worker_exception_reaches_caller(monkeypatch):
     def faulty(x):
         if x == 3:
             raise WorkerFault(x)
@@ -232,7 +221,7 @@ SPLIT_CALLERS = {
 
 
 @pytest.mark.parametrize("caller", list(SPLIT_CALLERS))
-def test_split_equals_one_core(monkeypatch, no_head, caller):
+def test_split_equals_one_core(monkeypatch, caller):
     run = SPLIT_CALLERS[caller]
     forks = count_forks(monkeypatch)
     set_cores(monkeypatch, 1)
@@ -245,7 +234,7 @@ def test_split_equals_one_core(monkeypatch, no_head, caller):
     assert multiprocessing.active_children() == []
 
 
-def test_level_4p_residual_starts_one_pool(monkeypatch, no_head):
+def test_level_4p_residual_starts_one_pool(monkeypatch):
     # both points of the level-4p residual share one map; no other residual splits
     set_cores(monkeypatch, 2)
     forks = count_forks(monkeypatch)

@@ -246,7 +246,7 @@ def test_alpha_libmp_integrands_bit_identical(dps, monkeypatch):
 
 
 def test_unmet_target_is_not_converged():
-    # a jump inside the interval defeats tanh-sinh even after refinement
+    # a jump inside the interval defeats tanh-sinh's one pass
     res = quad_certified(lambda t: mp.mpf(3 * t < 1), [0, 1])
     assert not res.converged
     assert res.error_estimate >= mp.mpf(specialfns.QUAD_TARGET)
