@@ -61,8 +61,8 @@ from .arith import (
 )
 from .classnumbers import class_number_l_at_1
 from .lvalues import (
+    character_table,
     chi,
-    dirichlet_l,
     fundamental_decomposition,
     real_zeta,
     t_divisor_sum,
@@ -191,11 +191,11 @@ def assembled_product(p: int, n: int, s: float) -> complex:
     """The factored form of the plus Kloosterman zeta at index n != 0, real s > 1."""
     split = fundamental_decomposition(n)
     t, m = split.t, split.m
-    if t == 1:
-        with hp():
+    with hp():
+        if t == 1:
             l_num = complex(real_zeta(mp.mpf(s) - mp.mpf(1) / 2))
-    else:
-        l_num = complex(dirichlet_l(s - 0.5, t))
+        else:
+            l_num = complex(mp.dirichlet(s - 0.5, character_table(t)))
     l_num *= (1 - chi(t, 2) * 2.0 ** -(s - 0.5)) * (1 - chi(t, p) * float(p) ** -(s - 0.5))
     with hp():
         l_den = float(real_zeta(2 * s - 1))

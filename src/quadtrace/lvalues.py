@@ -28,9 +28,10 @@ L(1, chi_t), t > 0, from class numbers and units instead
 The t < 0 evaluation at s = 1 is the functional-equation form of the finite
 character sum, so this module stays independent of any class-number code;
 cross-checks against class numbers are therefore genuinely two-sided.
-General real s away from {0, 1} go through Hurwitz zeta functions.  The
-Riemann zeta at real s goes through real_zeta, which evaluates each
-(s, precision) once at the caller's precision, bit-equal to mp.zeta.
+L(s, chi_t) at other real s is mpmath's: kloosterman.assembled_product calls
+mp.dirichlet over character_table.  The Riemann zeta at real s goes through
+real_zeta, which evaluates each (s, precision) once at the caller's
+precision, bit-equal to mp.zeta.
 """
 
 from __future__ import annotations
@@ -213,28 +214,6 @@ def _log_sine_sum(t: int, prec: int) -> tuple:
             term = mpf_log(mpf_sin(x, prec, rnd), prec, rnd)
             total = mpf_add(total, term if c > 0 else mpf_neg(term), prec, rnd)
     return total
-
-
-def dirichlet_l(s, t: int) -> mpf:
-    """L(s, chi_t) for fundamental t, real s != 1, via Hurwitz zeta functions.
-
-    L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q).
-    """
-    if t == 1:
-        raise ValueError("use real_zeta for the principal character of modulus 1")
-    if not is_fundamental_discriminant(t):
-        raise ValueError(f"{t} is not a fundamental discriminant")
-    q = abs(t)
-    with hp():
-        s = mp.mpf(s)
-        if s == 1:
-            raise ValueError("use l_value_at_1 at s = 1")
-        total = mp.mpf(0)
-        for a in range(1, q + 1):
-            c = chi(t, a)
-            if c:
-                total += c * mp.zeta(s, mp.mpf(a) / q)
-        return +(total * mp.power(q, -s))
 
 
 @lru_cache(maxsize=128)

@@ -3,10 +3,10 @@
 Forms Q = (a, b, c) represent a x^2 + b x y + c y^2 and carry the right
 SL2(Z)-action (Q.g)(x, y) = Q(alpha x + beta y, gamma x + delta y).  The
 module provides indefinite Gauss reduction with transform tracking, class
-representatives and class numbers for arbitrary discriminants (the reduced
-definite forms are enumerated directly), automorph units from reduction
-cycles rather than brute-force Pell searches, Gamma_0(p)-orbit counts, and
-the numerical closed-geodesic integral that `verify geodesic` checks.
+representatives and class numbers for arbitrary discriminants, automorph
+units from reduction cycles rather than brute-force Pell searches,
+Gamma_0(p)-orbit counts, and the numerical closed-geodesic integral that
+`verify geodesic` checks.
 
 Gamma_0(p)-orbits are counted, never built.  The cosets g Gamma_0(p) of
 SL2(Z) are the points of P^1(F_p), through the first column of g, and SL2(Z)
@@ -31,11 +31,14 @@ decides the same relation for two arbitrary forms through SL2(Z)-reduction,
 and the tests group forms with it to build the orbits this module only
 counts.
 
-Class numbers, units and the cycle representatives of the primitive reduced
-forms of a positive discriminant are cached per discriminant, the 1024 most
-recently used of each.  The class representatives of content f of
-discriminant d are f times the primitive ones of d/f^2, so class_reps (every
-content) and class_number read the same enumeration.
+Class numbers, units and the primitive class representatives are cached per
+discriminant, the 1024 most recently used of each.  The primitive
+representatives are the reduced forms (d < 0, enumerated directly) or the
+least form of each cycle of reduced forms (d > 0).  The class
+representatives of content f of discriminant d are f times the primitive
+ones of d/f^2, as reduction and the rho-cycles commute with that scaling, so
+class_reps (every content) and class_number read the same enumeration for
+both signs.
 
 Conventions pinned by the seed-identity runs (see README):
   * for n < 0 the set of forms with p | a carries both definiteness signs
@@ -188,8 +191,9 @@ def _cycle_with_transforms(r0: QuadForm) -> tuple[list[QuadForm], Mat]:
 # class representatives and class numbers
 
 
-def _reduced_definite_forms(d: int, include_imprimitive: bool) -> list[QuadForm]:
-    out = []
+def _reduced_definite_forms(d: int):
+    """The primitive reduced forms of discriminant d < 0, ascending (a, then
+    b, fix the form)."""
     amax = math.isqrt(-d // 3) if d < -3 else 1
     for a in range(1, amax + 1):
         for b in range(-a + 1, a + 1):
@@ -202,9 +206,8 @@ def _reduced_definite_forms(d: int, include_imprimitive: bool) -> list[QuadForm]
             if b < 0 and (a == c or -b == a):
                 continue
             q = QuadForm(a, b, c)
-            if include_imprimitive or q.content() == 1:
-                out.append(q)
-    return sorted(out)
+            if q.content() == 1:
+                yield q
 
 
 def _reduced_indefinite_forms(d: int) -> list[QuadForm]:
@@ -243,21 +246,22 @@ def class_reps(d: int) -> list[QuadForm]:
     and reduction and the rho-cycles commute with that scaling.
     """
     _check_disc(d)
-    if d < 0:
-        return _reduced_definite_forms(d, include_imprimitive=True)
     return sorted(
         QuadForm(f * q.a, f * q.b, f * q.c)
-        for f in range(1, math.isqrt(d) + 1)
+        for f in range(1, math.isqrt(abs(d)) + 1)
         if d % (f * f) == 0 and d // (f * f) % 4 in (0, 1)
-        for q in _primitive_cycle_reps(d // (f * f))
+        for q in _primitive_reps(d // (f * f))
     )
 
 
 @lru_cache(maxsize=1024)
-def _primitive_cycle_reps(d: int) -> tuple[QuadForm, ...]:
-    """The least form of each cycle of primitive reduced forms of discriminant
-    d > 0, ascending; class_reps (all contents) and class_number both read it,
-    so a sweep over n enumerates the reduced forms of each n/f^2 once."""
+def _primitive_reps(d: int) -> tuple[QuadForm, ...]:
+    """The primitive class representatives of discriminant d, ascending: the
+    reduced forms for d < 0, the least form of each cycle of reduced forms
+    for d > 0.  class_reps (all contents) and class_number both read it, so
+    a sweep over n enumerates the reduced forms of each n/f^2 once."""
+    if d < 0:
+        return tuple(_reduced_definite_forms(d))
     # the least form not on a cycle seen so far is the least of its own cycle
     reps: list[QuadForm] = []
     seen: set[QuadForm] = set()
@@ -279,11 +283,8 @@ def _check_disc(d: int) -> None:
 def class_number(d: int) -> int:
     """Number of primitive classes; wide class number for d > 0."""
     _check_disc(d)
-    if d < 0:
-        return len(_reduced_definite_forms(d, include_imprimitive=False))
-    narrow = len(_primitive_cycle_reps(d))
-    unit = order_unit_pm(d)
-    return narrow if unit.norm == -1 else narrow // 2
+    count = len(_primitive_reps(d))
+    return count // 2 if d > 0 and order_unit_pm(d).norm == 1 else count
 
 
 def principal_form(d: int) -> QuadForm:
@@ -418,8 +419,9 @@ def geodesic_integral(q: QuadForm):
         th0, th1 = mp.pi / 2, theta_of(z1)
 
         def integrand(th):
-            tau = center + radius * mp.exp(1j * th)
-            dtau = 1j * radius * mp.exp(1j * th)
+            rot = mp.exp(1j * th)
+            tau = center + radius * rot
+            dtau = 1j * radius * rot
             return sd * dtau / (q.a * tau * tau + q.b * tau + q.c)
 
         val, err = mp.quad(integrand, [th0, th1], error=True)

@@ -3,12 +3,14 @@
 import functools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from quadtrace.cli import GEODESIC_SEEDS, GEODESIC_WORDS, _LETTERS
+from quadtrace import quadforms
+from quadtrace.cli import GEODESIC_SEEDS, GEODESIC_WORDS, _LETTERS, sweep_imaginary
 from quadtrace.precision import hp
 from quadtrace.quadforms import (
     IDENTITY,
@@ -114,6 +116,36 @@ def test_class_reps_definite_against_oracle():
     assert [tuple(q) for q in class_reps(-3)] == [(1, 1, 1)]
     assert [tuple(q) for q in class_reps(-4)] == [(1, 0, 1)]
     assert len(class_reps(-23)) == 3
+
+
+def test_class_reps_definite_all_contents_against_exhaustive_search():
+    # every form |b| <= a <= sqrt(|d|) of every content, reduced by the
+    # oracle; each class has its reduced form, a <= sqrt(|d|/3), in that box
+    for d in range(-3, -600, -1):
+        if d % 4 not in (0, 1):
+            continue
+        reduced = {
+            reduce_definite(QuadForm(a, b, (b * b - d) // (4 * a)))
+            for a in range(1, math.isqrt(-d) + 1)
+            for b in range(-a, a + 1)
+            if (b * b - d) % (4 * a) == 0
+        }
+        assert class_reps(d) == sorted(reduced), d
+
+
+def test_imaginary_sweep_enumerates_each_discriminant_once(monkeypatch):
+    # the three primes and every content of n read one cached enumeration
+    calls = Counter()
+    enumerate_forms = quadforms._reduced_definite_forms
+
+    def counted(d):
+        calls[d] += 1
+        return enumerate_forms(d)
+
+    monkeypatch.setattr(quadforms, "_reduced_definite_forms", counted)
+    quadforms._primitive_reps.cache_clear()
+    sweep_imaginary((3, 5, 7), 200)
+    assert set(calls.values()) == {1} and set(calls) <= set(range(-200, 0))
 
 
 def test_weight_sixths_is_twelve_over_automorph_count():
