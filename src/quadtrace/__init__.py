@@ -13,12 +13,10 @@ from .classnumbers import (
 from .coefficients import (
     coeff_oracle_4,
     coeff_oracle_4p,
-    constant_term_checks,
     sesqui4_square_coeff,
     sesqui4p_const_coeff,
     sesqui4p_neg_coeff,
     sesqui4p_square_coeff,
-    square_trace_consistency,
     theta_multiple_const,
 )
 from .kloosterman import (
@@ -41,6 +39,6 @@ from .quadforms import (
     geodesic_integral,
 )
 from .specialfns import alpha, alpha_companion, inc_gamma_half
-from .traces import trace_real_nonsquare, verify_real_trace_identity
+from .traces import trace_real_nonsquare
 
 __version__ = "0.1.0"

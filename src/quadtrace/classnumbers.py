@@ -23,9 +23,10 @@ sweeps read:
 A table row and the single-n function of its route share one formula (the
 form weight, or _level_value); the tests still hold them equal.  A table
 lives as long as the sweep that builds it, and nothing here is cached per n.
-The two routes must agree exactly: `verify classnumbers` holds the two
-tables equal, and checks the linear relation (linear_relation_report) on
-the single-n routes.
+The two routes must agree exactly: `verify classnumbers` (cli) holds the
+two tables equal, and compares the two sides of the linear relation
+(linear_relation_sides) on the single-n routes.  This module returns values
+only; the reports are built in cli.
 
 class_regulator(d) = h(d) log eps_d, the wide class number times the log of
 the unit of norm +-1 of the order of discriminant d > 0, is the one place
@@ -46,7 +47,6 @@ from mpmath import mp
 
 from .arith import divisors, factorize, is_squarefree, moebius
 from .lvalues import (
-    DiscSplit,
     chi,
     fundamental_decomposition,
     is_fundamental_discriminant,
@@ -56,7 +56,6 @@ from .lvalues import (
 )
 from .precision import hp
 from .quadforms import _weight_sixths, class_number, class_reps, order_unit_pm
-from .report import VerificationReport, exact_report
 
 
 # maxsize=0 caches nothing: the tables serve the sweeps, and the wrapper only
@@ -120,10 +119,9 @@ def _local_factor(ell: int, big_n: int, chis: tuple[int, ...]) -> Fraction:
     return out
 
 
-def _level_value(ell: int, big_n: int, split: DiscSplit, l0: Fraction, local_factor) -> Fraction:
-    """H_{ell,N}(n) for n > 0, -n = t m^2 = split, from l0 = L(0, chi_t);
+def _level_value(ell: int, big_n: int, t: int, m: int, l0: Fraction, local_factor) -> Fraction:
+    """H_{ell,N}(n) for n > 0, -n = t m^2, from l0 = L(0, chi_t);
     local_factor is _local_factor or a table's memo of it."""
-    t, m = split.t, split.m
     chis = tuple(chi(t, q) for q, _ in factorize(big_n))
     # for ell != N, sigma_{ell,N,1} is not the inner sum of a T-sum
     moebius_sum = 0
@@ -155,8 +153,8 @@ def generalized_hurwitz(ell: int, big_n: int, n: int) -> Fraction:
         return _level_at_0(ell, big_n)
     if n % 4 in (1, 2):
         return Fraction(0)
-    split = fundamental_decomposition(-n)
-    return _level_value(ell, big_n, split, l_value_at_0(split.t), _local_factor)
+    t, m = fundamental_decomposition(-n)
+    return _level_value(ell, big_n, t, m, l_value_at_0(t), _local_factor)
 
 
 def hurwitz_level_table(n_max: int, levels) -> dict[tuple[int, int], list[Fraction]]:
@@ -179,11 +177,11 @@ def hurwitz_level_table(n_max: int, levels) -> dict[tuple[int, int], list[Fracti
     for n in range(3, n_max + 1):
         if n % 4 in (1, 2):
             continue
-        split = fundamental_decomposition(-n)
-        if split.t not in l0s:
-            l0s[split.t] = l_value_at_0(split.t)
+        t, m = fundamental_decomposition(-n)
+        if t not in l0s:
+            l0s[t] = l_value_at_0(t)
         for (ell, big_n), row in rows.items():
-            row[n] = _level_value(ell, big_n, split, l0s[split.t], local_factor)
+            row[n] = _level_value(ell, big_n, t, m, l0s[t], local_factor)
     return rows
 
 
@@ -233,16 +231,7 @@ def regulator_class_sum(n: int):
         return +(total / (2 * mp.pi))
 
 
-def linear_relation_report(
-    p: int, n: int, h: Fraction, h1p: Fraction, hpp: Fraction
-) -> VerificationReport:
-    """Exact check of H_{p,p}(n)/(1-p) = H(n) - (p+1)/p * H_{1,p}(n) on given
-    values h = H(n), h1p = H_{1,p}(n), hpp = H_{p,p}(n)."""
-    lhs, rhs = _linear_relation_sides(p, h, h1p, hpp)
-    return exact_report("hurwitz-linear-relation", {"p": p, "n": n}, lhs, rhs)
-
-
-def _linear_relation_sides(
+def linear_relation_sides(
     p: int, h: Fraction, h1p: Fraction, hpp: Fraction
 ) -> tuple[Fraction, Fraction]:
     """The two sides H_{p,p}(n)/(1-p) and H(n) - (p+1)/p * H_{1,p}(n) of the

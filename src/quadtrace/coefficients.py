@@ -6,7 +6,9 @@ Square-indexed coefficients arise as s-derivatives at s = 3/4 of
 series at 2 and p, and a divisor sum.  Every closed form here is paired
 with central-difference differentiation (one Richardson step) of that
 product, built from independent code paths; disagreement is a test
-failure, never auto-corrected.
+failure, never auto-corrected.  The module returns values only: `verify
+coefficients`, `verify constants` and `coeffs` (cli) pair them up, gate them
+and build the reports.
 
 Notation used below: Z = zeta'(2)/zeta(2), gamma = Euler-Mascheroni.
 """
@@ -23,7 +25,6 @@ from .classnumbers import generalized_hurwitz
 from .kloosterman import local_series_2, local_series_p
 from .lvalues import real_zeta, t_divisor_sum, zeta_prime_over_zeta_2
 from .precision import hp, to_mpf
-from .report import VerificationReport, exact_report, fmt_hp, numeric_report
 
 
 def t_log_sum(big_n: int, m: int):
@@ -177,7 +178,7 @@ def _f_product(p: int, n: int, m: int, sigma):
     return two * pp * t_fac
 
 
-def _derivative_at(fun, x0, step):
+def derivative_at(fun, x0, step):
     """Central difference with one Richardson extrapolation level."""
     d1 = (fun(x0 + step) - fun(x0 - step)) / (2 * step)
     h2 = step / 2
@@ -206,7 +207,7 @@ def coeff_oracle_4p(p: int, m: int):
                 * _f_product(p, m * m, m, 2 * s)
             )
 
-        return +_derivative_at(g, s0, step)
+        return +derivative_at(g, s0, step)
 
 
 def coeff_oracle_4(m: int):
@@ -225,7 +226,7 @@ def coeff_oracle_4(m: int):
                 * t_divisor_sum(1, mp.mpf(3) / 2 - 2 * s, 1, m)
             )
 
-        return +(mp.mpf(2) / 9 * _derivative_at(g, s0, step))
+        return +(mp.mpf(2) / 9 * derivative_at(g, s0, step))
 
 
 # ---------------------------------------------------------------------------
@@ -256,83 +257,8 @@ def deformation_b_zero(p: int, s):
         )
 
 
-def deformation_b_check(p: int) -> VerificationReport:
-    """Verify B_infty(1) = 1 and B_zero(1) = p; record numerical first
-    derivatives at s = 1 together with the analytic log-derivative values.
-
-    A circulated Taylor expansion of these coefficients does not match the
-    closed forms (its linear term is off by a uniform pi^2 (p^2-1) factor
-    and its constant term contradicts B_infty(1) = 1); the report carries
-    the numerical values and the ratio instead of asserting it.
-    """
-    with hp(extra=10):
-        b_inf_1 = deformation_b_infty(p, 1)
-        b_zero_1 = deformation_b_zero(p, 1)
-        # the gate is relative: B_0(1) = p carries about p ulp of the rounding
-        # of deformation_b_zero, which runs at hp(), 10 digits below this
-        gate = mp.mpf(10) ** (-(mp.dps - 10))
-        ok = abs(b_inf_1 - 1) < gate and abs(b_zero_1 - p) < p * gate
-        step = mp.mpf("1e-6")
-        d_inf = _derivative_at(lambda s: deformation_b_infty(p, s), mp.mpf(1), step)
-        d_zero = _derivative_at(lambda s: deformation_b_zero(p, s), mp.mpf(1), step)
-        z = zeta_prime_over_zeta_2()
-        base = mp.euler + mp.log(mp.pi) - 2 * z
-        true_inf = base - 2 * p * p * mp.log(p) / (p * p - 1)
-        true_zero = p * (base + 2 * p * mp.log(p) / (p * p - 1))
-        variant_inf = mp.pi**2 * ((p * p - 1) * base - 2 * p * p * mp.log(p))
-        return VerificationReport(
-            check="deformation-b-taylor",
-            params={"p": p},
-            lhs=fmt_hp(b_inf_1),
-            rhs=fmt_hp(b_zero_1),
-            abs_err=fmt_hp(abs(b_inf_1 - 1) + abs(b_zero_1 - p), 8),
-            rel_err="0",
-            passed=bool(ok and abs(d_inf - true_inf) < mp.mpf("1e-8") and abs(d_zero - true_zero) < mp.mpf("1e-8")),
-            detail=(
-                f"dB_inf/ds={fmt_hp(d_inf, 20)} dB_zero/ds={fmt_hp(d_zero, 20)}"
-            ),
-            flags={
-                "variant_vs_numeric_ratio_inf": fmt_hp(variant_inf / d_inf, 12),
-            },
-        )
-
-
 # ---------------------------------------------------------------------------
-# constant-term system and the square-index trace formulas
-
-
-def constant_term_checks(p: int) -> list[VerificationReport]:
-    """The three contribution identities behind the theta-lift constant term.
-
-    (a) and (b) are exact rational identities (coefficients of v^{1/2} and of
-    log(16 v)/pi); (c) ties the theta-multiple constant to the two series'
-    constants and is checked to 1e-12.
-    """
-    out = [
-        exact_report(
-            "constant-term-v-half",
-            {"p": p},
-            Fraction(2, 3 * (p - 1)) + Fraction(2, 3),
-            Fraction(2, 3) * Fraction(p * (p + 1), p * p - 1),
-        ),
-        exact_report(
-            "constant-term-log16v",
-            {"p": p},
-            Fraction(-1, 2 * (p - 1)) + Fraction(-1, 2 * (p + 1)),
-            Fraction(-p, p * p - 1),
-        ),
-    ]
-    with hp():
-        z = zeta_prime_over_zeta_2()
-        base = mp.euler - mp.log(2) - z
-        lhs_c = 2 / (mp.pi * (p - 1)) * base + 2 / (mp.pi * (p + 1)) * (
-            base - p * p * mp.log(p) / (p * p - 1)
-        )
-        rhs_c = theta_multiple_const(p) - p / (mp.pi * (p * p - 1)) * (
-            mp.log(mp.pi) - mp.euler
-        )
-        out.append(numeric_report("constant-term-theta", {"p": p}, lhs_c, rhs_c, "1e-12"))
-    return out
+# the square-index trace formulas
 
 
 def square_trace_rhs(p: int, m: int):
@@ -383,12 +309,3 @@ def square_trace_unsimplified(p: int, m: int):
             - 2 * theta_multiple_const(p)
         )
         return +(mp.pi * combo)
-
-
-def square_trace_consistency(p: int, m: int) -> VerificationReport:
-    """Simplified RHS against the unsimplified proof combination, 1e-10."""
-    lhs = square_trace_rhs(p, m)
-    rhs = square_trace_unsimplified(p, m)
-    return numeric_report(
-        "square-trace-consistency", {"p": p, "m": m}, lhs, rhs, "1e-10"
-    )

@@ -158,17 +158,20 @@ def local_series_p(p: int, n, sigma):
         return +(-1 + bracket / (pw(2 * sigma - 1) - p))
 
 
-def _local_factor_2_series(n: int, sigma) -> complex:
-    """F_2(n, sigma) = sum_{j>=2} a(2^j, n) 2^{-j sigma} + (1+i) 2^{-2 sigma} (float)."""
-    jmax = valuation(n, 2) + 6
-    total = sum(local_sum_2_exp(j, n) / 2 ** (j * sigma) for j in range(2, jmax))
-    return total + (1 + 1j) / 2 ** (2 * sigma)
+def _local_depths(p: int, n: int) -> tuple[range, range]:
+    """The j of the sums a(2^j, n) and a(p^j, n) that the local factors at 2
+    and at p add up: 2 <= j <= nu_2(n) + 5 and 1 <= j <= nu_p(n) + 4."""
+    return range(2, valuation(n, 2) + 6), range(1, valuation(n, p) + 5)
 
 
-def _local_factor_p_series(p: int, n: int, sigma) -> complex:
-    """F_p(n, sigma) = sum_{j>=1} a(p^j, n) p^{-j sigma} (float)."""
-    jmax = valuation(n, p) + 5
-    return sum(local_sum_p_exp(p, j, n) / p ** (j * sigma) for j in range(1, jmax))
+def _local_factors(p: int, n: int, sigma) -> tuple[complex, complex]:
+    """(F_2(n, sigma), F_p(n, sigma)) as float sums over _local_depths:
+    F_2 = sum_j a(2^j, n) 2^{-j sigma} + (1+i) 2^{-2 sigma} and
+    F_p = sum_j a(p^j, n) p^{-j sigma}."""
+    depths_2, depths_p = _local_depths(p, n)
+    total_2 = sum(local_sum_2_exp(j, n) / 2 ** (j * sigma) for j in depths_2)
+    total_p = sum(local_sum_p_exp(p, j, n) / p ** (j * sigma) for j in depths_p)
+    return total_2 + (1 + 1j) / 2 ** (2 * sigma), total_p
 
 
 # Largest modulus of an exponential sum the CLI lets a check form.  Under
@@ -182,15 +185,15 @@ MAX_MODULUS = 10**7
 def largest_modulus(p: int, n: int, cutoff: int) -> int:
     """The largest modulus of the exponential sums that plus_zeta_batch([p],
     [n], s, cutoff) and assembled_product(p, n, s) form, n != 0: 4p * cutoff in
-    the truncated series, 2^(nu_2(n) + 5) and p^(nu_p(n) + 4) in the local
-    factors."""
-    return max(4 * p * cutoff, 2 ** (valuation(n, 2) + 5), p ** (valuation(n, p) + 4))
+    the truncated series, 2^j and p^j at the deepest j of _local_depths in the
+    local factors."""
+    depths_2, depths_p = _local_depths(p, n)
+    return max(4 * p * cutoff, 2 ** depths_2[-1], p ** depths_p[-1])
 
 
 def assembled_product(p: int, n: int, s: float) -> complex:
     """The factored form of the plus Kloosterman zeta at index n != 0, real s > 1."""
-    split = fundamental_decomposition(n)
-    t, m = split.t, split.m
+    t, m = fundamental_decomposition(n)
     with hp():
         if t == 1:
             l_num = complex(real_zeta(mp.mpf(s) - mp.mpf(1) / 2))
@@ -200,12 +203,8 @@ def assembled_product(p: int, n: int, s: float) -> complex:
     with hp():
         l_den = float(real_zeta(2 * s - 1))
     l_den *= (1 - 2.0 ** -(2 * s - 1)) * (1 - float(p) ** -(2 * s - 1))
-    return (
-        (l_num / l_den)
-        * float(t_divisor_sum(4 * p, 1.5 - s, t, m))
-        * _local_factor_2_series(n, s)
-        * _local_factor_p_series(p, n, s)
-    )
+    factor_2, factor_p = _local_factors(p, n, s)
+    return (l_num / l_den) * float(t_divisor_sum(4 * p, 1.5 - s, t, m)) * factor_2 * factor_p
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +492,7 @@ def plus_zeta_special_value(p: int, n: int):
         raise ValueError("square indices are poles handled elsewhere")
     if n % 4 not in (0, 1):
         raise ValueError("index must be 0 or 1 mod 4")
-    split = fundamental_decomposition(n)
-    t, m = split.t, split.m
+    t, m = fundamental_decomposition(n)
     with hp():
         l_num = class_number_l_at_1(t)
         l_num *= (1 - chi(t, 2) * mp.mpf(1) / 2) * (1 - chi(t, p) * mp.mpf(1) / p)

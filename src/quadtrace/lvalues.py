@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import cycle, islice
@@ -70,15 +69,6 @@ from .arith import (
 from .precision import hp, to_mpf, working_dps
 
 
-@dataclass(frozen=True)
-class DiscSplit:
-    """Decomposition n = t * m**2 with t a fundamental discriminant (or 1)."""
-
-    t: int
-    m: int
-    n: int
-
-
 def is_fundamental_discriminant(t: int) -> bool:
     """t = 1, or squarefree t = 1 (mod 4), or t = 4k with k squarefree = 2,3 (mod 4)."""
     if t == 1:
@@ -93,8 +83,9 @@ def is_fundamental_discriminant(t: int) -> bool:
     return False
 
 
-def fundamental_decomposition(n: int) -> DiscSplit:
-    """Unique (t, m) with n = t m**2 and t fundamental; requires n = 0,1 (mod 4)."""
+def fundamental_decomposition(n: int) -> tuple[int, int]:
+    """Unique (t, m) with n = t m**2 and t fundamental (or 1); requires
+    n = 0,1 (mod 4)."""
     if n == 0:
         raise ValueError("n must be nonzero")
     if n % 4 not in (0, 1):
@@ -107,7 +98,7 @@ def fundamental_decomposition(n: int) -> DiscSplit:
         t, m = 4 * s, k // 2
     if t * m * m != n:
         raise AssertionError(f"decomposition failed for {n}")
-    return DiscSplit(t=t, m=m, n=n)
+    return t, m
 
 
 def chi(t: int, k: int) -> int:

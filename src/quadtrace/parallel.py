@@ -16,7 +16,10 @@ tables and the caller's own caches, it warms for itself.  Only share
 numbers go out, so fn may be a closure, and only the results come back,
 pickled.  The results are in input order whichever process made them, so
 the output of a caller does not depend on the core count.  An exception
-raised by fn reaches the caller with its own type.
+raised by fn reaches the caller with its own type.  The workers run under
+concurrent.futures' process pool, which notices a worker that dies without
+returning (killed for memory, or os._exit) and raises BrokenProcessPool
+instead of waiting for it forever.
 
 Its callers: the per-c Kloosterman sums, `verify real`'s real_index, the
 special sweep's quadratures and the term map of the level-4p series.
@@ -54,14 +57,17 @@ def fork_map(fn, items) -> list:
     if workers < 2:
         return [fn(x) for x in items]
     # imported here: every CLI command imports this module, few of them split
-    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
     global _job
     shares = _shares(len(items), workers)
     _job = (fn, items, shares)
     try:
-        with multiprocessing.get_context("fork").Pool(workers, initializer=_enter_worker) as pool:
-            results = pool.map(_run, range(workers), chunksize=1)
+        with ProcessPoolExecutor(
+            workers, mp_context=get_context("fork"), initializer=_enter_worker
+        ) as pool:
+            results = list(pool.map(_run, range(workers)))
     finally:
         _job = None
     out = [None] * len(items)

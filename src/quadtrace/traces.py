@@ -1,5 +1,5 @@
-"""Quadratic traces over Gamma_0(p) and machine verification of the two
-trace identities.
+"""Quadratic traces over Gamma_0(p) and the closed forms of the two trace
+identities; `verify imaginary` and `verify real` (cli) compare them.
 
 Imaginary side (n < 0): the weighted orbit count sum 1/|stab| equals
     4(p+1)/p H_{1,p}(-n) - 2(p+1)/(p-1) H_{p,p}(-n)
@@ -29,7 +29,7 @@ The class representatives, unit logarithms, h*(n) and L(1, chi_t) do not
 depend on p, so real_index builds them once per n, the one place the real
 check gets them, and a sweep over several p passes them, with n, to each
 p's check; on the imaginary side a sweep passes H_{1,p}, H_{p,p} read from
-a class-number table (imaginary_trace_report).
+a class-number table (imaginary_trace_rhs).
 """
 
 from __future__ import annotations
@@ -43,14 +43,8 @@ from .classnumbers import regulator_class_sum
 from .kloosterman import local_factor_2_exact, local_factor_p_exact
 from .lvalues import chi, fundamental_decomposition, l_value_at_1, t_divisor_sum
 from .precision import hp, to_mpf
-from .quadforms import (
-    QuadForm,
-    automorph_unit,
-    class_reps,
-    p1_zero_count,
-    weighted_orbit_count,
-)
-from .report import VerificationReport, exact_report, numeric_report
+from .quadforms import QuadForm, automorph_unit, class_reps, p1_zero_count
+
 
 @dataclass(frozen=True)
 class RealIndex:
@@ -75,7 +69,7 @@ def real_index(n: int) -> RealIndex:
         reps=reps,
         unit_logs={f: automorph_unit(n // (f * f)).log_value() for f in contents},
         regulator_sum=regulator_class_sum(n),
-        l1=l_value_at_1(fundamental_decomposition(n).t),
+        l1=l_value_at_1(fundamental_decomposition(n)[0]),
     )
 
 
@@ -103,8 +97,7 @@ def real_trace_rhs(p: int, index: RealIndex):
     two-sided.  h*(n) and L(1, chi_t) come from index.
     """
     n = index.n
-    split = fundamental_decomposition(n)
-    t, m = split.t, split.m
+    t, m = fundamental_decomposition(n)
     with hp():
         term1 = 2 * mp.pi * (p + 1) / p * index.regulator_sum
         rational = (
@@ -121,17 +114,8 @@ def real_trace_rhs(p: int, index: RealIndex):
         return +(term1 + to_mpf(rational) * atom)
 
 
-def imaginary_trace_report(p: int, n: int, h1p: Fraction, hpp: Fraction) -> VerificationReport:
-    """Exact rational comparison of the weighted orbit count at n < 0 with
-    the combination of the given h1p = H_{1,p}(-n) and hpp = H_{p,p}(-n)."""
-    lhs = weighted_orbit_count(p, n)
-    rhs = Fraction(4 * (p + 1), p) * h1p - Fraction(2 * (p + 1), p - 1) * hpp
-    return exact_report("imaginary-trace", {"p": p, "n": n}, lhs, rhs)
-
-
-def verify_real_trace_identity(p: int, index: RealIndex) -> VerificationReport:
-    """Geodesic-length sum against the closed form at index.n, relative
-    1e-9, index = real_index(n)."""
-    lhs = trace_real_nonsquare(p, index)
-    rhs = real_trace_rhs(p, index)
-    return numeric_report("real-trace", {"p": p, "n": index.n}, lhs, rhs, "1e-9")
+def imaginary_trace_rhs(p: int, h1p: Fraction, hpp: Fraction) -> Fraction:
+    """The closed side 4(p+1)/p H_{1,p}(-n) - 2(p+1)/(p-1) H_{p,p}(-n) of the
+    imaginary trace identity at n < 0, from h1p = H_{1,p}(-n) and
+    hpp = H_{p,p}(-n); quadforms.weighted_orbit_count(p, n) is the other."""
+    return Fraction(4 * (p + 1), p) * h1p - Fraction(2 * (p + 1), p - 1) * hpp

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from quadtrace import cli
 from quadtrace.classnumbers import (
     generalized_hurwitz,
     hurwitz_class_number_forms,
     hurwitz_forms_table,
     hurwitz_level_table,
-    linear_relation_report,
+    linear_relation_sides,
     regulator_class_sum,
 )
 from quadtrace.lvalues import chi, fundamental_decomposition, l_value_at_0, t_divisor_sum
@@ -96,8 +97,7 @@ def test_generalized_hurwitz_at_level_is_a_t_sum():
         for n in range(1, 401):
             if n % 4 not in (0, 3):
                 continue
-            split = fundamental_decomposition(-n)
-            t, m = split.t, split.m
+            t, m = fundamental_decomposition(-n)
             expected = l_value_at_0(t) * (1 - chi(t, p)) * t_divisor_sum(p, 1, t, m)
             assert generalized_hurwitz(p, p, n) == expected, (p, n)
             cases += 1
@@ -105,13 +105,23 @@ def test_generalized_hurwitz_at_level_is_a_t_sum():
 
 
 def test_linear_relation_report_on_given_values():
+    # the sides on given values, then the sweep's reports of them
+    relation = {
+        (r.params["p"], r.params["n"]): r
+        for r in cli.sweep_classnumbers((3, 5, 7), 48)
+        if r.check == "hurwitz-linear-relation"
+    }
+    assert sorted(relation) == [(p, n) for p in (3, 5, 7) for n in range(1, 49)]
     for p, n in ((3, 3), (5, 23), (7, 48)):
         h = hurwitz_class_number_forms(n)
         h1p, hpp = generalized_hurwitz(1, p, n), generalized_hurwitz(p, p, n)
-        report = linear_relation_report(p, n, h, h1p, hpp)
+        lhs, rhs = linear_relation_sides(p, h, h1p, hpp)
+        assert lhs == rhs == hpp / (1 - p)
+        wrong_lhs, wrong_rhs = linear_relation_sides(p, h + 1, h1p, hpp)
+        assert wrong_lhs != wrong_rhs
+        report = relation[p, n]
         assert report.check == "hurwitz-linear-relation" and report.params == {"p": p, "n": n}
         assert report.passed and report.lhs == report.rhs == str(hpp / (1 - p))
-        assert not linear_relation_report(p, n, h + 1, h1p, hpp).passed
 
 
 def test_regulator_sum_values():

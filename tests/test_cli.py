@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -468,3 +469,23 @@ def test_closed_stdout_ends_quietly(argv):
     proc.stderr.close()
     assert proc.wait() == cli.BROKEN_PIPE
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+REPORT_NAMES = ("exact_report", "numeric_report", "tail_bound_report", "VerificationReport")
+
+
+def test_only_the_cli_builds_reports():
+    # a check is named, gated and reported in the cli sweep that runs it; the
+    # mathematical modules return values
+    sources = sorted((ROOT / "src" / "quadtrace").glob("*.py"))
+    assert ROOT / "src" / "quadtrace" / "cli.py" in sources
+    found = []
+    for path in sources:
+        if path.name in ("cli.py", "report.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name in REPORT_NAMES]
+            elif isinstance(node, ast.Attribute) and node.attr in REPORT_NAMES:
+                found.append(f"{path.name}: {node.attr}")
+    assert found == []

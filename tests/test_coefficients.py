@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from quadtrace import cli
+from quadtrace.arith import is_prime
 from quadtrace.coefficients import (
     coeff_oracle_4,
     coeff_oracle_4p,
-    constant_term_checks,
-    deformation_b_check,
     deformation_b_infty,
     deformation_b_zero,
     neg_coeff_rational,
@@ -100,28 +100,31 @@ def test_theta_multiple_const_positive():
 
 
 def test_constant_term_checks_all_odd_primes_to_50():
-    from quadtrace.arith import is_prime
-
-    for p in range(3, 51):
-        if not is_prime(p):
-            continue
-        reports = constant_term_checks(p)
-        assert all(r.passed for r in reports), p
+    primes = [p for p in range(3, 51) if is_prime(p)]
+    reports = [r for r in cli.sweep_constants(primes) if r.check.startswith("constant-term-")]
+    names = ("constant-term-v-half", "constant-term-log16v", "constant-term-theta")
+    assert [(r.check, r.params) for r in reports] == [
+        (name, {"p": p}) for p in primes for name in names
+    ]
+    failed = [(r.check, r.params["p"]) for r in reports if not r.passed]
+    assert failed == []
 
 
 def test_deformation_values_and_check():
-    from quadtrace.arith import is_prime
-
     assert abs(deformation_b_infty(3, 1) - 1) < mp.mpf("1e-30")
     assert abs(deformation_b_zero(3, 1) - 3) < mp.mpf("1e-30")
     assert abs(deformation_b_infty(5, 1) - 1) < mp.mpf("1e-30")
-    r = deformation_b_check(3)
+    primes = [p for p in range(3, 500) if is_prime(p)]
+    checks = {
+        r.params["p"]: r for r in cli.sweep_constants(primes) if r.check == "deformation-b-taylor"
+    }
+    assert list(checks) == primes
     # the recorded variant/numeric ratio is pi^2 (p^2 - 1)
-    ratio = mp.mpf(r.flags["variant_vs_numeric_ratio_inf"])
+    ratio = mp.mpf(checks[3].flags["variant_vs_numeric_ratio_inf"])
     assert abs(ratio - mp.pi**2 * 8) < mp.mpf("1e-6")
     # B_0(1) = p carries rounding in proportion to p, so its gate is relative;
     # an absolute gate failed p = 11, 29, 37, ...
-    failed = [p for p in range(3, 500) if is_prime(p) and not deformation_b_check(p).passed]
+    failed = [p for p, r in checks.items() if not r.passed]
     assert failed == []
 
 

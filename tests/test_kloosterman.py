@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from quadtrace import cli, kloosterman
 from quadtrace.arith import kronecker, smallest_prime_factors
 from quadtrace.kloosterman import (
     _inner_sums,
@@ -17,6 +18,7 @@ from quadtrace.kloosterman import (
     assembled_product,
     kzeta_level_closed,
     kzeta_level_truncated,
+    largest_modulus,
     local_factor_2_exact,
     local_factor_p_exact,
     local_series_2,
@@ -358,3 +360,31 @@ def test_serial_pass_starts_no_process(monkeypatch, cores, cutoff, other_thread)
         thread.join(timeout=10)
         assert not thread.is_alive()
     assert forks == []
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_largest_modulus_is_the_largest_sum_formed(monkeypatch, p):
+    # the limit of verify kloosterman reads the depths that the local factors sum to
+    set_cores(monkeypatch, 1)
+    moduli = []
+    sum_2, sum_p, buffers = local_sum_2_exp, local_sum_p_exp, _work_buffers
+
+    def record_2(j, n):
+        moduli.append(2**j)
+        return sum_2(j, n)
+
+    def record_p(q, j, n):
+        moduli.append(q**j)
+        return sum_p(q, j, n)
+
+    def record_buffers(m_max):
+        moduli.append(m_max)
+        return buffers(m_max)
+
+    monkeypatch.setattr(kloosterman, "local_sum_2_exp", record_2)
+    monkeypatch.setattr(kloosterman, "local_sum_p_exp", record_p)
+    monkeypatch.setattr(kloosterman, "_work_buffers", record_buffers)
+    cli.sweep_kloosterman((p,), 50)
+    assert max(moduli) == max(largest_modulus(p, n, 50) for n in cli.PLUS_ZETA_INDICES)
+    if p == 7:
+        assert max(moduli) == 7**4

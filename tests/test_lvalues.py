@@ -64,9 +64,9 @@ def test_half_period_l_value_at_0_equals_defining_sum(t):
 
 
 def test_fundamental_decomposition():
-    assert (fundamental_decomposition(-4).t, fundamental_decomposition(-4).m) == (-4, 1)
-    assert (fundamental_decomposition(-12).t, fundamental_decomposition(-12).m) == (-3, 2)
-    assert (fundamental_decomposition(9).t, fundamental_decomposition(9).m) == (1, 3)
+    assert fundamental_decomposition(-4) == (-4, 1)
+    assert fundamental_decomposition(-12) == (-3, 2)
+    assert fundamental_decomposition(9) == (1, 3)
     with pytest.raises(ValueError):
         fundamental_decomposition(6)
     with pytest.raises(ValueError):
@@ -77,9 +77,9 @@ def test_decomposition_roundtrip():
     for n in range(-10**5, 10**5):
         if n == 0 or n % 4 in (2, 3):
             continue
-        s = fundamental_decomposition(n)
-        assert s.t * s.m * s.m == n
-        assert s.t == 1 or is_fundamental_discriminant(s.t)
+        t, m = fundamental_decomposition(n)
+        assert t * m * m == n
+        assert t == 1 or is_fundamental_discriminant(t)
 
 
 def test_chi_periodic_and_multiplicative():

@@ -129,6 +129,30 @@ def test_worker_exception_reaches_caller(monkeypatch):
     assert parallel._job is None
 
 
+def test_dead_worker_ends_the_map(monkeypatch):
+    # a worker that dies without returning, as one killed for memory does,
+    # breaks the map at once, and the next map still splits
+    from concurrent.futures.process import BrokenProcessPool
+
+    def dies(x):
+        if x == 3:
+            os._exit(9)
+        return x
+
+    set_cores(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    with deadline(30):
+        with pytest.raises(BrokenProcessPool):
+            fork_map(dies, range(8))
+        assert multiprocessing.active_children() == []
+        assert parallel._job is None
+        assert threading.active_count() == 1
+        pids = fork_map(lambda x: os.getpid(), range(4))
+    assert os.getpid() not in pids
+    assert len(forks) == 4
+    assert multiprocessing.active_children() == []
+
+
 def test_deal_balances_sum_of_c():
     # the cost of the c-th Kloosterman modulus grows like c = index + 1
     for workers in (1, 2, 3, 4):

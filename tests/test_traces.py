@@ -10,7 +10,7 @@ from quadtrace.arith import is_prime
 from quadtrace.classnumbers import generalized_hurwitz
 from quadtrace.quadforms import weighted_orbit_count
 from quadtrace.traces import (
-    imaginary_trace_report,
+    imaginary_trace_rhs,
     real_index,
     real_trace_rhs,
     trace_real_nonsquare,
@@ -25,8 +25,7 @@ def setup_module():
 
 def _imaginary_rhs(p, n):
     """4(p+1)/p H_{1,p}(-n) - 2(p+1)/(p-1) H_{p,p}(-n)."""
-    h1p, hpp = generalized_hurwitz(1, p, -n), generalized_hurwitz(p, p, -n)
-    return Fraction(4 * (p + 1), p) * h1p - Fraction(2 * (p + 1), p - 1) * hpp
+    return imaginary_trace_rhs(p, generalized_hurwitz(1, p, -n), generalized_hurwitz(p, p, -n))
 
 
 def test_convention_pinned_by_seed_cases():
@@ -59,8 +58,7 @@ def test_trace_denominators_divide_six():
     st.integers(min_value=-50000, max_value=-3).filter(lambda n: n % 4 in (0, 1)),
 )
 def test_imaginary_identity_property(p, n):
-    h1p, hpp = generalized_hurwitz(1, p, -n), generalized_hurwitz(p, p, -n)
-    assert imaginary_trace_report(p, n, h1p, hpp).passed
+    assert weighted_orbit_count(p, n) == _imaginary_rhs(p, n)
 
 
 def test_imaginary_invariant_under_rep_permutation(monkeypatch):
