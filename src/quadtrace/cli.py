@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 from mpmath import mp
 
-from .arith import is_prime, is_squarefree
+from .arith import is_squarefree, require_odd_prime
 from .classnumbers import (
     generalized_hurwitz,
     hurwitz_class_number_forms,
@@ -591,17 +591,16 @@ def _run(argv) -> int:
     args.given = {flag for flag in SWEEP_FLAGS if getattr(args, flag) is not None}
     if args.p is None:
         args.p = [3]
-    if args.prec < 30:
-        print("precision must be at least 30 digits", file=sys.stderr)
-        return 2
     limits = (("--cutoff", args.cutoff), ("--n-max", args.n_max), ("--m-max", args.m_max))
     for flag, value in limits:
         if value is not None and value < 1:
             print(f"{flag} must be at least 1 (got {value})", file=sys.stderr)
             return 2
     for i, p in enumerate(args.p):
-        if p == 2 or not is_prime(p):
-            print(f"--p values must be odd primes (got {p})", file=sys.stderr)
+        try:
+            require_odd_prime(p)
+        except ValueError as err:
+            print(f"--p: {err}", file=sys.stderr)
             return 2
         if p in args.p[:i]:
             print(f"duplicate --p value {p}", file=sys.stderr)
@@ -616,7 +615,11 @@ def _run(argv) -> int:
                 file=sys.stderr,
             )
             return 2
-    set_working_dps(args.prec)
+    try:
+        set_working_dps(args.prec)
+    except ValueError as err:
+        print(f"--prec: {err}", file=sys.stderr)
+        return 2
     name, read = _flags_read(args)
     for flag in SWEEP_FLAGS:
         if flag in args.given and flag not in read:

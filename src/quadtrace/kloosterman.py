@@ -385,12 +385,13 @@ def plus_zeta_batch(levels, n_list, s: float, cutoff: int):
     largest modulus 4 max(N) cutoff.  Those per-c sums are computed across
     the usable cores (parallel.fork_map), whose workers inherit the buffers
     through the fork, so each process reuses one allocation for all of its
-    moduli; the buffers live as long as this call.  Each c returns its sums
-    as one complex array, levels by indices.  The weighted sum over c of
-    each level stays here and runs in c order, because float addition in
-    another order gives other bits and the reports print the totals to 30
-    digits.  The tail bound is the rigorous trivial one, left infinite when
-    s <= 2 (no decay) and None at cutoff 0 (nothing summed).
+    moduli; the buffers live as long as this call.  Each c returns the
+    lists of Python complex that _inner_sums builds, one per level.  The
+    weighted sum over c of each level stays here and runs in c order,
+    because float addition in another order gives other bits and the
+    reports print the totals to 30 digits.  The tail bound is the rigorous
+    trivial one, left infinite when s <= 2 (no decay) and None at cutoff 0
+    (nothing summed).
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
@@ -405,26 +406,23 @@ def plus_zeta_batch(levels, n_list, s: float, cutoff: int):
 
     def sums_at(c):
         jacobi = _jacobi_period(c, spf)
-        return np.array(
-            [
-                _inner_sums(big_n, c, n_list, table, jacobi, work)
-                for big_n, table in zip(levels, per4n)
-            ],
-            dtype=complex,
-        )
+        return [
+            _inner_sums(big_n, c, n_list, table, jacobi, work)
+            for big_n, table in zip(levels, per4n)
+        ]
 
     # c ascending: _shares splits a cost that grows with c into even shares
     sums_by_c = fork_map(sums_at, range(1, cutoff + 1))
-    totals = np.zeros((len(levels), len(n_list)), dtype=complex)
+    totals = [[0j] * len(n_list) for _ in levels]
     for c, sums in enumerate(sums_by_c, start=1):
         w = 1 + kronecker(4, c)
         for k, big_n in enumerate(levels):
             m_mod = 4 * big_n * c
-            # tolist gives Python complex, whose division by a float has
+            # the sums stay Python complex, whose division by a float has
             # the bits the reports were recorded with; numpy's complex
             # division rounds otherwise (in 42% of random quotients)
-            for i, val in enumerate(sums[k].tolist()):
-                totals[k, i] += w * val / m_mod**s
+            for i, val in enumerate(sums[k]):
+                totals[k][i] += w * val / m_mod**s
     out = []
     for k, big_n in enumerate(levels):
         # rigorous trivial tail: |inner| <= phi(4Nc) <= 4Nc, weight <= 2
@@ -434,7 +432,7 @@ def plus_zeta_batch(levels, n_list, s: float, cutoff: int):
             tail = 2.0 * (4 * big_n) ** (1 - s) * cutoff ** (2 - s) / (s - 2)
         else:
             tail = float("inf")
-        out.append((totals[k].tolist(), tail))
+        out.append((totals[k], tail))
     return out
 
 

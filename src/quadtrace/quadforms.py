@@ -2,11 +2,12 @@
 
 Forms Q = (a, b, c) represent a x^2 + b x y + c y^2 and carry the right
 SL2(Z)-action (Q.g)(x, y) = Q(alpha x + beta y, gamma x + delta y).  The
-module provides indefinite Gauss reduction with transform tracking, class
-representatives and class numbers for arbitrary discriminants, automorph
-units from reduction cycles rather than brute-force Pell searches,
-Gamma_0(p)-orbit counts, and the numerical closed-geodesic integral that
-`verify geodesic` checks.
+module provides class representatives and class numbers for arbitrary
+discriminants, automorph units from rho-cycles rather than brute-force Pell
+searches, Gamma_0(p)-orbit counts, and the numerical closed-geodesic
+integral that `verify geodesic` checks.  It enumerates reduced forms and
+walks the cycles of the indefinite ones, but never reduces an arbitrary
+form of either sign: only the tests' oracle does.
 
 Gamma_0(p)-orbits are counted, never built.  The cosets g Gamma_0(p) of
 SL2(Z) are the points of P^1(F_p), through the first column of g, and SL2(Z)
@@ -31,14 +32,16 @@ decides the same relation for two arbitrary forms through SL2(Z)-reduction,
 and the tests group forms with it to build the orbits this module only
 counts.
 
-Class numbers, units and the primitive class representatives are cached per
-discriminant, the 1024 most recently used of each.  The primitive
-representatives are the reduced forms (d < 0, enumerated directly) or the
-least form of each cycle of reduced forms (d > 0).  The class
-representatives of content f of discriminant d are f times the primitive
-ones of d/f^2, as reduction and the rho-cycles commute with that scaling, so
-class_reps (every content) and class_number read the same enumeration for
-both signs.
+Class numbers, automorph units and the primitive class representatives are
+cached per discriminant, the 1024 most recently used of each; order_unit_pm
+is one isqrt on the cached automorph unit and keeps no cache.  The
+primitive representatives are the reduced forms (d < 0, enumerated
+directly) or the least form of each cycle of reduced forms (d > 0).  The
+class representatives of content f of discriminant d are f times the
+primitive ones of d/f^2, as reduction and the rho-cycles commute with that
+scaling, so class_reps (every content) and class_number read the same
+enumeration for both signs, and automorph_unit walks the cycle of the
+least representative once more.
 
 Conventions pinned by the seed-identity runs (see README):
   * for n < 0 the set of forms with p | a carries both definiteness signs
@@ -72,13 +75,6 @@ def mat_mul(g: Mat, h: Mat) -> Mat:
     a, b, c, d = g
     e, f, x, y = h
     return (a * e + b * x, a * f + b * y, c * e + d * x, c * f + d * y)
-
-
-def mat_inv(g: Mat) -> Mat:
-    a, b, c, d = g
-    if a * d - b * c != 1:
-        raise ValueError("not in SL2(Z)")
-    return (d, -b, -c, a)
 
 
 @dataclass(frozen=True, order=True)
@@ -163,17 +159,6 @@ def _rho_step(q: QuadForm, d: int) -> tuple[QuadForm, Mat]:
     return q2, g
 
 
-def _reduce_indefinite_transform(q: QuadForm) -> tuple[QuadForm, Mat]:
-    d = q.disc
-    if d <= 0 or math.isqrt(d) ** 2 == d:
-        raise ValueError("needs a positive nonsquare discriminant")
-    g = IDENTITY
-    while not _is_reduced_indefinite(q, d):
-        q2, step = _rho_step(q, d)
-        q, g = q2, mat_mul(g, step)
-    return q, g
-
-
 def _cycle_with_transforms(r0: QuadForm) -> tuple[list[QuadForm], Mat]:
     """Full rho-cycle through the reduced form r0 and the automorph of r0."""
     d = r0.disc
@@ -210,30 +195,19 @@ def _reduced_definite_forms(d: int):
                 yield q
 
 
-def _reduced_indefinite_forms(d: int) -> list[QuadForm]:
-    """The primitive reduced forms of discriminant d > 0, ascending."""
-    out = []
+def _reduced_indefinite_forms(d: int):
+    """The primitive reduced forms of discriminant d > 0, unordered: 0 < b <=
+    isqrt(d) with b = d mod 2, 4a | b^2 - d, |a| <= (isqrt(d) + b) // 2 + 1."""
     root = math.isqrt(d)
-    for b in range(1, root + 1):
-        if (b - d) % 2:
-            continue
+    for b in range(2 - d % 2, root + 1, 2):
         num = b * b - d  # = 4 a c < 0
-        for a in _divisor_range(num, b, d):
-            c = num // (4 * a)
-            q = QuadForm(a, b, c)
-            if _is_reduced_indefinite(q, d) and q.content() == 1:
-                out.append(q)
-    return sorted(out)
-
-
-def _divisor_range(num: int, b: int, d: int):
-    """Candidate leading coefficients a with 4a | num for the reduced window."""
-    n4 = abs(num)
-    hi = (math.isqrt(d) + b) // 2 + 1
-    for a in range(1, hi + 1):
-        if n4 % (4 * a) == 0:
-            yield a
-            yield -a
+        for a in range(1, (root + b) // 2 + 2):
+            if num % (4 * a):
+                continue
+            for sa in (a, -a):
+                q = QuadForm(sa, b, num // (4 * sa))
+                if _is_reduced_indefinite(q, d) and q.content() == 1:
+                    yield q
 
 
 def class_reps(d: int) -> list[QuadForm]:
@@ -265,7 +239,7 @@ def _primitive_reps(d: int) -> tuple[QuadForm, ...]:
     # the least form not on a cycle seen so far is the least of its own cycle
     reps: list[QuadForm] = []
     seen: set[QuadForm] = set()
-    for start in _reduced_indefinite_forms(d):
+    for start in sorted(_reduced_indefinite_forms(d)):
         if start not in seen:
             reps.append(start)
             seen.update(_cycle_with_transforms(start)[0])
@@ -287,30 +261,23 @@ def class_number(d: int) -> int:
     return count // 2 if d > 0 and order_unit_pm(d).norm == 1 else count
 
 
-def principal_form(d: int) -> QuadForm:
-    b0 = d % 2
-    return QuadForm(1, b0, (b0 * b0 - d) // 4)
-
-
 @lru_cache(maxsize=1024)
 def automorph_unit(d: int) -> PellUnit:
-    """Minimal (t, u), t, u > 0, with t^2 - D u^2 = 4, from the principal cycle."""
+    """Minimal (t, u), t, u > 0, with t^2 - D u^2 = 4, from the cycle of the
+    least primitive class representative r0: its automorph is
+    ((t - b u)/2, -c u, a u, (t + b u)/2) with (a, b, c) = r0, as for every
+    primitive form of discriminant d."""
     _check_disc(d)
     if d < 0:
         raise ValueError("automorph_unit needs d > 0")
-    r0, g0 = _reduce_indefinite_transform(principal_form(d))
+    r0 = _primitive_reps(d)[0]
     _, m = _cycle_with_transforms(r0)
-    # conjugate back to the principal form, whose leading coefficient is 1
-    m = mat_mul(mat_mul(g0, m), mat_inv(g0))
-    t = m[0] + m[3]
-    u = m[2]  # u = gamma / a with a = 1
-    t, u = abs(t), abs(u)
+    t, u = abs(m[0] + m[3]), abs(m[2] // r0.a)
     if t * t - d * u * u != 4:
         raise AssertionError(f"automorph of disc {d} failed the Pell relation")
     return PellUnit(t=t, u=u, disc=d, norm=1)
 
 
-@lru_cache(maxsize=1024)
 def order_unit_pm(d: int) -> PellUnit:
     """Minimal unit (x + y sqrt(d))/2 > 1 with x^2 - d y^2 = +-4 (order level).
 

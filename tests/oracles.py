@@ -3,7 +3,10 @@ way, which no check of the package runs.  plus_term is the Kloosterman sum
 modulo 4Nc at working precision, local_sum_2, local_sum_p and
 kzeta_coprime_closed are closed forms, and gamma0_equivalent decides
 Gamma_0(p)-equivalence of two forms by SL2(Z)-reduction, so that the tests
-can build the orbits that quadforms only counts.
+can build the orbits that quadforms only counts.  Both reductions live here,
+Gauss's of a definite form and the rho steps of an indefinite one, each with
+its transform: quadforms only enumerates reduced forms and walks their
+cycles, and never reduces an arbitrary form.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ from quadtrace.quadforms import (
     PellUnit,
     QuadForm,
     _automorph_matrix,
-    _reduce_indefinite_transform,
+    _is_reduced_indefinite,
     _rho_step,
     automorph_generator,
-    mat_inv,
     mat_mul,
     order_unit_pm,
 )
@@ -123,6 +125,13 @@ def kzeta_coprime_closed(p: int, s):
         return +(real_zeta(2 * s - 1) / real_zeta(2 * s) * (x - p) / (x - 1))
 
 
+def mat_inv(g: Mat) -> Mat:
+    a, b, c, d = g
+    if a * d - b * c != 1:
+        raise ValueError("not in SL2(Z)")
+    return (d, -b, -c, a)
+
+
 def _reduce_definite_transform(q: QuadForm) -> tuple[QuadForm, Mat]:
     """Gauss reduction of a positive-definite form, returning (R, g), Q.g = R."""
     if q.disc >= 0 or q.a <= 0:
@@ -147,6 +156,18 @@ def _reduce_definite_transform(q: QuadForm) -> tuple[QuadForm, Mat]:
                 q, g = q.apply(t), mat_mul(g, t)
             continue
         return q, g
+
+
+def _reduce_indefinite_transform(q: QuadForm) -> tuple[QuadForm, Mat]:
+    """Reduction of an indefinite form by rho steps, returning (R, g), Q.g = R."""
+    d = q.disc
+    if d <= 0 or math.isqrt(d) ** 2 == d:
+        raise ValueError("needs a positive nonsquare discriminant")
+    g = IDENTITY
+    while not _is_reduced_indefinite(q, d):
+        q, step = _rho_step(q, d)
+        g = mat_mul(g, step)
+    return q, g
 
 
 def reduce_definite(q: QuadForm) -> QuadForm:

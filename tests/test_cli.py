@@ -15,6 +15,7 @@ from mpmath import mp
 
 from quadtrace import cli
 from quadtrace.cli import CHECKS, main
+from quadtrace.precision import set_working_dps, working_dps
 from quadtrace.specialfns import QuadratureResult
 
 from .forks import set_cores
@@ -80,10 +81,15 @@ def test_byte_identical_reruns(capsys):
 
 
 def test_config_errors(capsys):
-    code, _, err = run(capsys, ["verify", "imaginary", "--p", "4"])
-    assert code == 2
-    code, _, err = run(capsys, ["verify", "imaginary", "--p", "3", "--prec", "10"])
-    assert code == 2
+    # the messages are the library's own rules, after the flag they reject
+    code, out, err = run(capsys, ["verify", "imaginary", "--p", "4"])
+    assert (code, out) == (2, "")
+    assert err == "--p: p must be an odd prime (got 4)\n"
+    set_working_dps(40)  # not the default, which a reset would also give
+    code, out, err = run(capsys, ["verify", "imaginary", "--p", "3", "--prec", "10"])
+    assert (code, out) == (2, "")
+    assert err == "--prec: working precision below 30 digits is not supported\n"
+    assert working_dps() == 40
 
 
 def test_verify_kloosterman_small_cutoff(capsys):

@@ -94,6 +94,17 @@ def test_negative_coefficient_rational_values():
     )
 
 
+def test_negative_square_coefficients_two_paths():
+    # eval_sesqui_4p sums c(-m^2) too, though the CLI's two-path sweep skips
+    # these indices (it keeps the positive rule isqrt(n)^2 != n)
+    for p in (3, 5, 7, 11):
+        for m in range(2, 21, 2):
+            a = sesqui4p_neg_coeff(p, -m * m)
+            b = plus_zeta_special_value(p, -m * m)
+            with mp.workdps(40):
+                assert abs(a - b) <= mp.mpf("1e-9") * abs(b), (p, m)
+
+
 def test_theta_multiple_const_positive():
     for p in (3, 5, 11):
         assert theta_multiple_const(p) != 0

@@ -23,7 +23,6 @@ from quadtrace.quadforms import (
     class_number,
     class_reps,
     geodesic_integral,
-    mat_inv,
     mat_mul,
     order_unit_pm,
     p1_zero_count,
@@ -31,10 +30,12 @@ from quadtrace.quadforms import (
 )
 
 from .oracles import (
+    _reduce_indefinite_transform,
     _sl2_transform,
     automorphs_definite,
     fundamental_unit,
     gamma0_equivalent,
+    mat_inv,
     neg,
     reduce_definite,
 )
@@ -194,6 +195,24 @@ def test_automorph_units_against_pell_oracle():
         t, u = pell_search_oracle(d)
         assert (unit.t, unit.u) == (t, u)
         assert unit.t**2 - d * unit.u**2 == 4
+
+
+def test_automorph_unit_against_principal_cycle():
+    # the unit from the least class representative r0 against the one
+    # conjugated back from the cycle of the reduced principal form, where
+    # u = gamma as a = 1; r0 has |a| > 1 at most of these d, so u must be
+    # gamma / a there
+    count = 0
+    for d in range(5, 3000):
+        if d % 4 > 1 or math.isqrt(d) ** 2 == d:
+            continue
+        b0 = d % 2
+        r0, g0 = _reduce_indefinite_transform(QuadForm(1, b0, (b0 * b0 - d) // 4))
+        m = mat_mul(mat_mul(g0, _cycle_with_transforms(r0)[1]), mat_inv(g0))
+        unit = automorph_unit(d)
+        assert (unit.t, unit.u) == (abs(m[0] + m[3]), abs(m[2])), d
+        count += 1
+    assert count == 1445
 
 
 def test_fundamental_units():
