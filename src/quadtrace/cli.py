@@ -58,7 +58,12 @@ from .kloosterman import (
     plus_zeta_batch,
     plus_zeta_special_value,
 )
-from .lvalues import moebius_char_squared_sum, zeta_prime_over_zeta_2
+from .lvalues import (
+    is_fundamental_discriminant,
+    l_value_at_1,
+    moebius_char_squared_sum,
+    zeta_prime_over_zeta_2,
+)
 from .modular import (
     eval_cohen_eisenstein,
     eval_sesqui_4p,
@@ -218,9 +223,17 @@ def sweep_imaginary(primes, n_max):
 def sweep_real(primes, n_max):
     """The geodesic-length half-sum at nonsquare n > 0 against its closed
     form, relative 1e-9."""
-    ns = [n for n in range(5, n_max + 1) if n % 4 in (0, 1) and math.isqrt(n) ** 2 != n]
-    # each n's p-independent work, done once for every p and over the usable cores
-    indices = fork_map(real_index, ns)
+
+    def indices_of(t):
+        """The index of every nonsquare n = t m^2 <= n_max, from one L(1, chi_t)."""
+        l1 = l_value_at_1(t)
+        return [real_index(t * m * m, l1) for m in range(1, math.isqrt(n_max // t) + 1)]
+
+    # each t's L(1) and each n's p-independent work, done once for every p
+    # and over the usable cores
+    ts = [t for t in range(5, n_max + 1) if is_fundamental_discriminant(t)]
+    groups = fork_map(indices_of, ts)
+    indices = sorted((index for group in groups for index in group), key=lambda index: index.n)
     return [
         numeric_report(
             "real-trace",

@@ -21,9 +21,10 @@ High-precision values:
 The sine sum runs on raw libmp numbers, bit-equal to the same sum of mpf
 objects, and nothing is kept between calls.  It serves `verify real`, whose
 closed side takes its atom h(t) log eps_t as (sqrt(t)/2) L(1, chi_t) from
-here (traces.real_index forms it once per n).  The level-4p series takes
-L(1, chi_t), t > 0, from class numbers and units instead
-(classnumbers.class_number_l_at_1), and the tests hold the two to each other.
+here (cli.sweep_real forms it once per t, for every n = t m^2).  The
+level-4p series takes L(1, chi_t), t > 0, from class numbers and units
+instead (classnumbers.class_number_l_at_1), and the tests hold the two to
+each other.
 
 The t < 0 evaluation at s = 1 is the functional-equation form of the finite
 character sum, so this module stays independent of any class-number code;

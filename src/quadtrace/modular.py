@@ -130,11 +130,12 @@ def eval_sesqui_4p(p: int, points) -> list:
       + (2/3)(1-i) sqrt(pi) sum_{n < 0, disc} c(n) Gamma(1/2, 4 pi |n| v) q^n.
 
     Every term of every point is one job of a single map over the usable
-    cores: the two square terms at m (the alpha quadrature and c(m^2), one
-    q^{m^2}), each nonsquare c(n) q^n and each negative-index term.  The
-    jobs are listed point by point in the order of the formula above, and
-    each job's parts are added here to its point's total in that order, so
-    the sums do not depend on the split.
+    cores, which returns it as one value: the two square terms at m (the
+    alpha quadrature and c(m^2)) over their one q^{m^2}, each nonsquare
+    c(n) q^n and each negative-index term.  The jobs are listed point by
+    point in the order of the formula above, and their values are added
+    here to their point's total in that order, so the sums do not depend on
+    the split.
     The nonsquare c(n) take L(1, chi_t) from h(t) log eps_t
     (kloosterman.plus_zeta_special_value), so the series forms no L(1)
     sine sum.
@@ -144,25 +145,22 @@ def eval_sesqui_4p(p: int, points) -> list:
         pref = (mp.mpf(2) / 3) * (1 - 1j)
 
         def term(job):
-            """The parts of one job, in the order they are added."""
             kind, i, n = job
             v, q = mp.im(points[i][0]), qs[i]
             if kind == "square":
-                qn = q ** (n * n)
                 return (
                     (mp.euler + mp.log(mp.pi * n * n) + alpha(4 * n * n * v).value)
                     / (mp.pi * (p + 1))
-                    * qn,
-                    pref * mp.pi * sesqui4p_square_coeff(p, n) * qn,
-                )
+                    + pref * mp.pi * sesqui4p_square_coeff(p, n)
+                ) * q ** (n * n)
             if kind == "nonsquare":
-                return (pref * mp.pi * plus_zeta_special_value(p, n) * q**n,)
+                return pref * mp.pi * plus_zeta_special_value(p, n) * q**n
             return (
                 pref
                 * mp.sqrt(mp.pi)
                 * sesqui4p_neg_coeff(p, -n)
                 * inc_gamma_half(4 * mp.pi * n * v)
-                * q ** (-n),
+                * q ** (-n)
             )
 
         jobs = [
@@ -176,9 +174,8 @@ def eval_sesqui_4p(p: int, points) -> list:
             v = mp.im(tau)
             total = mp.mpc(2 * mp.sqrt(v) / 3 - mp.log(16 * v) / (2 * mp.pi * (p + 1)))
             totals.append(total + pref * mp.pi * sesqui4p_const_coeff(p))
-        for (_, i, _), parts in zip(jobs, fork_map(term, jobs)):
-            for part in parts:
-                totals[i] += part
+        for (_, i, _), value in zip(jobs, fork_map(term, jobs)):
+            totals[i] += value
         return [+total for total in totals]
 
 

@@ -21,7 +21,7 @@ concurrent.futures' process pool, which notices a worker that dies without
 returning (killed for memory, or os._exit) and raises BrokenProcessPool
 instead of waiting for it forever.
 
-Its callers: the per-c Kloosterman sums, `verify real`'s real_index, the
+Its callers: the per-c Kloosterman sums, `verify real`'s per-t indices, the
 special sweep's quadratures and the term map of the level-4p series.
 """
 

@@ -12,16 +12,16 @@ equivalently -2 * alpha_companion(2 m sqrt(pi N v)) = alpha(4 N m^2 v);
 the test grid checks this to 1e-8 with both sides computed by independent
 quadratures.
 
-The alpha integrand's endpoint singularity t^{-1/2} is removed by t = u^2
-on [0, 1]; the tail is truncated where exp(-pi y T) bounds the remainder.
-The head factor 2 log(1 + u^2) and the tail factor log(1 + t)/sqrt(t) do
-not depend on y, so each is computed once per (node, precision), the 2048
-most recently used kept, and reused for every y: every alpha shares the
-head's nodes, and tails [1, T] with the same T share theirs.  Both
-integrands run on raw libmp numbers, with c = (-pi) y formed once per
-precision: the same libmp calls, at the same precision and rounding and in
-the same order, as the mpf expressions 2 log(1 + u^2) exp(-pi y u u) and
-log(1 + t)/sqrt(t) exp(-pi y t), so each value is bit-equal to theirs.
+With t = u^2, alpha(y) = sqrt(y) * int_0^sqrt(T) 2 log(1 + u^2) exp(-pi y u^2) du,
+one quadrature over [0, 1, sqrt(T)] free of the endpoint singularity
+t^{-1/2}; T is where exp(-pi y T) bounds the remainder.  The factor
+2 log(1 + u^2) does not depend on y, so it is computed once per (node,
+precision), the 4096 most recently used kept: every alpha shares the nodes
+of [0, 1], which is why the range is split there, and alphas with the same
+T share those of [1, sqrt(T)].  The integrand runs on raw libmp numbers,
+with c = (-pi) y formed once per precision, in the same libmp calls, at the
+same precision and rounding and in the same order, as the mpf expression
+2 log(1 + u^2) exp(-pi y u u), so each value is bit-equal to it.
 
 The companion's integrand erfcx(w) = exp(w^2) erfc(w) solves
 y' = 2 w y - 2/sqrt(pi) (DLMF 7.10), so its Taylor coefficients at an anchor
@@ -46,9 +46,10 @@ exact.  From about w0 = 7 on, mpmath's erfc forms 1 - erf(w0) at about
 136 anchors of verify special take about 0.06 s at 302 bits on one x86-64
 core.
 
-quad_certified reports mpmath's heuristic error estimate (the difference of
-the last two tanh-sinh degrees), not a rigorous bound; `converged` says
-whether that estimate met the target.
+quad_certified runs at its caller's precision and reports mpmath's heuristic
+error estimate (the difference of the last two tanh-sinh degrees, summed
+over the subintervals), not a rigorous bound; `converged` says whether that
+estimate met the target.
 """
 
 from __future__ import annotations
@@ -62,14 +63,12 @@ from mpmath.libmp import (
     fone,
     from_man_exp,
     mpf_add,
-    mpf_div,
     mpf_exp,
     mpf_log,
     mpf_mul,
     mpf_mul_int,
     mpf_neg,
     mpf_pi,
-    mpf_sqrt,
     pi_fixed,
     round_nearest,
     sqrt_fixed,
@@ -81,10 +80,8 @@ from .precision import hp
 # bits above the working precision that every anchor carries, besides the
 # w0 / (4 log 2) bits the growing solution may amplify an error by
 _ANCHOR_GUARD = 30
-# digits above the working precision and its guard that every quadrature runs at
-_QUAD_GUARD_DPS = 10
 # the error estimate a quadrature must meet to count as converged, and the
-# remainder at which alpha cuts its tail (read as an mpf at its precision)
+# remainder at which alpha cuts its range (read as an mpf at its precision)
 QUAD_TARGET = "1e-14"
 
 
@@ -153,53 +150,44 @@ def _scaled_erfc(w) -> mpf:
     return mp.make_mpf(from_man_exp(s, -wp, prec, round_nearest))
 
 
-@lru_cache(maxsize=2048)
-def _head_log(u: tuple, prec: int) -> tuple:
-    """2 log(1 + u^2), alpha's y-free head factor, for a raw mpf u at prec bits."""
+@lru_cache(maxsize=4096)
+def _log_factor(u: tuple, prec: int) -> tuple:
+    """2 log(1 + u^2), alpha's y-free factor, for a raw mpf u at prec bits."""
     rnd = round_nearest
     square = mpf_add(mpf_mul(u, u, prec, rnd), fone, prec, rnd)
     return mpf_mul_int(mpf_log(square, prec, rnd), 2, prec, rnd)
 
 
-@lru_cache(maxsize=2048)
-def _tail_factor(t: tuple, prec: int) -> tuple:
-    """log(1 + t) / sqrt(t), alpha's y-free tail factor, for a raw mpf t at prec bits."""
-    rnd = round_nearest
-    log = mpf_log(mpf_add(t, fone, prec, rnd), prec, rnd)
-    return mpf_div(log, mpf_sqrt(t, prec, rnd), prec, rnd)
-
-
-def _alpha_integrand(factor, y, power: int):
-    """x -> factor(x) * exp(-pi y x^power) on raw libmp at the quadrature's precision.
+def _alpha_integrand(y):
+    """u -> 2 log(1 + u^2) exp(-pi y u^2) on raw libmp at the quadrature's precision.
 
     The same libmp calls, at the same precision and rounding and in the same
-    order, that the mpf expression factor(x) * mp.exp(-mp.pi * y * x [* x])
-    makes, so every value is bit-equal to it; c = (-pi) y is formed once per
-    precision.
+    order, that the mpf expression
+    2 * mp.log(1 + u * u) * mp.exp(-mp.pi * y * u * u) makes, so every value
+    is bit-equal to it; c = (-pi) y is formed once per precision.
     """
     rnd = round_nearest
     y = y._mpf_
     consts = {}
 
-    def f(x):
+    def f(u):
         prec = mp.prec
         c = consts.get(prec)
         if c is None:
             c = consts[prec] = mpf_mul(mpf_neg(mpf_pi(prec, rnd), prec, rnd), y, prec, rnd)
-        x = x._mpf_
-        arg = mpf_mul(c, x, prec, rnd)
-        if power == 2:
-            arg = mpf_mul(arg, x, prec, rnd)
-        return mp.make_mpf(mpf_mul(factor(x, prec), mpf_exp(arg, prec, rnd), prec, rnd))
+        u = u._mpf_
+        arg = mpf_mul(mpf_mul(c, u, prec, rnd), u, prec, rnd)
+        return mp.make_mpf(mpf_mul(_log_factor(u, prec), mpf_exp(arg, prec, rnd), prec, rnd))
 
     return f
 
 
 def quad_certified(f, points) -> QuadratureResult:
-    """mp.quad with its error estimate surfaced; counts integrand evaluations.
+    """mp.quad at the caller's precision, with its error estimate surfaced;
+    counts integrand evaluations.
 
-    The estimate is mpmath's heuristic one; `converged` is whether the one
-    pass met QUAD_TARGET.
+    The estimate is mpmath's heuristic one, summed over the subintervals of
+    points; `converged` is whether the one pass met QUAD_TARGET.
     """
     count = 0
 
@@ -208,13 +196,12 @@ def quad_certified(f, points) -> QuadratureResult:
         count += 1
         return f(t)
 
-    with hp(extra=_QUAD_GUARD_DPS):
-        target = mp.mpf(QUAD_TARGET)
-        val, err = mp.quad(wrapped, points, error=True)
-        err = mp.mpf(err)
-        return QuadratureResult(
-            value=+val, error_estimate=+err, evaluations=count, converged=bool(err < target)
-        )
+    target = mp.mpf(QUAD_TARGET)
+    val, err = mp.quad(wrapped, points, error=True)
+    err = mp.mpf(err)
+    return QuadratureResult(
+        value=+val, error_estimate=+err, evaluations=count, converged=bool(err < target)
+    )
 
 
 def alpha(y) -> QuadratureResult:
@@ -224,24 +211,20 @@ def alpha(y) -> QuadratureResult:
         if y <= 0:
             raise ValueError("requires y > 0")
         target = mp.mpf(QUAD_TARGET)
-        # head: t = u^2 on [0, 1] removes the 1/sqrt(t) endpoint singularity
-        head = quad_certified(_alpha_integrand(_head_log, y, 2), [0, 1])
-        # tail: log(1+t)/sqrt(t) <= sqrt(t) <= e^{(pi y /2) t} decay control;
+        # log(1+t)/sqrt(t) <= sqrt(t) <= e^{(pi y /2) t} decay control;
         # truncate at T with remainder <= exp(-pi y T) / (pi y); the cap
         # T < 500 is the only bound on this search as y -> 0, where the
         # remainder falls ever slower (alpha("0.001") would step ~12,000 times)
         t_cut = mp.mpf(1)
         while mp.exp(-mp.pi * y * t_cut) / (mp.pi * y) > target and t_cut < 500:
             t_cut += 1
-        tail = quad_certified(_alpha_integrand(_tail_factor, y, 1), [1, t_cut])
+        res = quad_certified(_alpha_integrand(y), [0, 1, mp.sqrt(t_cut)])
         trunc = mp.exp(-mp.pi * y * t_cut) / (mp.pi * y)
-        val = mp.sqrt(y) * (head.value + tail.value)
-        err = mp.sqrt(y) * (head.error_estimate + tail.error_estimate + trunc)
         return QuadratureResult(
-            value=+val,
-            error_estimate=+err,
-            evaluations=head.evaluations + tail.evaluations,
-            converged=head.converged and tail.converged and trunc < target,
+            value=+(mp.sqrt(y) * res.value),
+            error_estimate=+(mp.sqrt(y) * (res.error_estimate + trunc)),
+            evaluations=res.evaluations,
+            converged=res.converged and trunc < target,
         )
 
 

@@ -27,9 +27,10 @@ sums, so the two sides share no L-value code.
 
 The class representatives, unit logarithms, h*(n) and L(1, chi_t) do not
 depend on p, so real_index builds them once per n, the one place the real
-check gets them, and a sweep over several p passes them, with n, to each
-p's check; on the imaginary side a sweep passes H_{1,p}, H_{p,p} read from
-a class-number table (imaginary_trace_rhs).
+check gets them, from an L(1, chi_t) that its caller forms once per t, and a
+sweep over several p passes them, with n, to each p's check; on the
+imaginary side a sweep passes H_{1,p}, H_{p,p} read from a class-number
+table (imaginary_trace_rhs).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from mpmath import mp, mpf
 
 from .classnumbers import regulator_class_sum
 from .kloosterman import local_factor_2_exact, local_factor_p_exact
-from .lvalues import chi, fundamental_decomposition, l_value_at_1, t_divisor_sum
+from .lvalues import chi, fundamental_decomposition, t_divisor_sum
 from .precision import hp, to_mpf
 from .quadforms import QuadForm, automorph_unit, class_reps, p1_zero_count
 
@@ -60,8 +61,9 @@ class RealIndex:
     l1: mpf
 
 
-def real_index(n: int) -> RealIndex:
-    """The p-independent part of the real trace identity at n > 0 nonsquare."""
+def real_index(n: int, l1: mpf) -> RealIndex:
+    """The p-independent part of the real trace identity at n > 0 nonsquare,
+    with l1 = L(1, chi_t) for n = t m^2 (lvalues.l_value_at_1(t))."""
     reps = class_reps(n)
     contents = {r.content() for r in reps}
     return RealIndex(
@@ -69,13 +71,13 @@ def real_index(n: int) -> RealIndex:
         reps=reps,
         unit_logs={f: automorph_unit(n // (f * f)).log_value() for f in contents},
         regulator_sum=regulator_class_sum(n),
-        l1=l_value_at_1(fundamental_decomposition(n)[0]),
+        l1=l1,
     )
 
 
 def trace_real_nonsquare(p: int, index: RealIndex):
     """Half the geodesic-length sum over Gamma_0(p)-classes at index.n > 0
-    nonsquare, index = real_index(n).
+    nonsquare, index = real_index(n, l1).
 
     Per class representative r: p1_zero_count(p, r), the sum of the kappas
     of its Gamma_0(p)-orbits, times log(automorph unit of the primitive

@@ -1,12 +1,13 @@
 """Test-only oracles: the literal or slow forms of what src/ computes another
-way, which no check of the package runs.  plus_term is the Kloosterman sum
-modulo 4Nc at working precision, local_sum_2, local_sum_p and
-kzeta_coprime_closed are closed forms, and gamma0_equivalent decides
-Gamma_0(p)-equivalence of two forms by SL2(Z)-reduction, so that the tests
-can build the orbits that quadforms only counts.  Both reductions live here,
-Gauss's of a definite form and the rho steps of an indefinite one, each with
-its transform: quadforms only enumerates reduced forms and walks their
-cycles, and never reduces an arbitrary form.
+way, which no check of the package runs.  alpha_head_plus_tail is alpha(y)
+as two quadratures, plus_term is the Kloosterman sum modulo 4Nc at working
+precision, local_sum_2, local_sum_p and kzeta_coprime_closed are closed
+forms, and gamma0_equivalent decides Gamma_0(p)-equivalence of two forms
+by SL2(Z)-reduction, so that the tests can build the orbits that quadforms
+only counts.  Both reductions live here, Gauss's of a definite form and the
+rho steps of an indefinite one, each with its transform: quadforms only
+enumerates reduced forms and walks their cycles, and never reduces an
+arbitrary form.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from quadtrace.quadforms import (
     mat_mul,
     order_unit_pm,
 )
+from quadtrace.specialfns import QUAD_TARGET, QuadratureResult, quad_certified
 
 
 def euler_phi(n: int) -> int:
@@ -63,6 +65,36 @@ def zeta_star(s) -> mpf:
 def erfc(w) -> mpf:
     with hp():
         return +mp.erfc(mp.mpf(w))
+
+
+def alpha_cut(y) -> mpf:
+    """The T at which alpha truncates its integral over t: the first integer
+    with remainder exp(-pi y T) / (pi y) <= QUAD_TARGET, or 500."""
+    target = mp.mpf(QUAD_TARGET)
+    t_cut = mp.mpf(1)
+    while mp.exp(-mp.pi * y * t_cut) / (mp.pi * y) > target and t_cut < 500:
+        t_cut += 1
+    return t_cut
+
+
+def alpha_head_plus_tail(y) -> QuadratureResult:
+    """alpha(y) as two quadratures: the head 2 log(1 + u^2) exp(-pi y u^2) on
+    [0, 1] in u = sqrt(t), and the tail log(1 + t)/sqrt(t) exp(-pi y t) on
+    [1, T] in t itself, with T = alpha_cut(y)."""
+    with hp(extra=10):
+        y = mp.mpf(y)
+        t_cut = alpha_cut(y)
+        head = quad_certified(lambda u: 2 * mp.log(1 + u * u) * mp.exp(-mp.pi * y * u * u), [0, 1])
+        tail = quad_certified(
+            lambda t: mp.log(1 + t) / mp.sqrt(t) * mp.exp(-mp.pi * y * t), [1, t_cut]
+        )
+        trunc = mp.exp(-mp.pi * y * t_cut) / (mp.pi * y)
+        return QuadratureResult(
+            value=+(mp.sqrt(y) * (head.value + tail.value)),
+            error_estimate=+(mp.sqrt(y) * (head.error_estimate + tail.error_estimate + trunc)),
+            evaluations=head.evaluations + tail.evaluations,
+            converged=head.converged and tail.converged and trunc < mp.mpf(QUAD_TARGET),
+        )
 
 
 def plus_term(big_n: int, n: int, c: int, two_k: int = 1):

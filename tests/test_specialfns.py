@@ -9,9 +9,8 @@ from quadtrace.modular import apply_moebius
 from quadtrace.precision import hp, set_working_dps, working_dps
 from quadtrace.specialfns import (
     _erfcx_anchor,
-    _head_log,
+    _log_factor,
     _scaled_erfc,
-    _tail_factor,
     alpha,
     alpha_companion,
     inc_gamma_half,
@@ -20,7 +19,7 @@ from quadtrace.specialfns import (
 )
 
 from .forks import set_cores
-from .oracles import erfc
+from .oracles import alpha_cut, alpha_head_plus_tail, erfc
 
 
 def setup_module():
@@ -163,9 +162,9 @@ def test_special_sweep_evaluates_each_anchor_once(monkeypatch):
 
 
 def test_head_cache_keeps_precisions_apart():
-    # the tail factor's and the erfcx anchors' caches too: y = 0.7 cuts the
-    # tail at T > 1, and t = 3 reaches the anchors j = 0, ..., 12
-    caches = (_head_log, _tail_factor, _erfcx_anchor)
+    # alpha's factor cache, over [0, 1] and, as y = 0.7 cuts at T > 1, over
+    # [1, sqrt(T)], and the erfcx anchors' cache: t = 3 reaches j = 0, ..., 12
+    caches = (_log_factor, _erfcx_anchor)
     assert all(cache.cache_info().maxsize is not None for cache in caches)
 
     def sides():
@@ -188,11 +187,9 @@ def test_head_cache_keeps_precisions_apart():
         assert a.error_estimate._mpf_ == b.error_estimate._mpf_
 
 
-def _mpf_integrand(factor, y, power):
-    """alpha's integrands as mpf expressions, the oracle of the libmp ones."""
-    if power == 2:
-        return lambda u: 2 * mp.log(1 + u * u) * mp.exp(-mp.pi * y * u * u)
-    return lambda t: mp.log(1 + t) / mp.sqrt(t) * mp.exp(-mp.pi * y * t)
+def _mpf_integrand(y):
+    """alpha's integrand as an mpf expression, the oracle of the libmp one."""
+    return lambda u: 2 * mp.log(1 + u * u) * mp.exp(-mp.pi * y * u * u)
 
 
 def _alpha_ys():
@@ -206,28 +203,27 @@ def _alpha_ys():
 
 @pytest.mark.parametrize("dps", [64, 30])
 def test_alpha_libmp_integrands_bit_identical(dps, monkeypatch):
-    # every node the quadratures evaluate, and then alpha's value, error
+    # every node the quadrature evaluates, and then alpha's value, error
     # estimate, evaluation count and convergence flag; the value alone would
     # not show a changed last bit of the integrand, which the quadrature's 20
     # guard bits round away
     libmp_integrand = specialfns._alpha_integrand
     mismatched = []
 
-    def checked(factor, y, power):
-        new, old = libmp_integrand(factor, y, power), _mpf_integrand(factor, y, power)
+    def checked(y):
+        new, old = libmp_integrand(y), _mpf_integrand(y)
 
-        def f(x):
-            value = new(x)
-            if value._mpf_ != old(x)._mpf_:
-                mismatched.append((y, power, x))
+        def f(u):
+            value = new(u)
+            if value._mpf_ != old(u)._mpf_:
+                mismatched.append((y, u))
             return value
 
         return f
 
     def sides():
         ys = _alpha_ys()
-        _head_log.cache_clear()
-        _tail_factor.cache_clear()
+        _log_factor.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(specialfns, "_alpha_integrand", checked)
             new = [alpha(y) for y in ys]
@@ -245,13 +241,52 @@ def test_alpha_libmp_integrands_bit_identical(dps, monkeypatch):
         assert (a.evaluations, a.converged) == (b.evaluations, b.converged)
 
 
+@pytest.mark.parametrize("dps", [64, 30])
+def test_alpha_one_quadrature_matches_head_plus_tail(dps, monkeypatch):
+    # t = u^2 over all of [0, T] against a u-head on [0, 1] and a t-tail on
+    # [1, T]: the two differ only in the tail's variable, so the values agree
+    # far below the working precision and the error estimates, which the
+    # truncation remainder dominates, to it
+    calls = []
+
+    def counted(f, points):
+        calls.append(points)
+        return quad_certified(f, points)
+
+    def compare():
+        ys = _alpha_ys()
+        with monkeypatch.context() as m:
+            m.setattr(specialfns, "quad_certified", counted)
+            new = [alpha(y) for y in ys]
+        old = [alpha_head_plus_tail(y) for y in ys]
+        with hp(extra=10):
+            assert calls == [[0, 1, mp.sqrt(alpha_cut(mp.mpf(y)))] for y in ys]
+            return [
+                (
+                    abs(a.value - b.value) / b.value,
+                    abs(a.error_estimate - b.error_estimate) / b.error_estimate,
+                    a.converged == b.converged,
+                )
+                for a, b in zip(new, old)
+            ]
+
+    gaps = _at_working_dps(dps, compare)
+    assert len(gaps) == len(calls) == 36 + 26
+    for value_gap, error_gap, same_flag in gaps:
+        assert value_gap <= mp.mpf(10) ** -(dps + 15)
+        assert error_gap <= mp.mpf(10) ** -dps
+        assert same_flag
+
+
 def test_unmet_target_is_not_converged():
-    # a jump inside the interval defeats tanh-sinh's one pass
-    res = quad_certified(lambda t: mp.mpf(3 * t < 1), [0, 1])
-    assert not res.converged
-    assert res.error_estimate >= mp.mpf(specialfns.QUAD_TARGET)
-    assert quad_certified(mp.exp, [0, 1]).converged
+    # a jump inside the interval defeats tanh-sinh's one pass; quad_certified
+    # runs at its caller's precision, here that of alpha's and the companion's
+    with hp(extra=10):
+        res = quad_certified(lambda t: mp.mpf(3 * t < 1), [0, 1])
+        assert not res.converged
+        assert res.error_estimate >= mp.mpf(specialfns.QUAD_TARGET)
+        assert quad_certified(mp.exp, [0, 1]).converged
     assert alpha(1).converged and alpha_companion(1).converged
-    # at small y the tail is cut at t = 500 with a remainder above the target
+    # at small y the range is cut at T = 500 with a remainder above the target
     assert not alpha("0.001").converged
 

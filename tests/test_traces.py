@@ -8,6 +8,7 @@ from mpmath import mp
 
 from quadtrace.arith import is_prime
 from quadtrace.classnumbers import generalized_hurwitz
+from quadtrace.lvalues import fundamental_decomposition, l_value_at_1
 from quadtrace.quadforms import weighted_orbit_count
 from quadtrace.traces import (
     imaginary_trace_rhs,
@@ -21,6 +22,11 @@ from .test_quadforms import pairwise_orbits, stabilizer_index
 
 def setup_module():
     mp.dps = 30
+
+
+def _real_index(n):
+    """real_index(n) with L(1, chi_t) for n = t m^2, as `verify real` passes it."""
+    return real_index(n, l_value_at_1(fundamental_decomposition(n)[0]))
 
 
 def _imaginary_rhs(p, n):
@@ -70,7 +76,7 @@ def test_imaginary_invariant_under_rep_permutation(monkeypatch):
     imaginary = ((3, -20), (5, -24), (7, -47), (3, -27), (5, -100))
     real = ((3, 40), (5, 24), (3, 45), (5, 200))
     base_imaginary = {(p, n): weighted_orbit_count(p, n) for p, n in imaginary}
-    base_real = {(p, n): trace_real_nonsquare(p, real_index(n)) for p, n in real}
+    base_real = {(p, n): trace_real_nonsquare(p, _real_index(n)) for p, n in real}
     orig = qf.class_reps
     calls = []
 
@@ -83,15 +89,15 @@ def test_imaginary_invariant_under_rep_permutation(monkeypatch):
     for (p, n), expected in base_imaginary.items():
         assert weighted_orbit_count(p, n) == expected
     for (p, n), expected in base_real.items():
-        assert abs(trace_real_nonsquare(p, real_index(n)) - expected) < mp.mpf("1e-25")
+        assert abs(trace_real_nonsquare(p, _real_index(n)) - expected) < mp.mpf("1e-25")
     # both traces went through the permuted representatives
     assert calls == [n for _, n in imaginary + real]
 
 
 def test_real_trace_empty_sets():
     # 5 is not a square mod 12, so no forms of discriminant 5 carry 3 | a
-    assert trace_real_nonsquare(3, real_index(5)) == 0
-    assert abs(real_trace_rhs(3, real_index(5))) < mp.mpf("1e-25")
+    assert trace_real_nonsquare(3, _real_index(5)) == 0
+    assert abs(real_trace_rhs(3, _real_index(5))) < mp.mpf("1e-25")
 
 
 def test_real_trace_seed_values():
@@ -99,7 +105,7 @@ def test_real_trace_seed_values():
 
     # two orbits of discriminant 12 at p = 3, both with unit stabilizer index
     expected = 2 * automorph_unit(12).log_value()
-    assert abs(trace_real_nonsquare(3, real_index(12)) - expected) < mp.mpf("1e-25")
+    assert abs(trace_real_nonsquare(3, _real_index(12)) - expected) < mp.mpf("1e-25")
 
 
 def test_real_trace_translate_invariance():
@@ -112,4 +118,4 @@ def test_real_trace_translate_invariance():
             translate = rep.apply((1, 0, p, 1))  # a Gamma_0(p) element
             d0 = n // (translate.content() ** 2)
             total += stabilizer_index(p, translate) * automorph_unit(d0).log_value()
-        assert abs(total - trace_real_nonsquare(p, real_index(n))) < mp.mpf("1e-25")
+        assert abs(total - trace_real_nonsquare(p, _real_index(n))) < mp.mpf("1e-25")
